@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .delaf import DictEntry, DictFile, RoleTag
-from .errors import CorruptFile, EmptyLexicon, FormatVersionMismatch
+from .errors import CorruptFile, EmptyLexicon, FormatLimitExceeded, FormatVersionMismatch
 from .preprocess import TokenKind, tokenize
 
 
@@ -113,6 +113,9 @@ class Lexicon:
         for ci, comp in enumerate(compounds):
             first = comp.pattern[0][1].casefold()
             self._compound_index.setdefault(first, []).append(ci)
+        # no match_compounds window needs more tokens than this; 0 when
+        # the lexicon has no compounds
+        self.max_compound_tokens = max((len(c.pattern) for c in compounds), default=0)
         self.stats = stats
 
     # -- simple-form lookup ------------------------------------------------
@@ -431,8 +434,39 @@ class _Reader:
         return out
 
 
+_U16_MAX = 0xFFFF
+
+
+def _check_u16_counts(lex: Lexicon) -> None:
+    """Raise FormatLimitExceeded if a count does not fit its u16 field."""
+    for state, (_final, edges) in enumerate(lex._states):
+        if len(edges) > _U16_MAX:
+            raise _too_many(f"automaton state {state}", len(edges), "edges")
+    for word_index, ids in enumerate(lex._form_analyses):
+        if len(ids) > _U16_MAX:
+            form = lex.iter_forms()[word_index]
+            raise _too_many(f"form {form!r}", len(ids), "analyses")
+    for comp in lex._compounds:
+        if len(comp.analysis_ids) > _U16_MAX:
+            raise _too_many(f"compound {comp.form!r}", len(comp.analysis_ids), "analyses")
+    for key, forms in lex._fold_extra.items():
+        if len(forms) > _U16_MAX:
+            raise _too_many(f"casefolded form {key!r}", len(forms), "cased forms")
+
+
+def _too_many(what, count, unit) -> FormatLimitExceeded:
+    return FormatLimitExceeded(
+        f"{what} has {count} {unit}; the lexicon format allows at most {_U16_MAX}"
+    )
+
+
 def save_lexicon(lex: Lexicon, path) -> None:
-    """Write the versioned, checksummed binary form (docs/lexicon-binary.md)."""
+    """Write the versioned, checksummed binary form (docs/lexicon-binary.md).
+
+    Raises FormatLimitExceeded, before the file is opened, when a count
+    does not fit its u16 field.
+    """
+    _check_u16_counts(lex)
     chunks = []
     s = lex.stats
     chunks.append(

@@ -7,7 +7,6 @@ Run manifests (run.json) honor SOURCE_DATE_EPOCH for reproducible trees.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import datetime
 import glob
 import hashlib
@@ -44,7 +43,6 @@ from .delaf import RoleTag, load_dict_file
 from .dico import (
     DicoResult,
     apply_dictionaries,
-    merge_results,
     read_annotations,
     write_outputs,
 )
@@ -120,18 +118,9 @@ def cmd_apply(args) -> int:
         load_replacement_table(args.replacements) if args.replacements else None
     )
 
-    def run_one(path):
-        stream = _preprocess_file(path, abbrevs, replacements)
-        return apply_dictionaries(lexicons, stream, policy)
-
-    if args.jobs > 1 and len(corpus) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            partials = list(pool.map(run_one, corpus))
-    else:
-        partials = [run_one(path) for path in corpus]
-    result = DicoResult(policy=policy)
-    for part in partials:  # corpus list is sorted: merge order is deterministic
-        result = merge_results(result, part)
+    # one file's tokens at a time, in sorted corpus order
+    streams = (_preprocess_file(path, abbrevs, replacements) for path in corpus)
+    result = apply_dictionaries(lexicons, streams, policy)
 
     outdir = Path(args.output)
     write_outputs(result, outdir)
@@ -314,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case-policy", choices=sorted(_POLICIES), default="unitex_like")
     p.add_argument("--abbrev", help="abbreviation list for sentence segmentation")
     p.add_argument("--replacements", help="two-column TSV replacement table")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_apply)
 
     p = sub.add_parser("coverage", help="coverage report / version delta")

@@ -4,12 +4,13 @@ words, compound matches, and unknown forms (the dlf/dlc/err outputs)."""
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .automaton import CaseFoldPolicy, Lexicon
 from .delaf import DictEntry, serialize_entry
-from .errors import PolicyMismatch
+from .errors import MalformedAnnotations, PolicyMismatch
 from .preprocess import TokenKind, TokenStream
 
 
@@ -36,6 +37,15 @@ class DicoResult:
     dlc: dict[DictEntry, int] = field(default_factory=dict)
     err: set[str] = field(default_factory=set)
     annotations: list[TokenAnnotation] = field(default_factory=list)
+    # 1 + the largest sentence index in annotations (0 when there are none):
+    # the offset the next merged stream's sentence indices start from.
+    # apply_dictionaries and merge_results keep it; it is computed once for
+    # a result built from existing annotations.
+    sentence_count: int = 0
+
+    def __post_init__(self):
+        if self.annotations and not self.sentence_count:
+            self.sentence_count = 1 + max(a.sentence_index for a in self.annotations)
 
     def status_counts(self) -> dict[TokenStatus, int]:
         counts = {status: 0 for status in TokenStatus}
@@ -50,29 +60,86 @@ class DicoResult:
 
 
 def apply_dictionaries(
-    lexicons, stream: TokenStream, policy: CaseFoldPolicy = CaseFoldPolicy.UNITEX_LIKE
+    lexicons,
+    streams: TokenStream | Iterable[TokenStream],
+    policy: CaseFoldPolicy = CaseFoldPolicy.UNITEX_LIKE,
 ) -> DicoResult:
-    """Annotate every word token of the stream against the lexicons.
+    """Annotate every word token of one stream, or of several in order.
 
     ``lexicons`` is one Lexicon or an ordered list; lookups take the union
     while compound ties follow list order.  Compounds are matched greedily,
     longest first, left to right, within sentence bounds, no overlaps.
+
+    ``streams`` is one TokenStream or an iterable of them, consumed once.
+    All streams fill one result, as if folded with :func:`merge_results`:
+    each stream's sentence indices are shifted by the result's
+    ``sentence_count`` so far, and an empty stream adds none.
     """
     if isinstance(lexicons, Lexicon):
         lexicons = [lexicons]
+    if isinstance(streams, TokenStream):
+        streams = (streams,)
     result = DicoResult(policy=policy)
-    tokens = stream.tokens
+    annotations = result.annotations
+    # a lookup depends only on the text, the policy and the lexicons, all
+    # fixed for this call: text -> sorted analyses, () when nothing matches
+    analyses_by_text = {}
+    compound_limit = max((lex.max_compound_tokens for lex in lexicons), default=0)
+    for stream in streams:
+        tokens = stream.tokens
+        if not tokens:
+            continue
+        offset = result.sentence_count
+        covered = _compound_pass(lexicons, tokens, policy, result.dlc, compound_limit)
+        for i, tok in enumerate(tokens):
+            sentence_index = tok.sentence_index + offset
+            if tok.kind is not TokenKind.WORD:
+                annotations.append(
+                    TokenAnnotation(tok.text, tok.kind, sentence_index, False, None)
+                )
+                continue
+            analyses = analyses_by_text.get(tok.text)
+            if analyses is None:
+                analyses = _lookup_analyses(lexicons, tok.text, policy)
+                analyses_by_text[tok.text] = analyses
+                result.dlf.update(analyses)
+            if analyses:
+                status = TokenStatus.KNOWN_SIMPLE
+            elif covered[i]:
+                status = TokenStatus.IN_COMPOUND_ONLY
+            else:
+                status = TokenStatus.UNKNOWN
+                result.err.add(tok.text)
+            annotations.append(
+                TokenAnnotation(
+                    tok.text,
+                    tok.kind,
+                    sentence_index,
+                    tok.sentence_initial,
+                    status,
+                    analyses,
+                )
+            )
+        result.sentence_count = offset + 1 + max(t.sentence_index for t in tokens)
+    return result
 
-    # compound pass: greedy longest match, anchored left to right
+
+def _compound_pass(lexicons, tokens, policy, dlc, limit) -> list[bool]:
+    """Count compound matches into ``dlc``; return which tokens they cover.
+
+    Greedy longest match, anchored left to right.  A window is capped at
+    ``limit`` tokens, the longest compound pattern, so the pass is linear.
+    """
     covered = [False] * len(tokens)
+    if not limit:
+        return covered
     sentence_end = _sentence_ends(tokens)
     i = 0
     while i < len(tokens):
-        tok = tokens[i]
-        if tok.kind is not TokenKind.WORD or covered[i]:
+        if tokens[i].kind is not TokenKind.WORD:
             i += 1
             continue
-        window = tokens[i : sentence_end[i]]
+        window = tokens[i : min(sentence_end[i], i + limit)]
         best = None  # (span, lex_order, form, ids)
         for order, lex in enumerate(lexicons):
             for span, form, ids in lex.match_compounds(window, policy):
@@ -84,50 +151,19 @@ def apply_dictionaries(
             continue
         span, order, form, ids = best
         for entry in _entries(lexicons[order], form, ids):
-            result.dlc[entry] = result.dlc.get(entry, 0) + 1
+            dlc[entry] = dlc.get(entry, 0) + 1
         for k in range(i, i + span):
             covered[k] = True
         i += span
+    return covered
 
-    # simple pass
-    for i, tok in enumerate(tokens):
-        if tok.kind is not TokenKind.WORD:
-            result.annotations.append(
-                TokenAnnotation(tok.text, tok.kind, tok.sentence_index, False, None)
-            )
-            continue
-        matched = {}
-        for lex in lexicons:
-            for form, ids in lex.lookup_forms(tok.text, policy).items():
-                entries = _entries(lex, form, ids)
-                matched.setdefault(form, []).extend(entries)
-        if matched:
-            status = TokenStatus.KNOWN_SIMPLE
-            analyses = tuple(
-                sorted(
-                    {e for group in matched.values() for e in group},
-                    key=serialize_entry,
-                )
-            )
-            result.dlf.update(analyses)
-        elif covered[i]:
-            status = TokenStatus.IN_COMPOUND_ONLY
-            analyses = ()
-        else:
-            status = TokenStatus.UNKNOWN
-            analyses = ()
-            result.err.add(tok.text)
-        result.annotations.append(
-            TokenAnnotation(
-                tok.text,
-                tok.kind,
-                tok.sentence_index,
-                tok.sentence_initial,
-                status,
-                analyses,
-            )
-        )
-    return result
+
+def _lookup_analyses(lexicons, text, policy) -> tuple[DictEntry, ...]:
+    matched = set()
+    for lex in lexicons:
+        for form, ids in lex.lookup_forms(text, policy).items():
+            matched.update(_entries(lex, form, ids))
+    return tuple(sorted(matched, key=serialize_entry))
 
 
 def _entries(lex: Lexicon, form: str, ids) -> list[DictEntry]:
@@ -146,7 +182,11 @@ def _sentence_ends(tokens) -> list[int]:
 
 
 def merge_results(a: DicoResult, b: DicoResult) -> DicoResult:
-    """Combine results of two disjoint streams processed identically."""
+    """Combine results of two disjoint streams processed identically.
+
+    ``b``'s sentence indices are shifted by ``a.sentence_count``, so the
+    per-annotation work is proportional to ``b`` alone.
+    """
     if a.policy is not b.policy:
         raise PolicyMismatch(f"{a.policy.value} vs {b.policy.value}")
     merged = DicoResult(policy=a.policy)
@@ -156,11 +196,12 @@ def merge_results(a: DicoResult, b: DicoResult) -> DicoResult:
     for entry, count in b.dlc.items():
         merged.dlc[entry] = merged.dlc.get(entry, 0) + count
     # keep sentence indices unique across the concatenation
-    offset = 1 + max((x.sentence_index for x in a.annotations), default=-1)
+    offset = a.sentence_count
     merged.annotations = a.annotations + [
         replace(ann, sentence_index=ann.sentence_index + offset)
         for ann in b.annotations
     ]
+    merged.sentence_count = offset + b.sentence_count
     return merged
 
 
@@ -208,13 +249,20 @@ def read_annotations(path) -> list[TokenAnnotation]:
     annotations = []
     seen_sentences = set()
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
+        for line_number, raw in enumerate(fh, 1):
             row = raw.rstrip("\n").split("\t")
             if len(row) != 5:
-                continue
+                raise MalformedAnnotations(
+                    f"{path}, line {line_number}: expected 5 tab-separated fields,"
+                    f" found {len(row)}"
+                )
             text, kind, sentence_index, status, _ = row
-            kind = TokenKind(kind)
-            sentence_index = int(sentence_index)
+            try:
+                kind = TokenKind(kind)
+                sentence_index = int(sentence_index)
+                status = TokenStatus(status) if status else None
+            except ValueError as exc:
+                raise MalformedAnnotations(f"{path}, line {line_number}: {exc}") from None
             initial = False
             if kind is TokenKind.WORD and sentence_index not in seen_sentences:
                 initial = True
@@ -225,7 +273,7 @@ def read_annotations(path) -> list[TokenAnnotation]:
                     kind,
                     sentence_index,
                     initial,
-                    TokenStatus(status) if status else None,
+                    status,
                 )
             )
     return annotations

@@ -130,7 +130,8 @@ def _is_abbreviation_dot(tokens, i, abbrevs) -> bool:
 
 
 def _starts_new_sentence(tokens, i) -> bool:
-    for nxt in tokens[i + 1 :]:
+    for j in range(i + 1, len(tokens)):
+        nxt = tokens[j]
         if nxt.kind is TokenKind.SPACE:
             continue
         if nxt.kind is TokenKind.PUNCT and nxt.text in _TERMINATORS:

@@ -3,7 +3,16 @@ import shutil
 
 import pytest
 
+from lexcov.automaton import CaseFoldPolicy, load_lexicon
 from lexcov.cli import main
+from lexcov.dico import (
+    DicoResult,
+    TokenStatus,
+    apply_dictionaries,
+    merge_results,
+    write_outputs,
+)
+from lexcov.preprocess import normalize_delimiters, segment_sentences, tokenize
 
 
 def run_cli(capsys, *argv):
@@ -59,6 +68,16 @@ class TestCompile:
         )
         assert code == 2
 
+    def test_count_overflow_is_invalid_input(self, tmp_path, capsys):
+        # one form with 65,536 analyses overflows its u16 count field
+        dic = tmp_path / "many.dic"
+        dic.write_text("".join(f"x,l{i}.N\n" for i in range(65536)), encoding="utf-8")
+        out = tmp_path / "many.lex"
+        code, _, stderr = run_cli(capsys, "compile", str(dic), "-o", str(out))
+        assert code == 2
+        assert "'x'" in stderr and "65536 analyses" in stderr
+        assert not out.exists()
+
 
 class TestApply:
     def test_neymar_run(self, fixtures_dir, neymar_bin, tmp_path, capsys):
@@ -103,22 +122,50 @@ class TestApply:
         manifest = json.loads((outdir / "run.json").read_text(encoding="utf-8"))
         assert manifest["counts"]["word_tokens"] == 0
 
-    def test_jobs_matches_serial(self, fixtures_dir, neymar_bin, tmp_path, capsys):
-        c1 = tmp_path / "a.txt"
-        c2 = tmp_path / "b.txt"
-        c1.write_text("o time corria\n", encoding="utf-8")
-        c2.write_text("atrás do prejuízo Zeca\n", encoding="utf-8")
-        serial = tmp_path / "serial"
-        parallel = tmp_path / "parallel"
-        for outdir, jobs in ((serial, "1"), (parallel, "4")):
-            code, _, _ = run_cli(
-                capsys,
-                "apply", str(c1), str(c2),
-                "-l", str(neymar_bin), "-o", str(outdir), "--jobs", jobs,
+    def test_streams_match_merge_fold(self, tmp_path, capsys):
+        # "exemplo" is in_compound_only in 1_a and 4_d and unknown in 2_b, so
+        # the run-wide lookup cache must not carry a token status across files
+        dic = tmp_path / "c.dic"
+        dic.write_text("por exemplo,.ADV\no,.DET\ntime,.N\n", encoding="utf-8")
+        lex_bin = tmp_path / "c.lex"
+        assert main(["compile", str(dic), "-o", str(lex_bin)]) == 0
+        texts = {
+            "1_a.txt": "O time, por exemplo. O time venceu.\n",
+            "2_b.txt": "Um exemplo bom. Outro exemplo\n",
+            "3_c.txt": "",
+            "4_d.txt": "por exemplo o time sem ponto final",
+        }
+        corpus = []
+        for name, text in texts.items():
+            path = tmp_path / name
+            path.write_text(text, encoding="utf-8")
+            corpus.append(path)
+        outdir = tmp_path / "run"
+        code, _, _ = run_cli(
+            capsys, "apply", *map(str, corpus), "-l", str(lex_bin), "-o", str(outdir)
+        )
+        assert code == 0
+
+        lex = load_lexicon(lex_bin)
+        folded = DicoResult(policy=CaseFoldPolicy.UNITEX_LIKE)
+        for path in corpus:
+            stream = segment_sentences(
+                tokenize(normalize_delimiters(path.read_text(encoding="utf-8")))
             )
-            assert code == 0
+            folded = merge_results(folded, apply_dictionaries(lex, stream))
+        statuses = {(a.text, a.status) for a in folded.annotations}
+        assert ("exemplo", TokenStatus.IN_COMPOUND_ONLY) in statuses
+        assert ("exemplo", TokenStatus.UNKNOWN) in statuses
+        # each file starts at 1 + the largest index before it; 1_a's trailing
+        # newline holds index 2, and the empty 3_c adds none
+        rows = [
+            line.split("\t")
+            for line in (outdir / "annotations.tsv").read_text(encoding="utf-8").splitlines()
+        ]
+        assert sorted({int(r[2]) for r in rows if r[1] == "word"}) == [0, 1, 3, 4, 5]
+        write_outputs(folded, tmp_path / "folded")
         for name in ("dlf", "dlc", "err", "annotations.tsv"):
-            assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+            assert (outdir / name).read_bytes() == (tmp_path / "folded" / name).read_bytes()
 
 
 class TestCoverage:
@@ -301,6 +348,27 @@ class TestExitCodes:
         )
         assert code == 2
         assert stderr
+
+    @pytest.mark.parametrize("command", ["coverage", "classify"])
+    def test_cut_annotation_row(self, neymar_bin, tmp_path, capsys, command):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("O time de Neymar corria atrás do prejuízo e venceu\n", encoding="utf-8")
+        outdir = tmp_path / "run"
+        assert main(["apply", str(corpus), "-l", str(neymar_bin), "-o", str(outdir)]) == 0
+        capsys.readouterr()
+        table = outdir / "annotations.tsv"
+        rows = table.read_text(encoding="utf-8").splitlines()
+        assert len(rows) == 10
+        rows[3] = "\t".join(rows[3].split("\t")[:3])
+        table.write_text("".join(r + "\n" for r in rows), encoding="utf-8")
+        argv = (
+            ["coverage", "--run", str(outdir)]
+            if command == "coverage"
+            else ["classify", str(outdir), "-l", str(neymar_bin)]
+        )
+        code, _, stderr = run_cli(capsys, *argv)
+        assert code == 2
+        assert "annotations.tsv, line 4" in stderr
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -155,6 +155,13 @@ class TestMergeResults:
         assert merged.dlf == whole.dlf
         assert merged.err == whole.err
 
+    def test_offset_of_result_built_from_annotations(self, neymar_lexicon):
+        a = run("Fui lá. O time corria.", neymar_lexicon)
+        b = run("O time venceu.", neymar_lexicon)
+        rebuilt = DicoResult(policy=a.policy, annotations=list(a.annotations))
+        assert rebuilt.sentence_count == a.sentence_count == 2
+        assert merge_results(rebuilt, b).annotations == merge_results(a, b).annotations
+
 
 class TestOutputs:
     def test_files_written_sorted(self, neymar_lexicon, tmp_path):

@@ -1,0 +1,101 @@
+"""Growth checks: doubling the input of a linear stage about doubles its time.
+
+Each check times the stage at n and 2n, best of 3 with the collector off,
+and bounds t(2n)/t(n) below 3.0.  A stage that is quadratic in its input
+reads about 4.
+"""
+
+import gc
+import random
+import time
+
+from lexcov.automaton import CaseFoldPolicy, compile_lexicon
+from lexcov.delaf import DictFile, parse_entry
+from lexcov.dico import apply_dictionaries
+from lexcov.preprocess import segment_sentences, tokenize
+
+BOUND = 3.0
+REPEATS = 3
+
+WORDS = ["por", "exemplo", "a", "fim", "de", "casa", "time", "corria", "longe", "mar"]
+LEXICON = [
+    "por exemplo,.ADV",
+    "a fim de,.PREP",
+    "a fim,.ADJ",
+    "de casa em casa,.ADV",
+    "casa,.N",
+    "time,.N",
+    "corria,correr.V",
+    "de,.PREP",
+]
+
+
+def growth(make_args, run, n):
+    """Best-of-REPEATS t(2n) over best-of-REPEATS t(n); arguments are built
+    outside the timing."""
+
+    def best(size):
+        times = []
+        for _ in range(REPEATS):
+            args = make_args(size)
+            gc.collect()
+            gc.disable()
+            try:
+                start = time.perf_counter()
+                run(*args)
+                times.append(time.perf_counter() - start)
+            finally:
+                gc.enable()
+        return min(times)
+
+    return best(2 * n) / best(n)
+
+
+def words(n, seed=7):
+    rng = random.Random(seed)
+    return [rng.choice(WORDS) for _ in range(n)]
+
+
+def sentences_text(n_words, seed=7):
+    """Capitalised 12-word sentences, every one ended by a period."""
+    ws = words(n_words, seed)
+    return " ".join(
+        " ".join(ws[i : i + 12]).capitalize() + "." for i in range(0, n_words, 12)
+    )
+
+
+def test_segmentation_is_linear():
+    text = sentences_text(40_000)
+    ratio = growth(
+        lambda n: (tokenize(text[:n]),),
+        segment_sentences,
+        len(text) // 2,
+    )
+    assert ratio < BOUND, ratio
+
+
+def test_compound_pass_is_linear_in_one_long_sentence():
+    lex = compile_lexicon([DictFile([parse_entry(line) for line in LEXICON])])
+    text = " ".join(words(20_000))  # no terminator: one sentence
+
+    def stream(n_chars):
+        return (segment_sentences(tokenize(text[:n_chars])),)
+
+    ratio = growth(
+        stream,
+        lambda s: apply_dictionaries(lex, s, CaseFoldPolicy.UNITEX_LIKE),
+        len(text) // 2,
+    )
+    assert ratio < BOUND, ratio
+
+
+def test_apply_over_files_is_linear_in_file_count():
+    lex = compile_lexicon([DictFile([parse_entry(line) for line in LEXICON])])
+    files = [segment_sentences(tokenize(sentences_text(24, seed))) for seed in range(1600)]
+
+    def run(k):
+        # a generator of streams, the form lexcov apply passes
+        apply_dictionaries(lex, (f for f in files[:k]), CaseFoldPolicy.UNITEX_LIKE)
+
+    ratio = growth(lambda k: (k,), run, len(files) // 2)
+    assert ratio < BOUND, ratio
