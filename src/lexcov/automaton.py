@@ -120,22 +120,63 @@ class Lexicon:
 
     # -- simple-form lookup ------------------------------------------------
 
-    def word_index(self, form: str) -> int | None:
-        """Dense index of a form in the sorted key set, or None."""
+    def _rank_from(self, state: int, text: str) -> int | None:
+        """Rank offset gained by reading ``text`` from ``state``, or None
+        unless that walk exists and ends in a final state."""
         states = self._states
-        state = 0
         idx = 0
-        for ch in form:
-            final, edges = states[state]
-            hop = edges.get(ch)
+        for ch in text:
+            hop = states[state][1].get(ch)
             if hop is None:
                 return None
-            idx += hop[1]
-            state = hop[0]
+            state, offset = hop
+            idx += offset
         return idx if states[state][0] else None
+
+    def word_index(self, form: str) -> int | None:
+        """Dense index of a form in the sorted key set, or None."""
+        return self._rank_from(0, form)
 
     def __contains__(self, form: str) -> bool:
         return self.word_index(form) is not None
+
+    def within_one_edit(self, form: str, alphabet) -> list[str]:
+        """Forms at Levenshtein distance exactly 1 from ``form``, sorted.
+
+        Inserted and substituted characters come from ``alphabet``; a
+        deletion may remove any character.  One depth-first walk with one
+        edit to spend: the exact prefix ``form[:i]`` is followed state by
+        state, and at each state an insertion, a deletion of ``form[i]``
+        or a substitution for it is tried, each followed by an exact walk
+        of the rest.  The walk ends at the first ``form[i]`` without an
+        edge, since no longer exact prefix exists.  The empty form is
+        never returned.
+        """
+        states = self._states
+        rank = self._rank_from
+        found = set()
+        state = 0
+        for i in range(len(form) + 1):
+            edges = states[state][1]
+            prefix, rest = form[:i], form[i:]
+            after = form[i + 1 :]
+            for ch, (target, _) in edges.items():
+                if ch not in alphabet:
+                    continue
+                if rank(target, rest) is not None:              # insertion
+                    found.add(prefix + ch + rest)
+                if rest and ch != rest[0] and rank(target, after) is not None:
+                    found.add(prefix + ch + after)              # substitution
+            if not rest:
+                break
+            if rank(state, after) is not None:                  # deletion
+                found.add(prefix + after)
+            hop = edges.get(rest[0])
+            if hop is None:
+                break
+            state = hop[0]
+        found.discard("")
+        return sorted(found)
 
     def analysis(self, analysis_id: int) -> Analysis:
         return self._analyses[analysis_id]
@@ -175,6 +216,11 @@ class Lexicon:
         return frozenset(out)
 
     # -- compounds ---------------------------------------------------------
+
+    def starts_compound(self, folded: str) -> bool:
+        """Whether some compound's first token casefolds to ``folded``;
+        when not, :meth:`match_compounds` finds nothing for that token."""
+        return folded in self._compound_index
 
     def match_compounds(self, tokens, policy=CaseFoldPolicy.UNITEX_LIKE):
         """All multiword matches anchored at tokens[0], longest first.
@@ -233,11 +279,6 @@ class Lexicon:
 
     def compound_forms(self):
         return sorted({c.form for c in self._compounds})
-
-    # -- serialization -----------------------------------------------------
-
-    def save(self, path) -> None:
-        save_lexicon(self, path)
 
 
 def compile_lexicon(dicts: list[DictFile]) -> Lexicon:

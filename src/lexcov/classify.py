@@ -137,18 +137,9 @@ def build_unknown_records(dico: DicoResult) -> list[UnknownRecord]:
 
 
 def edit_distance_1_candidates(form: str, lex: Lexicon, alphabet=PORTUGUESE_ALPHABET):
-    """Lexicon forms at Levenshtein distance exactly 1, sorted."""
-    seen = set()
-    n = len(form)
-    for i in range(n):
-        seen.add(form[:i] + form[i + 1 :])                      # deletion
-        for ch in alphabet:
-            seen.add(form[:i] + ch + form[i + 1 :])             # substitution
-    for i in range(n + 1):
-        for ch in alphabet:
-            seen.add(form[:i] + ch + form[i:])                  # insertion
-    seen.discard(form)
-    return sorted(c for c in seen if c and c in lex)
+    """Lexicon forms at Levenshtein distance exactly 1, sorted; inserted and
+    substituted characters come from ``alphabet``."""
+    return lex.within_one_edit(form, alphabet)
 
 
 def _split_candidates(form, lexicons, min_part):

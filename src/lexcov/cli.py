@@ -18,7 +18,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .automaton import CaseFoldPolicy, Lexicon, compile_lexicon, load_lexicon
+from .automaton import CaseFoldPolicy, compile_lexicon, load_lexicon, save_lexicon
 from .classify import (
     ClassifierConfig,
     build_unknown_records,
@@ -46,7 +46,7 @@ from .dico import (
     read_annotations,
     write_outputs,
 )
-from .errors import LexcovError, MalformedEntry
+from .errors import LexcovError, MalformedEntry, MalformedManifest
 from .preprocess import (
     load_abbreviation_list,
     load_replacement_table,
@@ -94,7 +94,7 @@ def _preprocess_file(path, abbrevs, replacements):
 def cmd_compile(args) -> int:
     dicts = [load_dict_file(p, RoleTag(args.role)) for p in args.dicts]
     lex = compile_lexicon(dicts)
-    lex.save(args.output)
+    save_lexicon(lex, args.output)
     stats = {
         "entries": lex.stats.entry_count,
         "unique_forms": lex.stats.unique_form_count,
@@ -151,11 +151,26 @@ def cmd_apply(args) -> int:
     return 0
 
 
+def _required(mapping, key, where):
+    """``mapping[key]``, or MalformedManifest naming ``where`` and the key."""
+    if not isinstance(mapping, dict):
+        raise MalformedManifest(f"{where}: expected a JSON object")
+    if key not in mapping:
+        raise MalformedManifest(f"{where}: missing key {key!r}")
+    return mapping[key]
+
+
 def _report_from_run(run_dir, fold_mode):
     run_dir = Path(run_dir)
-    manifest = json.loads((run_dir / "run.json").read_text(encoding="utf-8"))
+    manifest_path = run_dir / "run.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    policy = _required(manifest, "policy", manifest_path)
+    if not isinstance(policy, str) or policy not in _POLICIES:
+        raise MalformedManifest(
+            f"{manifest_path}: key 'policy' holds an unknown case policy {policy!r}"
+        )
     annotations = read_annotations(run_dir / "annotations.tsv")
-    dico = DicoResult(policy=_POLICIES[manifest["policy"]], annotations=annotations)
+    dico = DicoResult(policy=_POLICIES[policy], annotations=annotations)
     from .preprocess import Token, TokenKind, TokenStream
 
     stream = TokenStream(
@@ -165,7 +180,10 @@ def _report_from_run(run_dir, fold_mode):
         ]
     )
     word_list = build_word_list(stream, fold_mode)
-    dict_id = ",".join(Path(l["path"]).name for l in manifest.get("lexicons", []))
+    dict_id = ",".join(
+        Path(_required(lex, "path", f"{manifest_path}, lexicons")).name
+        for lex in manifest.get("lexicons", [])
+    )
     return coverage_from_dico(word_list, dico, manifest.get("corpus_id", ""), dict_id)
 
 
@@ -175,16 +193,14 @@ def cmd_coverage(args) -> int:
     deltas = []
     if args.counts:
         rows = json.loads(Path(args.counts).read_text(encoding="utf-8"))
-        for row in rows:
+        for number, row in enumerate(rows, 1):
+            where = f"{args.counts}, row {number}"
+            counts = [
+                _required(row, key, where)
+                for key in ("types_total", "types_unknown", "tokens_total", "tokens_unknown")
+            ]
             reports.append(
-                coverage_from_counts(
-                    row.get("corpus_id", ""),
-                    row.get("dict_id", ""),
-                    row["types_total"],
-                    row["types_unknown"],
-                    row["tokens_total"],
-                    row["tokens_unknown"],
-                )
+                coverage_from_counts(row.get("corpus_id", ""), row.get("dict_id", ""), *counts)
             )
     elif args.run:
         for run_dir in args.run:
@@ -346,7 +362,7 @@ def main(argv=None) -> int:
     except MalformedEntry as exc:
         print(f"lexcov: malformed entry: {exc}", file=sys.stderr)
         return 2
-    except (LexcovError, UnicodeDecodeError, json.JSONDecodeError, KeyError) as exc:
+    except (LexcovError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"lexcov: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

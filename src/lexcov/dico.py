@@ -129,6 +129,7 @@ def _compound_pass(lexicons, tokens, policy, dlc, limit) -> list[bool]:
 
     Greedy longest match, anchored left to right.  A window is capped at
     ``limit`` tokens, the longest compound pattern, so the pass is linear.
+    Only lexicons with a compound starting with the token are asked.
     """
     covered = [False] * len(tokens)
     if not limit:
@@ -139,10 +140,15 @@ def _compound_pass(lexicons, tokens, policy, dlc, limit) -> list[bool]:
         if tokens[i].kind is not TokenKind.WORD:
             i += 1
             continue
+        folded = tokens[i].text.casefold()
+        starting = [o for o, lex in enumerate(lexicons) if lex.starts_compound(folded)]
+        if not starting:
+            i += 1
+            continue
         window = tokens[i : min(sentence_end[i], i + limit)]
         best = None  # (span, lex_order, form, ids)
-        for order, lex in enumerate(lexicons):
-            for span, form, ids in lex.match_compounds(window, policy):
+        for order in starting:
+            for span, form, ids in lexicons[order].match_compounds(window, policy):
                 if span > 1 and (best is None or span > best[0]):
                     best = (span, order, form, ids)
                 break  # matches are longest-first per lexicon
@@ -222,9 +228,16 @@ def write_outputs(result: DicoResult, outdir) -> None:
     _write_lines(outdir / "dlc", sorted(serialize_entry(e) for e in result.dlc))
     _write_lines(outdir / "err", sorted(result.err))
     rows = []
+    # apply shares one analyses tuple between all tokens of a text, so each
+    # label is built once; the annotations keep every tuple, and its id, alive
+    labels = {}
     for ann in result.annotations:
         if ann.kind is TokenKind.SPACE:
             continue
+        label = labels.get(id(ann.analyses))
+        if label is None:
+            label = ";".join(_analysis_label(e) for e in ann.analyses)
+            labels[id(ann.analyses)] = label
         rows.append(
             "\t".join(
                 (
@@ -232,7 +245,7 @@ def write_outputs(result: DicoResult, outdir) -> None:
                     ann.kind.value,
                     str(ann.sentence_index),
                     ann.status.value if ann.status else "",
-                    ";".join(_analysis_label(e) for e in ann.analyses),
+                    label,
                 )
             )
         )

@@ -40,6 +40,11 @@ class MalformedAnnotations(LexcovError):
     """A row of a run's annotations.tsv cannot be read back."""
 
 
+class MalformedManifest(LexcovError):
+    """A run's run.json, or a row of a --counts file, lacks a key or holds
+    an unknown value for it."""
+
+
 class PolicyMismatch(LexcovError):
     """Results produced under different case policies cannot be merged."""
 

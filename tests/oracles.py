@@ -105,3 +105,24 @@ def levenshtein(a: str, b: str) -> int:
             cur.append(min(prev[j] + 1, cur[-1] + 1, prev[j - 1] + (ca != cb)))
         prev = cur
     return prev[-1]
+
+
+def oracle_edit_1(probe: str, forms, alphabet) -> list[str]:
+    """Forms at Levenshtein distance 1 from ``probe`` whose inserted or
+    substituted character is in ``alphabet``, by a scan of every form."""
+    out = []
+    for form in forms:
+        if not form or levenshtein(probe, form) != 1:
+            continue
+        if len(form) == len(probe) + 1:
+            # the inserted character: the one whose removal leaves the probe
+            added = next(
+                form[j] for j in range(len(form)) if form[:j] + form[j + 1 :] == probe
+            )
+        elif len(form) == len(probe):
+            added = next(a for a, b in zip(form, probe) if a != b)
+        else:
+            added = None  # a deletion may remove any character
+        if added is None or added in alphabet:
+            out.append(form)
+    return sorted(out)

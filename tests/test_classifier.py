@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lexcov.automaton import compile_lexicon
 from lexcov.classify import (
@@ -8,6 +9,7 @@ from lexcov.classify import (
     ClassifierConfig,
     CasingProfile,
     DEFAULT_PRECEDENCE,
+    PORTUGUESE_ALPHABET,
     RULE_CATEGORY,
     UnknownRecord,
     build_unknown_records,
@@ -22,7 +24,7 @@ from lexcov.dico import apply_dictionaries
 from lexcov.errors import ConfigError
 from lexcov.preprocess import normalize_delimiters, segment_sentences, tokenize
 
-from oracles import levenshtein
+from oracles import levenshtein, oracle_edit_1
 
 
 def load_records(path):
@@ -163,6 +165,66 @@ class TestEditDistance:
                 f for f in forms if f != probe and levenshtein(probe, f) == 1
             )
             assert edit_distance_1_candidates(probe, lex) == expected
+
+    # forms and probes with characters outside PORTUGUESE_ALPHABET
+    WIDE = "abcáçXYñ-1"
+
+    def test_wide_chars_against_oracle(self):
+        rng = random.Random(73)
+        forms = sorted(
+            {
+                "".join(rng.choice(self.WIDE) for _ in range(rng.randint(1, 5)))
+                for _ in range(400)
+            }
+        )
+        lex = _simple_lexicon(forms)
+        probes = ["", *forms[:40]]
+        probes += ["".join(rng.choice(self.WIDE) for _ in range(rng.randint(1, 6)))
+                   for _ in range(300)]
+        for probe in probes:
+            for alphabet in (PORTUGUESE_ALPHABET, "aX-"):
+                assert edit_distance_1_candidates(probe, lex, alphabet) == oracle_edit_1(
+                    probe, forms, alphabet
+                ), (probe, alphabet)
+
+    def test_alphabet_limits_insertion_and_substitution_only(self):
+        lex = _simple_lexicon(["Casa", "casa", "guarda-chuva", "niño", "p2p"])
+        assert edit_distance_1_candidates("Xasa", lex) == ["casa"]
+        assert edit_distance_1_candidates("guardachuva", lex) == []
+        assert edit_distance_1_candidates("guarda--chuva", lex) == ["guarda-chuva"]
+        assert edit_distance_1_candidates("nio", lex) == []
+        assert edit_distance_1_candidates("nino", lex) == []
+        assert edit_distance_1_candidates("niñoo", lex) == ["niño"]
+        assert edit_distance_1_candidates("pp", lex) == []
+        assert edit_distance_1_candidates("p2pX", lex) == ["p2p"]
+
+    def test_empty_and_one_char_probes(self):
+        lex = _simple_lexicon(["a", "b", "X", "ab"])
+        assert edit_distance_1_candidates("", lex) == ["a", "b"]
+        assert edit_distance_1_candidates("a", lex) == ["ab", "b"]
+        assert edit_distance_1_candidates("X", lex) == ["a", "b"]
+        assert edit_distance_1_candidates("ñ", lex) == ["a", "b"]
+
+    def test_probe_in_lexicon_gives_its_neighbours(self):
+        lex = _simple_lexicon(["casa", "casas", "caso", "cas"])
+        assert edit_distance_1_candidates("casa", lex) == ["cas", "casas", "caso"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        forms=st.lists(st.text(alphabet=WIDE, min_size=1, max_size=5), max_size=30),
+        probe=st.text(alphabet=WIDE, max_size=6),
+        alphabet=st.sampled_from([PORTUGUESE_ALPHABET, "aX-", ""]),
+    )
+    def test_property_against_oracle(self, forms, probe, alphabet):
+        forms = sorted(set(forms) | {"a"})
+        lex = _simple_lexicon(forms)
+        assert edit_distance_1_candidates(probe, lex, alphabet) == oracle_edit_1(
+            probe, forms, alphabet
+        )
+
+
+def _simple_lexicon(forms):
+    return compile_lexicon([DictFile([parse_entry(f"{f},.N") for f in forms])])
 
 
 class TestBuildRecords:

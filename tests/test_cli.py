@@ -370,6 +370,48 @@ class TestExitCodes:
         assert code == 2
         assert "annotations.tsv, line 4" in stderr
 
+    @pytest.mark.parametrize(
+        "policy, message",
+        [
+            (None, "run.json: missing key 'policy'"),
+            ("lower_only", "run.json: key 'policy' holds an unknown case policy 'lower_only'"),
+        ],
+    )
+    def test_bad_manifest_policy(self, neymar_bin, tmp_path, capsys, policy, message):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("O time venceu.\n", encoding="utf-8")
+        outdir = tmp_path / "run"
+        assert main(["apply", str(corpus), "-l", str(neymar_bin), "-o", str(outdir)]) == 0
+        capsys.readouterr()
+        manifest_path = outdir / "run.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        if policy is None:
+            del manifest["policy"]
+        else:
+            manifest["policy"] = policy
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        code, _, stderr = run_cli(capsys, "coverage", "--run", str(outdir))
+        assert code == 2
+        assert str(outdir / message) in stderr
+
+    def test_counts_row_missing_key(self, tmp_path, capsys):
+        counts = tmp_path / "counts.json"
+        row = {"types_total": 10, "types_unknown": 2, "tokens_total": 30, "tokens_unknown": 4}
+        short = {k: v for k, v in row.items() if k != "tokens_total"}
+        counts.write_text(json.dumps([row, short]), encoding="utf-8")
+        code, _, stderr = run_cli(capsys, "coverage", "--counts", str(counts))
+        assert code == 2
+        assert f"{counts}, row 2: missing key 'tokens_total'" in stderr
+
+    def test_internal_key_error_is_not_invalid_input(self, neymar_bin, monkeypatch):
+        # a KeyError raised by a bug is not reported as bad input (exit 2)
+        def broken(*args, **kwargs):
+            raise KeyError("bug")
+
+        monkeypatch.setattr("lexcov.cli.load_lexicon", broken)
+        with pytest.raises(KeyError):
+            main(["bench", "-l", str(neymar_bin), "--count", "1"])
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
