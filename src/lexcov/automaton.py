@@ -83,11 +83,11 @@ def token_matches_form(token_text: str, form_text: str, policy: CaseFoldPolicy) 
 
 
 def _lookup_candidates(token_text: str, policy: CaseFoldPolicy):
-    """Lexicon forms that could match the token, as probe strings."""
+    """Lexicon forms that could match the token under ``exact`` or
+    ``unitex_like``, as probe strings (``lookup_forms`` probes ``full_fold``
+    itself)."""
     if policy is CaseFoldPolicy.EXACT:
         return (token_text,)
-    if policy is CaseFoldPolicy.FULL_FOLD:
-        return (token_text.casefold(),)
     candidates = [token_text]
     decap = token_text[0].lower() + token_text[1:]
     if decap != token_text and decap == decap.lower() and decap[0].upper() == token_text[0]:

@@ -28,11 +28,9 @@ from .classify import (
     write_classification_tsv,
 )
 from .coverage import (
-    build_word_list,
     compare_versions,
     coverage_from_counts,
     coverage_from_dico,
-    coverage_from_lexicon,
     diff_dictionaries,
     mean_delta,
     render_coverage_text,
@@ -89,6 +87,18 @@ def _preprocess_file(path, abbrevs, replacements):
     return segment_sentences(stream, abbrevs)
 
 
+def _apply_corpus(patterns, lexicon_paths, policy, abbrev=None, replacements=None):
+    """Apply the lexicons to the expanded corpus; the sorted file list and
+    the one DicoResult over all of it."""
+    lexicons = [load_lexicon(p) for p in lexicon_paths]
+    corpus = _expand_corpus(patterns)
+    abbrevs = load_abbreviation_list(abbrev) if abbrev else ()
+    table = load_replacement_table(replacements) if replacements else None
+    # one file's tokens at a time, in sorted corpus order
+    streams = (_preprocess_file(path, abbrevs, table) for path in corpus)
+    return corpus, apply_dictionaries(lexicons, streams, policy)
+
+
 # -- subcommands ------------------------------------------------------------
 
 def cmd_compile(args) -> int:
@@ -110,18 +120,10 @@ def cmd_compile(args) -> int:
 
 
 def cmd_apply(args) -> int:
-    lexicons = [load_lexicon(p) for p in args.lexicon]
     policy = _POLICIES[args.case_policy]
-    corpus = _expand_corpus(args.corpus)
-    abbrevs = load_abbreviation_list(args.abbrev) if args.abbrev else ()
-    replacements = (
-        load_replacement_table(args.replacements) if args.replacements else None
+    corpus, result = _apply_corpus(
+        args.corpus, args.lexicon, policy, args.abbrev, args.replacements
     )
-
-    # one file's tokens at a time, in sorted corpus order
-    streams = (_preprocess_file(path, abbrevs, replacements) for path in corpus)
-    result = apply_dictionaries(lexicons, streams, policy)
-
     outdir = Path(args.output)
     write_outputs(result, outdir)
     counts = result.status_counts()
@@ -171,20 +173,11 @@ def _report_from_run(run_dir, fold_mode):
         )
     annotations = read_annotations(run_dir / "annotations.tsv")
     dico = DicoResult(policy=_POLICIES[policy], annotations=annotations)
-    from .preprocess import Token, TokenKind, TokenStream
-
-    stream = TokenStream(
-        tokens=[
-            Token(a.kind, a.text, (0, 0), a.sentence_index, a.sentence_initial)
-            for a in annotations
-        ]
-    )
-    word_list = build_word_list(stream, fold_mode)
     dict_id = ",".join(
         Path(_required(lex, "path", f"{manifest_path}, lexicons")).name
         for lex in manifest.get("lexicons", [])
     )
-    return coverage_from_dico(word_list, dico, manifest.get("corpus_id", ""), dict_id)
+    return coverage_from_dico(dico, fold_mode, manifest.get("corpus_id", ""), dict_id)
 
 
 def cmd_coverage(args) -> int:
@@ -209,15 +202,12 @@ def cmd_coverage(args) -> int:
         if not args.lexicon or not args.corpus:
             print("coverage: need --counts, --run, or --lexicon with corpus", file=sys.stderr)
             return 2
-        lexicons = [load_lexicon(p) for p in args.lexicon]
-        corpus = _expand_corpus(args.corpus)
-        streams = [_preprocess_file(p, (), None) for p in corpus]
-        word_list = build_word_list(streams, fold_mode)
+        # an in-memory apply, so this equals `coverage --run` of such a run
+        corpus, dico = _apply_corpus(args.corpus, args.lexicon, _POLICIES[args.case_policy])
         reports.append(
-            coverage_from_lexicon(
-                word_list,
-                lexicons,
-                _POLICIES[args.case_policy],
+            coverage_from_dico(
+                dico,
+                fold_mode,
                 corpus_id=",".join(Path(p).name for p in corpus),
                 dict_id=",".join(Path(p).name for p in args.lexicon),
             )

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
-from .automaton import CaseFoldPolicy, Lexicon
 from .delaf import DictFile
 from .dico import DicoResult, TokenStatus
 from .errors import MismatchedCorpus
@@ -40,18 +39,16 @@ class WordList:
         return sum(self.entries.values())
 
 
-def build_word_list(streams, fold_mode: str = "folded") -> WordList:
-    """Count word-token types over one or more token streams."""
-    if hasattr(streams, "tokens"):
-        streams = [streams]
+def build_word_list(items, fold_mode: str = "folded") -> WordList:
+    """Count word types over tokens or annotations: any iterable of items
+    with ``kind`` and ``text``."""
     entries = {}
     folded = fold_mode == "folded"
-    for stream in streams:
-        for tok in stream.tokens:
-            if tok.kind is not TokenKind.WORD:
-                continue
-            form = tok.text.casefold() if folded else tok.text
-            entries[form] = entries.get(form, 0) + 1
+    for item in items:
+        if item.kind is not TokenKind.WORD:
+            continue
+        form = item.text.casefold() if folded else item.text
+        entries[form] = entries.get(form, 0) + 1
     return WordList(entries=entries, fold_mode=fold_mode)
 
 
@@ -103,12 +100,13 @@ def coverage_from_counts(
 
 
 def coverage_from_dico(
-    word_list: WordList, dico: DicoResult, corpus_id: str = "", dict_id: str = ""
+    dico: DicoResult, fold_mode: str = "folded", corpus_id: str = "", dict_id: str = ""
 ) -> CoverageReport:
-    """Coverage of a word list given the dictionary-application result of
-    the same corpus.  A type counts as unknown when none of its token
-    occurrences received an analysis or compound cover."""
-    folded = word_list.fold_mode == "folded"
+    """Coverage of the corpus a dictionary application annotated.  A type
+    counts as unknown when none of its token occurrences received an
+    analysis or compound cover."""
+    word_list = build_word_list(dico.annotations, fold_mode)
+    folded = fold_mode == "folded"
     known = set()
     for ann in dico.annotations:
         if ann.status is not None and ann.status is not TokenStatus.UNKNOWN:
@@ -117,32 +115,6 @@ def coverage_from_dico(
     tokens_unknown = 0
     for form, freq in word_list.entries.items():
         if form not in known:
-            types_unknown += 1
-            tokens_unknown += freq
-    return CoverageReport(
-        corpus_id,
-        dict_id,
-        word_list.type_count,
-        types_unknown,
-        word_list.token_count,
-        tokens_unknown,
-    )
-
-
-def coverage_from_lexicon(
-    word_list: WordList,
-    lexicons,
-    policy: CaseFoldPolicy = CaseFoldPolicy.UNITEX_LIKE,
-    corpus_id: str = "",
-    dict_id: str = "",
-) -> CoverageReport:
-    """Coverage computed by direct lookup of each type (no compound pass)."""
-    if isinstance(lexicons, Lexicon):
-        lexicons = [lexicons]
-    types_unknown = 0
-    tokens_unknown = 0
-    for form, freq in word_list.entries.items():
-        if not any(lex.lookup(form, policy) for lex in lexicons):
             types_unknown += 1
             tokens_unknown += freq
     return CoverageReport(

@@ -239,6 +239,39 @@ class TestCoverage:
         assert report["types_unknown"] == 1
         assert report["tokens_unknown"] == 1
 
+    @pytest.mark.parametrize("policy", ["exact", "unitex_like", "full_fold"])
+    def test_direct_equals_run(self, tmp_path, capsys, policy):
+        # "Brasil" and "UFRJ" are cased entries and "por"/"exemplo" are known
+        # only through the compound, so folding types before lookup or
+        # skipping compounds would count them unknown in the direct mode
+        dic = tmp_path / "roadmap.dic"
+        dic.write_text(
+            "o,.DET\na,.DET\nBrasil,.N\nvenceu,vencer.V\ndisse,dizer.V\n"
+            "que,.CONJ\nUFRJ,.SIGL\npor exemplo,.ADV\n",
+            encoding="utf-8",
+        )
+        corpus = tmp_path / "roadmap.txt"
+        corpus.write_text(
+            "O Brasil venceu. A UFRJ disse que por exemplo o Brasil venceu.\n",
+            encoding="utf-8",
+        )
+        lex, outdir = tmp_path / "roadmap.lex", tmp_path / "run"
+        assert main(["compile", str(dic), "-o", str(lex)]) == 0
+        assert main(["apply", str(corpus), "-l", str(lex), "-o", str(outdir),
+                     "--case-policy", policy]) == 0
+        capsys.readouterr()
+        code, direct, _ = run_cli(capsys, "coverage", str(corpus), "-l", str(lex),
+                                  "--case-policy", policy, "--format", "json")
+        assert code == 0
+        code, from_run, _ = run_cli(capsys, "coverage", "--run", str(outdir),
+                                    "--format", "json")
+        assert code == 0
+        assert json.loads(direct) == json.loads(from_run)
+        report = json.loads(direct)["reports"][0]
+        assert report["types_total"] == 9
+        if policy != "exact":
+            assert report["types_unknown"] == 0
+
     def test_no_inputs_is_usage_error(self, capsys):
         code, _, stderr = run_cli(capsys, "coverage")
         assert code == 2

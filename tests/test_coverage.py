@@ -8,7 +8,6 @@ from lexcov.coverage import (
     compare_versions,
     coverage_from_counts,
     coverage_from_dico,
-    coverage_from_lexicon,
     diff_dictionaries,
     format_int,
     format_pct,
@@ -64,18 +63,18 @@ class TestPct:
 
 class TestWordList:
     def test_counts(self):
-        wl = build_word_list(stream_of("a rosa é a rosa"), "cased")
+        wl = build_word_list(stream_of("a rosa é a rosa").tokens, "cased")
         assert wl.entries == {"a": 2, "rosa": 2, "é": 1}
         assert wl.type_count == 3 and wl.token_count == 5
 
     def test_fold_collapses(self):
-        wl = build_word_list(stream_of("Uma uma UMA"), "folded")
+        wl = build_word_list(stream_of("Uma uma UMA").tokens, "folded")
         assert wl.entries == {"uma": 3}
         assert wl.type_count == 1
 
     def test_against_independent_count(self, tmp_path):
         text = "o rato roeu a roupa do rei de roma o rato fugiu"
-        wl = build_word_list(stream_of(text), "folded")
+        wl = build_word_list(stream_of(text).tokens, "folded")
         # shell-style oracle: split on whitespace and tally
         tally = {}
         for word in text.split():
@@ -83,7 +82,7 @@ class TestWordList:
         assert wl.entries == tally
 
     def test_tsv_sorted_by_frequency_then_form(self, tmp_path):
-        wl = build_word_list(stream_of("b b a a c"), "folded")
+        wl = build_word_list(stream_of("b b a a c").tokens, "folded")
         out = tmp_path / "wl.tsv"
         write_word_list_tsv(wl, out)
         assert out.read_text(encoding="utf-8") == "a\t2\nb\t2\nc\t1\n"
@@ -98,35 +97,25 @@ class TestCoverage:
     def test_from_dico(self):
         lex = lex_from_forms(["rosa", "a"])
         stream = stream_of("a rosa é a rosa")
-        dico = apply_dictionaries(lex, stream)
-        wl = build_word_list(stream, "folded")
-        report = coverage_from_dico(wl, dico)
+        report = coverage_from_dico(apply_dictionaries(lex, stream), "folded")
         assert report.types_total == 3 and report.types_unknown == 1
         assert report.tokens_total == 5 and report.tokens_unknown == 1
 
-    def test_from_lexicon_agrees_with_dico_for_simple_corpus(self):
-        lex = lex_from_forms(["rosa", "a"])
-        stream = stream_of("A rosa é a rosa")
-        wl = build_word_list(stream, "folded")
-        a = coverage_from_dico(wl, apply_dictionaries(lex, stream))
-        b = coverage_from_lexicon(wl, lex)
-        assert (a.types_unknown, a.tokens_unknown) == (b.types_unknown, b.tokens_unknown)
-
     def test_monotone_in_lexicon(self):
         stream = stream_of("a rosa é a rosa azul")
-        wl = build_word_list(stream, "folded")
-        small = coverage_from_lexicon(wl, lex_from_forms(["rosa"]))
-        large = coverage_from_lexicon(wl, lex_from_forms(["rosa", "a", "azul"]))
+        small = coverage_from_dico(apply_dictionaries(lex_from_forms(["rosa"]), stream))
+        large = coverage_from_dico(
+            apply_dictionaries(lex_from_forms(["rosa", "a", "azul"]), stream)
+        )
         assert large.types_unknown <= small.types_unknown
         assert large.tokens_unknown <= small.tokens_unknown
 
     def test_folded_not_more_unknown_than_cased(self):
         lex = lex_from_forms(["rosa"])
         stream = stream_of("Rosa rosa ROSA azul")
-        folded = coverage_from_dico(build_word_list(stream, "folded"),
-                                    apply_dictionaries(lex, stream))
-        cased = coverage_from_dico(build_word_list(stream, "cased"),
-                                   apply_dictionaries(lex, stream))
+        dico = apply_dictionaries(lex, stream)
+        folded = coverage_from_dico(dico, "folded")
+        cased = coverage_from_dico(dico, "cased")
         assert folded.types_unknown <= cased.types_unknown
 
 

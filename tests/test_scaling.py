@@ -1,7 +1,8 @@
 """Growth checks: doubling the input of a linear stage about doubles its time.
 
 Each check times the stage at n and 2n, best of 3 with the collector off,
-and bounds t(2n)/t(n) below 3.0.  A stage that is quadratic in its input
+in CPU time of this process so that load from other processes does not
+count, and bounds t(2n)/t(n) below 3.0.  A stage that is quadratic in its input
 reads about 4.
 """
 
@@ -41,9 +42,9 @@ def growth(make_args, run, n):
             gc.collect()
             gc.disable()
             try:
-                start = time.perf_counter()
+                start = time.process_time()
                 run(*args)
-                times.append(time.perf_counter() - start)
+                times.append(time.process_time() - start)
             finally:
                 gc.enable()
         return min(times)
