@@ -65,7 +65,8 @@ class _Node:
 
 
 def token_matches_form(token_text: str, form_text: str, policy: CaseFoldPolicy) -> bool:
-    """Whether a corpus token may match a lexicon form under a policy."""
+    """Whether a corpus token may match a lexicon form under a policy: the
+    one case rule, for simple and compound forms alike."""
     if token_text == form_text:
         return True
     if policy is CaseFoldPolicy.EXACT:
@@ -82,20 +83,11 @@ def token_matches_form(token_text: str, form_text: str, policy: CaseFoldPolicy) 
     )
 
 
-def _lookup_candidates(token_text: str, policy: CaseFoldPolicy):
-    """Lexicon forms that could match the token under ``exact`` or
-    ``unitex_like``, as probe strings (``lookup_forms`` probes ``full_fold``
-    itself)."""
-    if policy is CaseFoldPolicy.EXACT:
-        return (token_text,)
-    candidates = [token_text]
-    decap = token_text[0].lower() + token_text[1:]
-    if decap != token_text and decap == decap.lower() and decap[0].upper() == token_text[0]:
-        candidates.append(decap)
-    lowered = token_text.lower()
-    if lowered != token_text and lowered not in candidates and lowered.upper() == token_text:
-        candidates.append(lowered)
-    return candidates
+def fold_key(text: str) -> str:
+    """Lookup key: :func:`token_matches_form` holds only between texts with
+    equal keys, under every policy (docs/run-manifest.md, "Case policies").
+    Plain ``casefold`` is not such a key: it keeps ``ı`` apart from ``I``."""
+    return text.upper().casefold()
 
 
 class Lexicon:
@@ -108,11 +100,10 @@ class Lexicon:
         self._roles = roles                # list[frozenset[RoleTag]]
         self._form_analyses = form_analyses  # list[tuple[int, ...]] by word index
         self._compounds = compounds        # list[_Compound], file/entry order
-        self._fold_extra = fold_extra      # casefolded form -> tuple of cased forms
-        self._compound_index = {}
+        self._fold_extra = fold_extra      # fold_key -> forms other than the key
+        self._compound_index = {}          # fold_key of the first token -> compounds
         for ci, comp in enumerate(compounds):
-            first = comp.pattern[0][1].casefold()
-            self._compound_index.setdefault(first, []).append(ci)
+            self._compound_index.setdefault(fold_key(comp.pattern[0][1]), []).append(ci)
         # no match_compounds window needs more tokens than this; 0 when
         # the lexicon has no compounds
         self.max_compound_tokens = max((len(c.pattern) for c in compounds), default=0)
@@ -193,16 +184,12 @@ class Lexicon:
         if not token_text:
             return {}
         result = {}
-        if policy is CaseFoldPolicy.FULL_FOLD:
-            cf = token_text.casefold()
-            probes = [cf]
-            probes.extend(self._fold_extra.get(cf, ()))
-        else:
-            probes = _lookup_candidates(token_text, policy)
-        for probe in probes:
-            idx = self.word_index(probe)
-            if idx is not None:
-                result[probe] = self._form_analyses[idx]
+        key = fold_key(token_text)
+        for form in (key, *self._fold_extra.get(key, ())):
+            if token_matches_form(token_text, form, policy):
+                idx = self.word_index(form)
+                if idx is not None:
+                    result[form] = self._form_analyses[idx]
         return result
 
     def lookup(self, token_text: str, policy=CaseFoldPolicy.UNITEX_LIKE) -> frozenset:
@@ -217,10 +204,11 @@ class Lexicon:
 
     # -- compounds ---------------------------------------------------------
 
-    def starts_compound(self, folded: str) -> bool:
-        """Whether some compound's first token casefolds to ``folded``;
-        when not, :meth:`match_compounds` finds nothing for that token."""
-        return folded in self._compound_index
+    def starts_compound(self, key: str) -> bool:
+        """Whether some compound's first token has the :func:`fold_key`
+        ``key``; when not, :meth:`match_compounds` finds nothing for a
+        token with that key."""
+        return key in self._compound_index
 
     def match_compounds(self, tokens, policy=CaseFoldPolicy.UNITEX_LIKE):
         """All multiword matches anchored at tokens[0], longest first.
@@ -230,7 +218,7 @@ class Lexicon:
         """
         if not tokens or tokens[0].kind is not TokenKind.WORD:
             return []
-        candidates = self._compound_index.get(tokens[0].text.casefold(), ())
+        candidates = self._compound_index.get(fold_key(tokens[0].text), ())
         matches = []
         for ci in candidates:
             comp = self._compounds[ci]
@@ -325,9 +313,9 @@ def compile_lexicon(dicts: list[DictFile]) -> Lexicon:
 
     fold_extra = {}
     for form in sorted_forms:
-        cf = form.casefold()
-        if cf != form:
-            fold_extra.setdefault(cf, []).append(form)
+        key = fold_key(form)
+        if key != form:
+            fold_extra.setdefault(key, []).append(form)
     fold_extra = {k: tuple(v) for k, v in fold_extra.items()}
 
     all_forms = sorted_forms + list(compounds)
@@ -442,7 +430,7 @@ def _build_dafsa(sorted_forms):
 # -- binary format ----------------------------------------------------------
 
 _MAGIC = b"LXCV"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 _ROLE_BITS = {RoleTag.GENERAL: 1, RoleTag.ABBREVIATIONS_ACRONYMS: 2, RoleTag.USER: 4}
 _ROLE_FROM_BIT = {v: k for k, v in _ROLE_BITS.items()}
 
@@ -470,7 +458,10 @@ class _Reader:
         (n,) = self.take("<I")
         if self.pos + n > len(self.data):
             raise CorruptFile("unexpected end of payload")
-        out = self.data[self.pos : self.pos + n].decode("utf-8")
+        try:
+            out = self.data[self.pos : self.pos + n].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorruptFile(f"string at payload offset {self.pos}: {exc.reason}") from None
         self.pos += n
         return out
 
@@ -492,7 +483,7 @@ def _check_u16_counts(lex: Lexicon) -> None:
             raise _too_many(f"compound {comp.form!r}", len(comp.analysis_ids), "analyses")
     for key, forms in lex._fold_extra.items():
         if len(forms) > _U16_MAX:
-            raise _too_many(f"casefolded form {key!r}", len(forms), "cased forms")
+            raise _too_many(f"fold key {key!r}", len(forms), "forms")
 
 
 def _too_many(what, count, unit) -> FormatLimitExceeded:
@@ -562,14 +553,20 @@ def save_lexicon(lex: Lexicon, path) -> None:
 
 
 def load_lexicon(path) -> Lexicon:
-    """Inverse of :func:`save_lexicon`."""
+    """Inverse of :func:`save_lexicon`.
+
+    Raises CorruptFile for a file whose payload, checksum aside, is not
+    one :func:`save_lexicon` writes, so that no broken file fails later
+    in a lookup; and FormatVersionMismatch for any other format version.
+    """
     data = Path(path).read_bytes()
     if len(data) < 4 + 10 + 32 or data[:4] != _MAGIC:
         raise CorruptFile(f"{path}: not a lexicon file")
     version, payload_len = struct.unpack_from("<HQ", data, 4)
     if version != _FORMAT_VERSION:
         raise FormatVersionMismatch(
-            f"{path}: format version {version}, expected {_FORMAT_VERSION}"
+            f"{path}: format version {version}, expected {_FORMAT_VERSION};"
+            " re-run `lexcov compile` on its dictionaries to rebuild it"
         )
     digest = data[14:46]
     payload = data[46:]
@@ -581,7 +578,13 @@ def load_lexicon(path) -> Lexicon:
         raw = zlib.decompress(payload)
     except zlib.error as exc:
         raise CorruptFile(f"{path}: {exc}") from None
+    try:
+        return _read_payload(raw)
+    except CorruptFile as exc:
+        raise CorruptFile(f"{path}: {exc}") from None
 
+
+def _read_payload(raw) -> Lexicon:
     r = _Reader(raw)
     (
         entry_count,
@@ -613,29 +616,44 @@ def load_lexicon(path) -> Lexicon:
         roles.append(
             frozenset(role for bit, role in _ROLE_FROM_BIT.items() if bits & bit)
         )
+    if not n_states:
+        raise CorruptFile("no root state")
     states = []
     for _ in range(n_states):
         final, n_edges = r.take("<BH")
         edges = {}
         for _ in range(n_edges):
             cp, target, offset = r.take("<III")
+            if target >= n_states:
+                raise CorruptFile(f"edge to state {target}, but there are {n_states} states")
+            if cp > 0x10FFFF or 0xD800 <= cp <= 0xDFFF:
+                raise CorruptFile(f"edge labelled with invalid code point {cp:#x}")
             edges[chr(cp)] = (target, offset)
         states.append((bool(final), edges))
     form_analyses = []
     for _ in range(n_forms):
         (n,) = r.take("<H")
-        form_analyses.append(tuple(r.take(f"<{n}I")))
+        form_analyses.append(r.take(f"<{n}I"))
     compounds = []
     for _ in range(n_compounds):
         form = r.take_str()
         (n,) = r.take("<H")
-        ids = tuple(r.take(f"<{n}I"))
-        compounds.append(_Compound(form, ids, _compound_pattern(form)))
+        ids = r.take(f"<{n}I")
+        pattern = _compound_pattern(form)
+        if not pattern:
+            raise CorruptFile(f"compound {form!r} has no tokens")
+        compounds.append(_Compound(form, ids, pattern))
     fold_extra = {}
     for _ in range(n_fold_extra):
         key = r.take_str()
         (n,) = r.take("<H")
         fold_extra[key] = tuple(r.take_str() for _ in range(n))
+    if r.pos != len(raw):
+        raise CorruptFile(f"{len(raw) - r.pos} unread bytes after the last section")
+    id_lists = form_analyses + [c.analysis_ids for c in compounds]
+    top = max(map(max, filter(None, id_lists)), default=-1)
+    if top >= n_analyses:
+        raise CorruptFile(f"analysis id {top}, but there are {n_analyses} analyses")
 
     stats = LexiconStats(
         entry_count=entry_count,

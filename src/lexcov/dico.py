@@ -8,7 +8,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .automaton import CaseFoldPolicy, Lexicon
+from .automaton import CaseFoldPolicy, Lexicon, fold_key
 from .delaf import DictEntry, serialize_entry
 from .errors import MalformedAnnotations, PolicyMismatch
 from .preprocess import TokenKind, TokenStream
@@ -84,13 +84,17 @@ def apply_dictionaries(
     # a lookup depends only on the text, the policy and the lexicons, all
     # fixed for this call: text -> sorted analyses, () when nothing matches
     analyses_by_text = {}
+    # text -> orders of the lexicons with a compound starting with it
+    starters_by_text = {}
     compound_limit = max((lex.max_compound_tokens for lex in lexicons), default=0)
     for stream in streams:
         tokens = stream.tokens
         if not tokens:
             continue
         offset = result.sentence_count
-        covered = _compound_pass(lexicons, tokens, policy, result.dlc, compound_limit)
+        covered = _compound_pass(
+            lexicons, tokens, policy, result.dlc, compound_limit, starters_by_text
+        )
         for i, tok in enumerate(tokens):
             sentence_index = tok.sentence_index + offset
             if tok.kind is not TokenKind.WORD:
@@ -124,28 +128,39 @@ def apply_dictionaries(
     return result
 
 
-def _compound_pass(lexicons, tokens, policy, dlc, limit) -> list[bool]:
+def _compound_pass(lexicons, tokens, policy, dlc, limit, starters_by_text) -> list[bool]:
     """Count compound matches into ``dlc``; return which tokens they cover.
 
     Greedy longest match, anchored left to right.  A window is capped at
-    ``limit`` tokens, the longest compound pattern, so the pass is linear.
-    Only lexicons with a compound starting with the token are asked.
+    ``limit`` tokens, the longest compound pattern, and at the anchor's
+    sentence, so the pass is linear.  Only lexicons with a compound
+    starting with the token are asked; ``starters_by_text`` caches which.
     """
     covered = [False] * len(tokens)
     if not limit:
         return covered
-    sentence_end = _sentence_ends(tokens)
+    n = len(tokens)
     i = 0
-    while i < len(tokens):
-        if tokens[i].kind is not TokenKind.WORD:
+    while i < n:
+        tok = tokens[i]
+        if tok.kind is not TokenKind.WORD:
             i += 1
             continue
-        folded = tokens[i].text.casefold()
-        starting = [o for o, lex in enumerate(lexicons) if lex.starts_compound(folded)]
+        starting = starters_by_text.get(tok.text)
+        if starting is None:
+            key = fold_key(tok.text)
+            starting = tuple(
+                o for o, lex in enumerate(lexicons) if lex.starts_compound(key)
+            )
+            starters_by_text[tok.text] = starting
         if not starting:
             i += 1
             continue
-        window = tokens[i : min(sentence_end[i], i + limit)]
+        end = i + 1
+        stop = min(n, i + limit)
+        while end < stop and tokens[end].sentence_index == tok.sentence_index:
+            end += 1
+        window = tokens[i:end]
         best = None  # (span, lex_order, form, ids)
         for order in starting:
             for span, form, ids in lexicons[order].match_compounds(window, policy):
@@ -174,17 +189,6 @@ def _lookup_analyses(lexicons, text, policy) -> tuple[DictEntry, ...]:
 
 def _entries(lex: Lexicon, form: str, ids) -> list[DictEntry]:
     return [lex.entry_for(form, i) for i in ids]
-
-
-def _sentence_ends(tokens) -> list[int]:
-    """For each position, the index one past its sentence's last token."""
-    ends = [0] * len(tokens)
-    end = len(tokens)
-    for i in range(len(tokens) - 1, -1, -1):
-        if i + 1 < len(tokens) and tokens[i + 1].sentence_index != tokens[i].sentence_index:
-            end = i + 1
-        ends[i] = end
-    return ends
 
 
 def merge_results(a: DicoResult, b: DicoResult) -> DicoResult:

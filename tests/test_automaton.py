@@ -1,4 +1,9 @@
+import hashlib
+import itertools
 import random
+import struct
+import zlib
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from lexcov.automaton import (
     CaseFoldPolicy,
     compile_lexicon,
+    fold_key,
     load_lexicon,
     save_lexicon,
     token_matches_form,
@@ -127,18 +133,32 @@ class TestLookupPolicies:
 
 
 ALPHABET = "abcdeoãéA BCO"
+# letters whose case maps are not one-to-one: ß→SS, ı→I, İ→i̇, ﬁ→FI, ς→Σ;
+# S and F let random text spell some of those upper cases
+CASE_ALPHABET = "abcoãéABCOSFßıIİﬁΣσς"
+# unitex_like folds only forms that are entirely lowercase, so draw half
+# the forms from the lowercase letters alone
+CASE_WORDS = st.text(alphabet=CASE_ALPHABET, min_size=1, max_size=4) | st.text(
+    alphabet="abcoãéßıﬁσς", min_size=1, max_size=4
+)
+
+
+def upper_variants(form):
+    """The texts unitex_like lets match a lowercase ``form``."""
+    return [form.upper(), form[0].upper() + form[1:]]
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    forms=st.sets(st.text(alphabet="abcoãéABCO", min_size=1, max_size=8), min_size=1, max_size=60),
-    probes=st.lists(st.text(alphabet="abcoãéABCO", min_size=1, max_size=8), max_size=30),
+    forms=st.sets(st.text(alphabet=CASE_ALPHABET, min_size=1, max_size=8), min_size=1, max_size=60),
+    probes=st.lists(st.text(alphabet=CASE_ALPHABET, min_size=1, max_size=8), max_size=30),
     policy=st.sampled_from(list(CaseFoldPolicy)),
 )
 def test_lookup_matches_oracle(forms, probes, policy):
     lex = lex_from_forms(sorted(forms))
     form_map = {f: {f} for f in forms}
-    for probe in list(forms) + probes:
+    variants = [v for f in forms for v in upper_variants(f) + [f.casefold()]]
+    for probe in list(forms) + probes + variants:
         got = {lex.entry_for(f, i).surface_form for f, ids in
                lex.lookup_forms(probe, policy).items() for i in ids}
         want = oracle_lookup(probe, form_map, policy.value)
@@ -155,6 +175,32 @@ def test_token_matches_form_agrees_with_oracle(token, form, policy):
     assert token_matches_form(token, form, CaseFoldPolicy(policy)) == oracle_match(
         token, form, policy
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    form=CASE_WORDS,
+    other=CASE_WORDS,
+    policy=st.sampled_from(["exact", "unitex_like", "full_fold"]),
+)
+def test_matching_texts_share_fold_key(form, other, policy):
+    for token in [form, *upper_variants(form), form.casefold(), other]:
+        if oracle_match(token, form, policy):
+            assert fold_key(token) == fold_key(form), (token, form)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    words=st.lists(CASE_WORDS, min_size=2, max_size=3),
+    other=CASE_WORDS,
+    policy=st.sampled_from(list(CaseFoldPolicy)),
+)
+def test_match_compounds_matches_oracle(words, other, policy):
+    lex = lex_from_lines([" ".join(words) + ",.N"])
+    for token_words in itertools.product(*([w, *upper_variants(w), other] for w in words)):
+        got = bool(lex.match_compounds(tokenize(" ".join(token_words)).tokens, policy))
+        want = all(oracle_match(t, w, policy.value) for t, w in zip(token_words, words))
+        assert got == want, (token_words, policy)
 
 
 class TestMinimality:
@@ -289,3 +335,79 @@ class TestSaveLoad:
             dicts = [load_dict_file(fixtures_dir / "neymar.dic")]
             save_lexicon(compile_lexicon(dicts), tmp_path / f"lex{i}.bin")
         assert (tmp_path / "lex1.bin").read_bytes() == (tmp_path / "lex2.bin").read_bytes()
+
+
+def resign(path, edit):
+    """Rewrite a saved lexicon with ``edit`` applied to its decompressed
+    payload, and a length and checksum that match the new payload."""
+    data = path.read_bytes()
+    payload = zlib.compress(edit(zlib.decompress(data[46:])))
+    path.write_bytes(
+        data[:6] + struct.pack("<Q", len(payload)) + hashlib.sha256(payload).digest() + payload
+    )
+
+
+def replace_once(old, new):
+    def edit(raw):
+        assert raw.count(old) == 1
+        return raw.replace(old, new)
+
+    return edit
+
+
+# "zê" is the only simple form: the root's one edge is "z" to state 1, offset 0
+Z_EDGE = struct.pack("<III", ord("z"), 1, 0)
+
+
+class TestBrokenPayload:
+    """Payloads that pass the checksum but that save_lexicon never writes."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        def save(break_lexicon=lambda lex: None):
+            lex = lex_from_lines(["zê,.N", "zê ca,.ADV"])
+            break_lexicon(lex)
+            path = tmp_path / "broken.lex"
+            save_lexicon(lex, path)
+            return path
+
+        return save
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (replace_once(Z_EDGE, struct.pack("<III", ord("z"), 999, 0)), "edge to state 999"),
+            (replace_once(Z_EDGE, struct.pack("<III", 0x110000, 1, 0)), "code point 0x110000"),
+            (replace_once(Z_EDGE, struct.pack("<III", 0xFFFFFFFF, 1, 0)), "code point 0xffffffff"),
+            (replace_once(Z_EDGE, struct.pack("<III", 0xD800, 1, 0)), "code point 0xd800"),
+            (lambda raw: raw.replace("zê".encode(), b"z\xc3(", 1), "invalid continuation byte"),
+            (lambda raw: raw + b"\0", "1 unread bytes"),
+        ],
+    )
+    def test_resigned_payload_is_corrupt(self, saved, edit, message):
+        path = saved()
+        load_lexicon(path)
+        resign(path, edit)
+        with pytest.raises(CorruptFile, match=message):
+            load_lexicon(path)
+
+    @pytest.mark.parametrize(
+        "break_lexicon, message",
+        [
+            (lambda lex: lex._states.clear(), "no root state"),
+            (lambda lex: lex._form_analyses.__setitem__(0, (7,)), "analysis id 7, but there are 2"),
+            (
+                lambda lex: lex._compounds.__setitem__(
+                    0, replace(lex._compounds[0], analysis_ids=(0, 2))
+                ),
+                "analysis id 2, but there are 2",
+            ),
+            (
+                lambda lex: lex._compounds.__setitem__(0, replace(lex._compounds[0], form="")),
+                "compound '' has no tokens",
+            ),
+        ],
+    )
+    def test_saved_broken_lexicon_is_corrupt(self, saved, break_lexicon, message):
+        with pytest.raises(CorruptFile, match=message):
+            load_lexicon(saved(break_lexicon))

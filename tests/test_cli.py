@@ -1,5 +1,8 @@
+import hashlib
 import json
 import shutil
+import struct
+import zlib
 
 import pytest
 
@@ -381,6 +384,38 @@ class TestExitCodes:
         )
         assert code == 2
         assert stderr
+
+    def test_old_format_version_says_to_recompile(self, neymar_bin, tmp_path, capsys):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("O time venceu.\n", encoding="utf-8")
+        data = bytearray(neymar_bin.read_bytes())
+        data[4:6] = (1).to_bytes(2, "little")
+        neymar_bin.write_bytes(bytes(data))
+        code, _, stderr = run_cli(
+            capsys, "apply", str(corpus), "-l", str(neymar_bin), "-o", str(tmp_path / "run")
+        )
+        assert code == 2
+        assert "format version 1, expected 2" in stderr
+        assert "re-run `lexcov compile`" in stderr
+
+    def test_resigned_broken_payload(self, neymar_bin, tmp_path, capsys):
+        # the root's edge "a" (to state 6, offset 0) now leads to a state
+        # that does not exist, under a valid checksum
+        data = neymar_bin.read_bytes()
+        raw = zlib.decompress(data[46:])
+        edge = struct.pack("<III", ord("a"), 6, 0)
+        assert raw.count(edge) == 1
+        payload = zlib.compress(raw.replace(edge, struct.pack("<III", ord("a"), 999, 0)))
+        neymar_bin.write_bytes(
+            data[:6] + struct.pack("<Q", len(payload)) + hashlib.sha256(payload).digest() + payload
+        )
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("O time venceu.\n", encoding="utf-8")
+        code, _, stderr = run_cli(
+            capsys, "apply", str(corpus), "-l", str(neymar_bin), "-o", str(tmp_path / "run")
+        )
+        assert code == 2
+        assert "edge to state 999" in stderr
 
     @pytest.mark.parametrize("command", ["coverage", "classify"])
     def test_cut_annotation_row(self, neymar_bin, tmp_path, capsys, command):

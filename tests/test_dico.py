@@ -126,6 +126,37 @@ class TestApplyDictionaries:
                 assert result.err == err
 
 
+class TestOneCaseRule:
+    """A simple form and a compound word accept the same tokens."""
+
+    def statuses(self, result):
+        return [(a.text, a.status) for a in result.annotations if a.status]
+
+    def test_sharp_s_upper_case(self):
+        lex = lex_from_lines(["straße,.N", "straße larga,.N"])
+        result = run("STRASSE LARGA. STRASSE.", lex)
+        assert self.statuses(result) == [
+            ("STRASSE", TokenStatus.KNOWN_SIMPLE),
+            ("LARGA", TokenStatus.IN_COMPOUND_ONLY),
+            ("STRASSE", TokenStatus.KNOWN_SIMPLE),
+        ]
+        assert {serialize_entry(e): n for e, n in result.dlc.items()} == {"straße larga,.N": 1}
+        assert result.err == set()
+
+    def test_dotless_i_compound(self):
+        result = run("I LARGA.", lex_from_lines(["ı larga,.N"]))
+        assert self.statuses(result) == [
+            ("I", TokenStatus.IN_COMPOUND_ONLY),
+            ("LARGA", TokenStatus.IN_COMPOUND_ONLY),
+        ]
+        assert {serialize_entry(e): n for e, n in result.dlc.items()} == {"ı larga,.N": 1}
+
+    def test_ligature_upper_case(self):
+        result = run("FI.", lex_from_lines(["ﬁ,.N"]))
+        assert self.statuses(result) == [("FI", TokenStatus.KNOWN_SIMPLE)]
+        assert {serialize_entry(e) for e in result.dlf} == {"ﬁ,.N"}
+
+
 class TestMergeResults:
     def test_identity(self, neymar_lexicon):
         x = run(NEYMAR_SENTENCE, neymar_lexicon)
