@@ -119,17 +119,16 @@ def _casing_class(text: str) -> str:
 def build_unknown_records(dico: DicoResult) -> list[UnknownRecord]:
     """Group a run's unknown token occurrences into per-form records."""
     profiles: dict[str, CasingProfile] = {}
-    for ann in dico.annotations:
-        if ann.status is not TokenStatus.UNKNOWN:
+    for (text, status, initial), n in dico.word_counts.items():
+        if status is not TokenStatus.UNKNOWN:
             continue
-        form = ann.text.casefold()
-        prof = profiles.setdefault(form, CasingProfile())
-        cls = _casing_class(ann.text)
-        setattr(prof, cls, getattr(prof, cls) + 1)
-        if not ann.sentence_initial:
-            prof.non_initial += 1
-            if ann.text[0].isupper():
-                prof.non_initial_cap += 1
+        prof = profiles.setdefault(text.casefold(), CasingProfile())
+        cls = _casing_class(text)
+        setattr(prof, cls, getattr(prof, cls) + n)
+        if not initial:
+            prof.non_initial += n
+            if text[0].isupper():
+                prof.non_initial_cap += n
     return [
         UnknownRecord(form=form, frequency=prof.total, profile=prof)
         for form, prof in sorted(profiles.items())

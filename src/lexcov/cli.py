@@ -41,6 +41,7 @@ from .delaf import RoleTag, load_dict_file
 from .dico import (
     DicoResult,
     apply_dictionaries,
+    open_annotations,
     read_annotations,
     write_outputs,
 )
@@ -87,16 +88,17 @@ def _preprocess_file(path, abbrevs, replacements):
     return segment_sentences(stream, abbrevs)
 
 
-def _apply_corpus(patterns, lexicon_paths, policy, abbrev=None, replacements=None):
+def _apply_corpus(patterns, lexicon_paths, policy, abbrev=None, replacements=None, sink=None):
     """Apply the lexicons to the expanded corpus; the sorted file list and
-    the one DicoResult over all of it."""
+    the one DicoResult over all of it.  ``sink`` gets each token's
+    annotation, as for :func:`apply_dictionaries`."""
     lexicons = [load_lexicon(p) for p in lexicon_paths]
     corpus = _expand_corpus(patterns)
     abbrevs = load_abbreviation_list(abbrev) if abbrev else ()
     table = load_replacement_table(replacements) if replacements else None
     # one file's tokens at a time, in sorted corpus order
     streams = (_preprocess_file(path, abbrevs, table) for path in corpus)
-    return corpus, apply_dictionaries(lexicons, streams, policy)
+    return corpus, apply_dictionaries(lexicons, streams, policy, sink)
 
 
 # -- subcommands ------------------------------------------------------------
@@ -121,11 +123,14 @@ def cmd_compile(args) -> int:
 
 def cmd_apply(args) -> int:
     policy = _POLICIES[args.case_policy]
-    corpus, result = _apply_corpus(
-        args.corpus, args.lexicon, policy, args.abbrev, args.replacements
-    )
     outdir = Path(args.output)
-    write_outputs(result, outdir)
+    # annotations.tsv replaces an earlier run's only once the whole corpus
+    # is applied
+    with open_annotations(outdir) as sink:
+        corpus, result = _apply_corpus(
+            args.corpus, args.lexicon, policy, args.abbrev, args.replacements, sink
+        )
+        write_outputs(result, outdir)
     counts = result.status_counts()
     manifest = {
         "tool": "lexcov",
@@ -171,8 +176,8 @@ def _report_from_run(run_dir, fold_mode):
         raise MalformedManifest(
             f"{manifest_path}: key 'policy' holds an unknown case policy {policy!r}"
         )
-    annotations = read_annotations(run_dir / "annotations.tsv")
-    dico = DicoResult(policy=_POLICIES[policy], annotations=annotations)
+    word_counts = read_annotations(run_dir / "annotations.tsv")
+    dico = DicoResult(policy=_POLICIES[policy], word_counts=word_counts)
     dict_id = ",".join(
         Path(_required(lex, "path", f"{manifest_path}, lexicons")).name
         for lex in manifest.get("lexicons", [])
@@ -241,8 +246,8 @@ def cmd_coverage(args) -> int:
 
 def cmd_classify(args) -> int:
     run_dir = Path(args.run_dir)
-    annotations = read_annotations(run_dir / "annotations.tsv")
-    dico = DicoResult(policy=CaseFoldPolicy.UNITEX_LIKE, annotations=annotations)
+    word_counts = read_annotations(run_dir / "annotations.tsv")
+    dico = DicoResult(policy=CaseFoldPolicy.UNITEX_LIKE, word_counts=word_counts)
     records = build_unknown_records(dico)
     lex_new = load_lexicon(args.lexicon)
     lex_old = load_lexicon(args.old) if args.old else None

@@ -1,4 +1,4 @@
-"""Word lists, coverage percentages, version deltas, dictionary diffs.
+"""Coverage percentages, version deltas, dictionary diffs.
 
 Percentages are computed exactly and rounded half-up to two decimals,
 matching how the coverage tables are conventionally printed.
@@ -6,14 +6,12 @@ matching how the coverage tables are conventionally printed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from pathlib import Path
 
 from .delaf import DictFile
 from .dico import DicoResult, TokenStatus
 from .errors import MismatchedCorpus
-from .preprocess import TokenKind
 
 _TWO_PLACES = Decimal("0.01")
 
@@ -23,41 +21,6 @@ def pct(part: int, total: int) -> Decimal:
     if total == 0:
         return Decimal("0.00")
     return (Decimal(part) * 100 / Decimal(total)).quantize(_TWO_PLACES, ROUND_HALF_UP)
-
-
-@dataclass
-class WordList:
-    entries: dict[str, int] = field(default_factory=dict)
-    fold_mode: str = "folded"  # "folded" or "cased"
-
-    @property
-    def type_count(self) -> int:
-        return len(self.entries)
-
-    @property
-    def token_count(self) -> int:
-        return sum(self.entries.values())
-
-
-def build_word_list(items, fold_mode: str = "folded") -> WordList:
-    """Count word types over tokens or annotations: any iterable of items
-    with ``kind`` and ``text``."""
-    entries = {}
-    folded = fold_mode == "folded"
-    for item in items:
-        if item.kind is not TokenKind.WORD:
-            continue
-        form = item.text.casefold() if folded else item.text
-        entries[form] = entries.get(form, 0) + 1
-    return WordList(entries=entries, fold_mode=fold_mode)
-
-
-def write_word_list_tsv(word_list: WordList, path) -> None:
-    """TSV export sorted by descending frequency, then form."""
-    rows = sorted(word_list.entries.items(), key=lambda kv: (-kv[1], kv[0]))
-    Path(path).write_text(
-        "".join(f"{form}\t{freq}\n" for form, freq in rows), encoding="utf-8"
-    )
 
 
 @dataclass
@@ -105,25 +68,22 @@ def coverage_from_dico(
     """Coverage of the corpus a dictionary application annotated.  A type
     counts as unknown when none of its token occurrences received an
     analysis or compound cover."""
-    word_list = build_word_list(dico.annotations, fold_mode)
     folded = fold_mode == "folded"
+    tokens_by_type = {}
     known = set()
-    for ann in dico.annotations:
-        if ann.status is not None and ann.status is not TokenStatus.UNKNOWN:
-            known.add(ann.text.casefold() if folded else ann.text)
-    types_unknown = 0
-    tokens_unknown = 0
-    for form, freq in word_list.entries.items():
-        if form not in known:
-            types_unknown += 1
-            tokens_unknown += freq
+    for (text, status, _), n in dico.word_counts.items():
+        form = text.casefold() if folded else text
+        tokens_by_type[form] = tokens_by_type.get(form, 0) + n
+        if status is not TokenStatus.UNKNOWN:
+            known.add(form)
+    unknown = [n for form, n in tokens_by_type.items() if form not in known]
     return CoverageReport(
         corpus_id,
         dict_id,
-        word_list.type_count,
-        types_unknown,
-        word_list.token_count,
-        tokens_unknown,
+        len(tokens_by_type),
+        len(unknown),
+        sum(tokens_by_type.values()),
+        sum(unknown),
     )
 
 

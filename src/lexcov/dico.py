@@ -4,8 +4,10 @@ words, compound matches, and unknown forms (the dlf/dlc/err outputs)."""
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from collections.abc import Callable, Iterable
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .automaton import CaseFoldPolicy, Lexicon, fold_key
@@ -35,34 +37,35 @@ class DicoResult:
     policy: CaseFoldPolicy
     dlf: set[DictEntry] = field(default_factory=set)
     dlc: dict[DictEntry, int] = field(default_factory=dict)
-    err: set[str] = field(default_factory=set)
-    annotations: list[TokenAnnotation] = field(default_factory=list)
-    # 1 + the largest sentence index in annotations (0 when there are none):
-    # the offset the next merged stream's sentence indices start from.
-    # apply_dictionaries and merge_results keep it; it is computed once for
-    # a result built from existing annotations.
+    # word tokens counted by (text, status, sentence_initial): every
+    # per-type measure of a run is read from this one table
+    word_counts: Counter[tuple[str, TokenStatus, bool]] = field(default_factory=Counter)
+    # 1 + the largest sentence index applied (0 before any token): the
+    # offset the next stream's sentence indices start from
     sentence_count: int = 0
 
-    def __post_init__(self):
-        if self.annotations and not self.sentence_count:
-            self.sentence_count = 1 + max(a.sentence_index for a in self.annotations)
+    @property
+    def err(self) -> set[str]:
+        return {
+            text for text, status, _ in self.word_counts if status is TokenStatus.UNKNOWN
+        }
 
     def status_counts(self) -> dict[TokenStatus, int]:
-        counts = {status: 0 for status in TokenStatus}
-        for ann in self.annotations:
-            if ann.status is not None:
-                counts[ann.status] += 1
+        counts = dict.fromkeys(TokenStatus, 0)
+        for (_, status, _), n in self.word_counts.items():
+            counts[status] += n
         return counts
 
     @property
     def word_token_count(self) -> int:
-        return sum(1 for a in self.annotations if a.status is not None)
+        return sum(self.word_counts.values())
 
 
 def apply_dictionaries(
     lexicons,
     streams: TokenStream | Iterable[TokenStream],
     policy: CaseFoldPolicy = CaseFoldPolicy.UNITEX_LIKE,
+    sink: Callable[[TokenAnnotation], object] | None = None,
 ) -> DicoResult:
     """Annotate every word token of one stream, or of several in order.
 
@@ -74,13 +77,17 @@ def apply_dictionaries(
     All streams fill one result, as if folded with :func:`merge_results`:
     each stream's sentence indices are shifted by the result's
     ``sentence_count`` so far, and an empty stream adds none.
+
+    The result keeps word-token counts only.  ``sink``, when given, is
+    called with each token's :class:`TokenAnnotation`, in order, as its
+    stream is applied.
     """
     if isinstance(lexicons, Lexicon):
         lexicons = [lexicons]
     if isinstance(streams, TokenStream):
         streams = (streams,)
     result = DicoResult(policy=policy)
-    annotations = result.annotations
+    word_counts = result.word_counts
     # a lookup depends only on the text, the policy and the lexicons, all
     # fixed for this call: text -> sorted analyses, () when nothing matches
     analyses_by_text = {}
@@ -96,34 +103,29 @@ def apply_dictionaries(
             lexicons, tokens, policy, result.dlc, compound_limit, starters_by_text
         )
         for i, tok in enumerate(tokens):
-            sentence_index = tok.sentence_index + offset
-            if tok.kind is not TokenKind.WORD:
-                annotations.append(
-                    TokenAnnotation(tok.text, tok.kind, sentence_index, False, None)
-                )
-                continue
-            analyses = analyses_by_text.get(tok.text)
-            if analyses is None:
-                analyses = _lookup_analyses(lexicons, tok.text, policy)
-                analyses_by_text[tok.text] = analyses
-                result.dlf.update(analyses)
-            if analyses:
-                status = TokenStatus.KNOWN_SIMPLE
-            elif covered[i]:
-                status = TokenStatus.IN_COMPOUND_ONLY
-            else:
-                status = TokenStatus.UNKNOWN
-                result.err.add(tok.text)
-            annotations.append(
-                TokenAnnotation(
+            status, analyses = None, ()
+            if tok.kind is TokenKind.WORD:
+                analyses = analyses_by_text.get(tok.text)
+                if analyses is None:
+                    analyses = _lookup_analyses(lexicons, tok.text, policy)
+                    analyses_by_text[tok.text] = analyses
+                    result.dlf.update(analyses)
+                if analyses:
+                    status = TokenStatus.KNOWN_SIMPLE
+                elif covered[i]:
+                    status = TokenStatus.IN_COMPOUND_ONLY
+                else:
+                    status = TokenStatus.UNKNOWN
+                word_counts[tok.text, status, tok.sentence_initial] += 1
+            if sink is not None:
+                sink(TokenAnnotation(
                     tok.text,
                     tok.kind,
-                    sentence_index,
+                    tok.sentence_index + offset,
                     tok.sentence_initial,
                     status,
                     analyses,
-                )
-            )
+                ))
         result.sentence_count = offset + 1 + max(t.sentence_index for t in tokens)
     return result
 
@@ -192,26 +194,17 @@ def _entries(lex: Lexicon, form: str, ids) -> list[DictEntry]:
 
 
 def merge_results(a: DicoResult, b: DicoResult) -> DicoResult:
-    """Combine results of two disjoint streams processed identically.
-
-    ``b``'s sentence indices are shifted by ``a.sentence_count``, so the
-    per-annotation work is proportional to ``b`` alone.
-    """
+    """Combine results of two disjoint streams processed identically, ``b``
+    after ``a``: the tables add, and ``b``'s sentences follow ``a``'s."""
     if a.policy is not b.policy:
         raise PolicyMismatch(f"{a.policy.value} vs {b.policy.value}")
     merged = DicoResult(policy=a.policy)
     merged.dlf = a.dlf | b.dlf
-    merged.err = a.err | b.err
     merged.dlc = dict(a.dlc)
     for entry, count in b.dlc.items():
         merged.dlc[entry] = merged.dlc.get(entry, 0) + count
-    # keep sentence indices unique across the concatenation
-    offset = a.sentence_count
-    merged.annotations = a.annotations + [
-        replace(ann, sentence_index=ann.sentence_index + offset)
-        for ann in b.annotations
-    ]
-    merged.sentence_count = offset + b.sentence_count
+    merged.word_counts = a.word_counts + b.word_counts
+    merged.sentence_count = a.sentence_count + b.sentence_count
     return merged
 
 
@@ -225,72 +218,96 @@ def _analysis_label(entry: DictEntry) -> str:
 
 
 def write_outputs(result: DicoResult, outdir) -> None:
-    """Write the dlf/dlc/err sub-dictionaries and annotations.tsv."""
+    """Write the dlf/dlc/err sub-dictionaries."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_lines(outdir / "dlf", sorted(serialize_entry(e) for e in result.dlf))
     _write_lines(outdir / "dlc", sorted(serialize_entry(e) for e in result.dlc))
     _write_lines(outdir / "err", sorted(result.err))
-    rows = []
-    # apply shares one analyses tuple between all tokens of a text, so each
-    # label is built once; the annotations keep every tuple, and its id, alive
-    labels = {}
-    for ann in result.annotations:
-        if ann.kind is TokenKind.SPACE:
-            continue
-        label = labels.get(id(ann.analyses))
-        if label is None:
-            label = ";".join(_analysis_label(e) for e in ann.analyses)
-            labels[id(ann.analyses)] = label
-        rows.append(
-            "\t".join(
-                (
-                    ann.text,
-                    ann.kind.value,
-                    str(ann.sentence_index),
-                    ann.status.value if ann.status else "",
-                    label,
-                )
-            )
-        )
-    _write_lines(outdir / "annotations.tsv", rows)
 
 
 def _write_lines(path, lines) -> None:
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
-def read_annotations(path) -> list[TokenAnnotation]:
-    """Read annotations.tsv back; sentence-initial flags are recomputed
-    (first word token of each sentence)."""
-    annotations = []
+@contextmanager
+def open_annotations(outdir):
+    """Yield a sink for :func:`apply_dictionaries` that writes the
+    annotations.tsv row of each non-space token.
+
+    Rows go to a temporary file in ``outdir``, renamed to annotations.tsv
+    when the block ends.  If the block raises, the temporary file is
+    removed, and so is ``outdir`` if this call created it.
+    """
+    outdir = Path(outdir)
+    created = not outdir.exists()
+    outdir.mkdir(parents=True, exist_ok=True)
+    partial = outdir / "annotations.tsv.partial"
+    # apply shares one analyses tuple between all tokens of a text, so each
+    # label is built once; the cache holds each tuple it keys, so no id is
+    # reused while it is in use
+    labels = {}
+    try:
+        with open(partial, "w", encoding="utf-8") as fh:
+            write = fh.write
+
+            def sink(ann: TokenAnnotation) -> None:
+                if ann.kind is TokenKind.SPACE:
+                    return
+                held = labels.get(id(ann.analyses))
+                if held is None:
+                    label = ";".join(_analysis_label(e) for e in ann.analyses)
+                    held = labels[id(ann.analyses)] = (ann.analyses, label)
+                status = ann.status.value if ann.status else ""
+                write(
+                    f"{ann.text}\t{ann.kind.value}\t{ann.sentence_index}"
+                    f"\t{status}\t{held[1]}\n"
+                )
+
+            yield sink
+        partial.replace(outdir / "annotations.tsv")
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        if created:
+            outdir.rmdir()
+        raise
+
+
+_KINDS = frozenset(kind.value for kind in TokenKind)
+_STATUSES = {"": None, **{status.value: status for status in TokenStatus}}
+
+
+def read_annotations(path) -> Counter[tuple[str, TokenStatus, bool]]:
+    """Read annotations.tsv back into a ``word_counts`` table; sentence-initial
+    flags are recomputed (first word row of each sentence)."""
+    word_counts = Counter()
     seen_sentences = set()
     with open(path, encoding="utf-8") as fh:
         for line_number, raw in enumerate(fh, 1):
             row = raw.rstrip("\n").split("\t")
             if len(row) != 5:
-                raise MalformedAnnotations(
-                    f"{path}, line {line_number}: expected 5 tab-separated fields,"
-                    f" found {len(row)}"
+                raise _malformed(
+                    path, line_number, f"expected 5 tab-separated fields, found {len(row)}"
                 )
             text, kind, sentence_index, status, _ = row
+            if kind not in _KINDS:
+                raise _malformed(path, line_number, f"unknown token kind {kind!r}")
+            # a word row has a status and no other row has one
+            if status not in _STATUSES or (kind == "word") != bool(status):
+                raise _malformed(path, line_number, f"status {status!r} on a {kind} row")
             try:
-                kind = TokenKind(kind)
                 sentence_index = int(sentence_index)
-                status = TokenStatus(status) if status else None
-            except ValueError as exc:
-                raise MalformedAnnotations(f"{path}, line {line_number}: {exc}") from None
-            initial = False
-            if kind is TokenKind.WORD and sentence_index not in seen_sentences:
-                initial = True
-                seen_sentences.add(sentence_index)
-            annotations.append(
-                TokenAnnotation(
-                    text,
-                    kind,
-                    sentence_index,
-                    initial,
-                    status,
-                )
-            )
-    return annotations
+            except ValueError:
+                raise _malformed(
+                    path, line_number, f"sentence index {sentence_index!r} is not an integer"
+                ) from None
+            if kind == "word":
+                initial = sentence_index not in seen_sentences
+                if initial:
+                    seen_sentences.add(sentence_index)
+                word_counts[text, _STATUSES[status], initial] += 1
+    return word_counts
+
+
+def _malformed(path, line_number, problem) -> MalformedAnnotations:
+    return MalformedAnnotations(f"{path}, line {line_number}: {problem}")

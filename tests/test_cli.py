@@ -3,6 +3,7 @@ import json
 import shutil
 import struct
 import zlib
+from dataclasses import replace
 
 import pytest
 
@@ -13,6 +14,7 @@ from lexcov.dico import (
     TokenStatus,
     apply_dictionaries,
     merge_results,
+    open_annotations,
     write_outputs,
 )
 from lexcov.preprocess import normalize_delimiters, segment_sentences, tokenize
@@ -149,14 +151,19 @@ class TestApply:
         )
         assert code == 0
 
+        # the reference: one apply per file, sentence indices shifted by hand
         lex = load_lexicon(lex_bin)
         folded = DicoResult(policy=CaseFoldPolicy.UNITEX_LIKE)
+        annotations = []
         for path in corpus:
             stream = segment_sentences(
                 tokenize(normalize_delimiters(path.read_text(encoding="utf-8")))
             )
-            folded = merge_results(folded, apply_dictionaries(lex, stream))
-        statuses = {(a.text, a.status) for a in folded.annotations}
+            part = []
+            folded = merge_results(folded, apply_dictionaries(lex, stream, sink=part.append))
+            offset = 1 + max((a.sentence_index for a in annotations), default=-1)
+            annotations += [replace(a, sentence_index=a.sentence_index + offset) for a in part]
+        statuses = {(a.text, a.status) for a in annotations}
         assert ("exemplo", TokenStatus.IN_COMPOUND_ONLY) in statuses
         assert ("exemplo", TokenStatus.UNKNOWN) in statuses
         # each file starts at 1 + the largest index before it; 1_a's trailing
@@ -166,6 +173,9 @@ class TestApply:
             for line in (outdir / "annotations.tsv").read_text(encoding="utf-8").splitlines()
         ]
         assert sorted({int(r[2]) for r in rows if r[1] == "word"}) == [0, 1, 3, 4, 5]
+        with open_annotations(tmp_path / "folded") as sink:
+            for a in annotations:
+                sink(a)
         write_outputs(folded, tmp_path / "folded")
         for name in ("dlf", "dlc", "err", "annotations.tsv"):
             assert (outdir / name).read_bytes() == (tmp_path / "folded" / name).read_bytes()
@@ -374,6 +384,27 @@ class TestReproducibility:
 
 
 class TestExitCodes:
+    def test_failed_apply_keeps_the_earlier_run(
+        self, fixtures_dir, neymar_bin, tmp_path, capsys
+    ):
+        outdir = tmp_path / "run"
+        assert main([
+            "apply", str(fixtures_dir / "neymar.txt"), "-l", str(neymar_bin), "-o", str(outdir)
+        ]) == 0
+        before = {p.name: p.read_bytes() for p in outdir.iterdir()}
+        assert sorted(before) == ["annotations.tsv", "dlc", "dlf", "err", "run.json"]
+        # the second file fails after the first has been applied
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "1.txt").write_text("O time venceu.\n", encoding="utf-8")
+        (corpus / "2.txt").write_bytes(b"O time \xff venceu.\n")
+        code, _, stderr = run_cli(
+            capsys, "apply", str(corpus / "*.txt"), "-l", str(neymar_bin), "-o", str(outdir)
+        )
+        assert code == 2
+        assert "utf-8" in stderr
+        assert {p.name: p.read_bytes() for p in outdir.iterdir()} == before
+
     def test_corrupt_lexicon(self, neymar_bin, tmp_path, capsys):
         corrupt = tmp_path / "corrupt.lex"
         data = bytearray(neymar_bin.read_bytes())

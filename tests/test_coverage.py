@@ -4,7 +4,6 @@ import pytest
 
 from lexcov.automaton import CaseFoldPolicy, compile_lexicon
 from lexcov.coverage import (
-    build_word_list,
     compare_versions,
     coverage_from_counts,
     coverage_from_dico,
@@ -14,7 +13,6 @@ from lexcov.coverage import (
     mean_delta,
     pct,
     render_coverage_text,
-    write_word_list_tsv,
 )
 from lexcov.delaf import DictFile, parse_entry
 from lexcov.dico import apply_dictionaries
@@ -61,33 +59,6 @@ class TestPct:
         assert pct(5, 800) == Decimal("0.63")  # 0.625 rounds up
 
 
-class TestWordList:
-    def test_counts(self):
-        wl = build_word_list(stream_of("a rosa é a rosa").tokens, "cased")
-        assert wl.entries == {"a": 2, "rosa": 2, "é": 1}
-        assert wl.type_count == 3 and wl.token_count == 5
-
-    def test_fold_collapses(self):
-        wl = build_word_list(stream_of("Uma uma UMA").tokens, "folded")
-        assert wl.entries == {"uma": 3}
-        assert wl.type_count == 1
-
-    def test_against_independent_count(self, tmp_path):
-        text = "o rato roeu a roupa do rei de roma o rato fugiu"
-        wl = build_word_list(stream_of(text).tokens, "folded")
-        # shell-style oracle: split on whitespace and tally
-        tally = {}
-        for word in text.split():
-            tally[word] = tally.get(word, 0) + 1
-        assert wl.entries == tally
-
-    def test_tsv_sorted_by_frequency_then_form(self, tmp_path):
-        wl = build_word_list(stream_of("b b a a c").tokens, "folded")
-        out = tmp_path / "wl.tsv"
-        write_word_list_tsv(wl, out)
-        assert out.read_text(encoding="utf-8") == "a\t2\nb\t2\nc\t1\n"
-
-
 class TestCoverage:
     def test_from_counts_table_values(self):
         report = coverage_from_counts("DG", "2004", 53966, 10512, 984465, 36190)
@@ -109,6 +80,20 @@ class TestCoverage:
         )
         assert large.types_unknown <= small.types_unknown
         assert large.tokens_unknown <= small.tokens_unknown
+
+    @pytest.mark.parametrize("fold_mode", ["folded", "cased"])
+    def test_totals_against_independent_count(self, fold_mode):
+        text = "O rato roeu a roupa do Rei de Roma o rato fugiu do rei"
+        report = coverage_from_dico(
+            apply_dictionaries(lex_from_forms(["rato"]), stream_of(text)), fold_mode
+        )
+        # shell-style oracle: split on whitespace and tally
+        tally = {}
+        for word in text.split():
+            form = word.casefold() if fold_mode == "folded" else word
+            tally[form] = tally.get(form, 0) + 1
+        assert report.types_total == len(tally)
+        assert report.tokens_total == sum(tally.values())
 
     def test_folded_not_more_unknown_than_cased(self):
         lex = lex_from_forms(["rosa"])

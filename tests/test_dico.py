@@ -9,10 +9,11 @@ from lexcov.dico import (
     TokenStatus,
     apply_dictionaries,
     merge_results,
+    open_annotations,
     read_annotations,
     write_outputs,
 )
-from lexcov.errors import PolicyMismatch
+from lexcov.errors import MalformedAnnotations, PolicyMismatch
 from lexcov.preprocess import normalize_delimiters, segment_sentences, tokenize
 
 from oracles import oracle_err_and_known
@@ -20,9 +21,17 @@ from oracles import oracle_err_and_known
 NEYMAR_SENTENCE = "O time de Neymar corria atrás do prejuízo"
 
 
-def run(text, lexicons, policy=CaseFoldPolicy.UNITEX_LIKE):
+def run(text, lexicons, policy=CaseFoldPolicy.UNITEX_LIKE, sink=None):
     stream = segment_sentences(tokenize(normalize_delimiters(text)))
-    return apply_dictionaries(lexicons, stream, policy)
+    return apply_dictionaries(lexicons, stream, policy, sink)
+
+
+def write_run(text, lexicons, outdir):
+    """Apply as `lexcov apply` does: rows written as the text is applied."""
+    with open_annotations(outdir) as sink:
+        result = run(text, lexicons, sink=sink)
+        write_outputs(result, outdir)
+    return result
 
 
 def lex_from_lines(lines):
@@ -129,13 +138,16 @@ class TestApplyDictionaries:
 class TestOneCaseRule:
     """A simple form and a compound word accept the same tokens."""
 
-    def statuses(self, result):
-        return [(a.text, a.status) for a in result.annotations if a.status]
+    def run(self, text, lex):
+        """The result and the (text, status) of each word token, in order."""
+        annotations = []
+        result = run(text, lex, sink=annotations.append)
+        return result, [(a.text, a.status) for a in annotations if a.status]
 
     def test_sharp_s_upper_case(self):
         lex = lex_from_lines(["straße,.N", "straße larga,.N"])
-        result = run("STRASSE LARGA. STRASSE.", lex)
-        assert self.statuses(result) == [
+        result, statuses = self.run("STRASSE LARGA. STRASSE.", lex)
+        assert statuses == [
             ("STRASSE", TokenStatus.KNOWN_SIMPLE),
             ("LARGA", TokenStatus.IN_COMPOUND_ONLY),
             ("STRASSE", TokenStatus.KNOWN_SIMPLE),
@@ -144,16 +156,16 @@ class TestOneCaseRule:
         assert result.err == set()
 
     def test_dotless_i_compound(self):
-        result = run("I LARGA.", lex_from_lines(["ı larga,.N"]))
-        assert self.statuses(result) == [
+        result, statuses = self.run("I LARGA.", lex_from_lines(["ı larga,.N"]))
+        assert statuses == [
             ("I", TokenStatus.IN_COMPOUND_ONLY),
             ("LARGA", TokenStatus.IN_COMPOUND_ONLY),
         ]
         assert {serialize_entry(e): n for e, n in result.dlc.items()} == {"ı larga,.N": 1}
 
     def test_ligature_upper_case(self):
-        result = run("FI.", lex_from_lines(["ﬁ,.N"]))
-        assert self.statuses(result) == [("FI", TokenStatus.KNOWN_SIMPLE)]
+        result, statuses = self.run("FI.", lex_from_lines(["ﬁ,.N"]))
+        assert statuses == [("FI", TokenStatus.KNOWN_SIMPLE)]
         assert {serialize_entry(e) for e in result.dlf} == {"ﬁ,.N"}
 
 
@@ -185,39 +197,61 @@ class TestMergeResults:
             merged = merge_results(merged, run(sentence, neymar_lexicon))
         assert merged.dlf == whole.dlf
         assert merged.err == whole.err
-
-    def test_offset_of_result_built_from_annotations(self, neymar_lexicon):
-        a = run("Fui lá. O time corria.", neymar_lexicon)
-        b = run("O time venceu.", neymar_lexicon)
-        rebuilt = DicoResult(policy=a.policy, annotations=list(a.annotations))
-        assert rebuilt.sentence_count == a.sentence_count == 2
-        assert merge_results(rebuilt, b).annotations == merge_results(a, b).annotations
+        assert merged.word_counts == whole.word_counts
+        assert merged.sentence_count == whole.sentence_count == 3
 
 
 class TestOutputs:
     def test_files_written_sorted(self, neymar_lexicon, tmp_path):
-        result = run(NEYMAR_SENTENCE, neymar_lexicon)
-        write_outputs(result, tmp_path)
-        for name in ("dlf", "dlc", "err", "annotations.tsv"):
-            assert (tmp_path / name).exists()
+        write_run(NEYMAR_SENTENCE, neymar_lexicon, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "annotations.tsv", "dlc", "dlf", "err"
+        ]
         dlf_lines = (tmp_path / "dlf").read_text(encoding="utf-8").splitlines()
         assert dlf_lines == sorted(dlf_lines) and len(dlf_lines) == 12
         assert (tmp_path / "err").read_text(encoding="utf-8") == "Neymar\n"
 
     def test_outputs_deterministic(self, neymar_lexicon, tmp_path):
         for sub in ("one", "two"):
-            write_outputs(run(NEYMAR_SENTENCE, neymar_lexicon), tmp_path / sub)
+            write_run(NEYMAR_SENTENCE, neymar_lexicon, tmp_path / sub)
         for name in ("dlf", "dlc", "err", "annotations.tsv"):
             assert (tmp_path / "one" / name).read_bytes() == (
                 tmp_path / "two" / name
             ).read_bytes()
 
-    def test_annotations_round_trip(self, neymar_lexicon, tmp_path):
-        result = run("Fui lá. O time corria.", neymar_lexicon)
-        write_outputs(result, tmp_path)
-        annotations = read_annotations(tmp_path / "annotations.tsv")
-        original_words = [a for a in result.annotations if a.status is not None]
-        read_words = [a for a in annotations if a.status is not None]
-        assert [(a.text, a.sentence_index, a.sentence_initial, a.status) for a in original_words] == [
-            (a.text, a.sentence_index, a.sentence_initial, a.status) for a in read_words
-        ]
+    def test_annotations_round_trip(self, tmp_path):
+        lex = lex_from_lines(["por exemplo,.ADV", "o,.DET", "time,.N", "venceu,vencer.V"])
+        # unknown words at a sentence start (Neymar, Zico) and inside one
+        # (Zico, jogos), a number, and a compound over two words that have
+        # no simple entry
+        text = "Neymar venceu 2 jogos, por exemplo. Zico venceu. O time de Zico venceu."
+        result = write_run(text, lex, tmp_path)
+        keys = set(result.word_counts)
+        assert ("Zico", TokenStatus.UNKNOWN, True) in keys
+        assert ("Zico", TokenStatus.UNKNOWN, False) in keys
+        assert ("exemplo", TokenStatus.IN_COMPOUND_ONLY, False) in keys
+        assert read_annotations(tmp_path / "annotations.tsv") == result.word_counts
+
+    @pytest.mark.parametrize(
+        "row, problem",
+        [
+            ("time\twrd\t0\tknown_simple\t.N", "unknown token kind 'wrd'"),
+            ("time\tword\t0\tknown\t.N", "status 'known' on a word row"),
+            ("time\tword\t0\t\t", "status '' on a word row"),
+            (".\tpunct\t0\tunknown\t", "status 'unknown' on a punct row"),
+            ("time\tword\tzero\tknown_simple\t.N", "sentence index 'zero' is not an integer"),
+        ],
+    )
+    def test_malformed_row(self, tmp_path, row, problem):
+        path = tmp_path / "annotations.tsv"
+        path.write_text(f"O\tword\t0\tknown_simple\t.DET\n{row}\n", encoding="utf-8")
+        with pytest.raises(MalformedAnnotations, match=f"line 2: {problem}"):
+            read_annotations(path)
+
+    def test_failed_block_leaves_no_trace(self, neymar_lexicon, tmp_path):
+        outdir = tmp_path / "new"
+        with pytest.raises(RuntimeError):
+            with open_annotations(outdir) as sink:
+                run(NEYMAR_SENTENCE, neymar_lexicon, sink=sink)
+                raise RuntimeError("stop")
+        assert not outdir.exists()
