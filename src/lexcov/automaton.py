@@ -13,8 +13,11 @@ from __future__ import annotations
 import enum
 import hashlib
 import struct
+import sys
 import zlib
+from array import array
 from dataclasses import dataclass
+from itertools import accumulate, chain, islice
 from pathlib import Path
 
 from .delaf import DictEntry, DictFile, RoleTag
@@ -430,41 +433,16 @@ def _build_dafsa(sorted_forms):
 # -- binary format ----------------------------------------------------------
 
 _MAGIC = b"LXCV"
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 _ROLE_BITS = {RoleTag.GENERAL: 1, RoleTag.ABBREVIATIONS_ACRONYMS: 2, RoleTag.USER: 4}
-_ROLE_FROM_BIT = {v: k for k, v in _ROLE_BITS.items()}
-
-
-def _pack_str(chunks, text):
-    data = text.encode("utf-8")
-    chunks.append(struct.pack("<I", len(data)))
-    chunks.append(data)
-
-
-class _Reader:
-    def __init__(self, data):
-        self.data = data
-        self.pos = 0
-
-    def take(self, fmt):
-        size = struct.calcsize(fmt)
-        if self.pos + size > len(self.data):
-            raise CorruptFile("unexpected end of payload")
-        vals = struct.unpack_from(fmt, self.data, self.pos)
-        self.pos += size
-        return vals
-
-    def take_str(self):
-        (n,) = self.take("<I")
-        if self.pos + n > len(self.data):
-            raise CorruptFile("unexpected end of payload")
-        try:
-            out = self.data[self.pos : self.pos + n].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CorruptFile(f"string at payload offset {self.pos}: {exc.reason}") from None
-        self.pos += n
-        return out
-
+# entry, simple-form, folded-form, state and transition counts (u64);
+# analysis, compound, fold-extra, unique-form and string counts (u32);
+# string table size in bytes (u64)
+_HEADER = struct.Struct("<QQQQQIIIIIQ")
+# columns are little-endian u8, u16 and u32; array typecodes name C types,
+# so the u16 and u32 codes are the ones of that item size on this platform
+_U16, _U32 = (next(code for code in "HIL" if array(code).itemsize == size) for size in (2, 4))
+_SWAP = sys.byteorder == "big"
 
 _U16_MAX = 0xFFFF
 
@@ -492,6 +470,13 @@ def _too_many(what, count, unit) -> FormatLimitExceeded:
     )
 
 
+def _column(typecode, values) -> bytes:
+    col = array(typecode, values)
+    if _SWAP:
+        col.byteswap()
+    return col.tobytes()
+
+
 def save_lexicon(lex: Lexicon, path) -> None:
     """Write the versioned, checksummed binary form (docs/lexicon-binary.md).
 
@@ -499,51 +484,67 @@ def save_lexicon(lex: Lexicon, path) -> None:
     does not fit its u16 field.
     """
     _check_u16_counts(lex)
-    chunks = []
-    s = lex.stats
-    chunks.append(
-        struct.pack(
-            "<QQQQQIIII",
-            s.entry_count,
-            len(lex._form_analyses),
-            s.unique_form_count_folded,
-            len(lex._states),
-            s.transition_count,
-            len(lex._analyses),
-            len(lex._compounds),
-            len(lex._fold_extra),
-            s.unique_form_count,
-        )
-    )
-    for i, a in enumerate(lex._analyses):
-        _pack_str(chunks, a.lemma)
-        _pack_str(chunks, a.gram_code)
-        _pack_str(chunks, "+".join(a.sem_traits))
-        _pack_str(chunks, ":".join(a.flex_codes))
-        bits = 0
-        for role in lex._roles[i]:
-            bits |= _ROLE_BITS[role]
-        chunks.append(struct.pack("<B", bits))
+    strings = {}  # text -> string id, numbered in order of first use
+
+    def string_ids(texts):
+        return _column(_U32, [strings.setdefault(t, len(strings)) for t in texts])
+
+    analyses = lex._analyses
+    sections = [
+        string_ids(a.lemma for a in analyses),
+        string_ids(a.gram_code for a in analyses),
+        string_ids("+".join(a.sem_traits) for a in analyses),
+        string_ids(":".join(a.flex_codes) for a in analyses),
+        _column("B", [sum(_ROLE_BITS[role] for role in roles) for roles in lex._roles]),
+    ]
+    finals, edge_counts, chars, targets, offsets = [], [], [], [], []
     for final, edges in lex._states:
-        chunks.append(struct.pack("<BH", 1 if final else 0, len(edges)))
+        finals.append(final)
+        edge_counts.append(len(edges))
         for ch in sorted(edges):
             target, offset = edges[ch]
-            chunks.append(struct.pack("<III", ord(ch), target, offset))
-    for ids in lex._form_analyses:
-        chunks.append(struct.pack("<H", len(ids)))
-        chunks.append(struct.pack(f"<{len(ids)}I", *ids))
-    for comp in lex._compounds:
-        _pack_str(chunks, comp.form)
-        chunks.append(struct.pack("<H", len(comp.analysis_ids)))
-        chunks.append(struct.pack(f"<{len(comp.analysis_ids)}I", *comp.analysis_ids))
-    for key in sorted(lex._fold_extra):
-        _pack_str(chunks, key)
-        forms = lex._fold_extra[key]
-        chunks.append(struct.pack("<H", len(forms)))
-        for form in forms:
-            _pack_str(chunks, form)
+            chars.append(ord(ch))
+            targets.append(target)
+            offsets.append(offset)
+    sections += [
+        _column("B", finals),
+        _column(_U16, edge_counts),
+        _column(_U32, chars),
+        _column(_U32, targets),
+        _column(_U32, offsets),
+    ]
+    form_analyses = lex._form_analyses
+    compounds = lex._compounds
+    fold_keys = sorted(lex._fold_extra)
+    fold_forms = [lex._fold_extra[key] for key in fold_keys]
+    sections += [
+        _column(_U16, map(len, form_analyses)),
+        _column(_U32, chain.from_iterable(form_analyses)),
+        string_ids(c.form for c in compounds),
+        _column(_U16, [len(c.analysis_ids) for c in compounds]),
+        _column(_U32, chain.from_iterable(c.analysis_ids for c in compounds)),
+        string_ids(fold_keys),
+        _column(_U16, map(len, fold_forms)),
+        string_ids(chain.from_iterable(fold_forms)),
+    ]
+    text = "".join(strings).encode("utf-8")
+    s = lex.stats
+    header = _HEADER.pack(
+        s.entry_count,
+        len(form_analyses),
+        s.unique_form_count_folded,
+        len(lex._states),
+        len(targets),
+        len(analyses),
+        len(compounds),
+        len(fold_keys),
+        s.unique_form_count,
+        len(strings),
+        len(text),
+    )
+    raw = b"".join([header, _column(_U32, map(len, strings)), text, *sections])
 
-    payload = zlib.compress(b"".join(chunks), 6)
+    payload = zlib.compress(raw, 6)
     digest = hashlib.sha256(payload).digest()
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
@@ -585,7 +586,8 @@ def load_lexicon(path) -> Lexicon:
 
 
 def _read_payload(raw) -> Lexicon:
-    r = _Reader(raw)
+    if len(raw) < _HEADER.size:
+        raise CorruptFile("unexpected end of payload")
     (
         entry_count,
         n_forms,
@@ -596,64 +598,114 @@ def _read_payload(raw) -> Lexicon:
         n_compounds,
         n_fold_extra,
         unique_form_count,
-    ) = r.take("<QQQQQIIII")
-    analyses = []
-    roles = []
-    for _ in range(n_analyses):
-        lemma = r.take_str()
-        gram = r.take_str()
-        sems = r.take_str()
-        flex = r.take_str()
-        (bits,) = r.take("<B")
-        analyses.append(
-            Analysis(
-                lemma,
-                gram,
-                tuple(sems.split("+")) if sems else (),
-                tuple(flex.split(":")) if flex else (),
-            )
-        )
-        roles.append(
-            frozenset(role for bit, role in _ROLE_FROM_BIT.items() if bits & bit)
-        )
+        n_strings,
+        text_size,
+    ) = _HEADER.unpack_from(raw)
     if not n_states:
         raise CorruptFile("no root state")
-    states = []
-    for _ in range(n_states):
-        final, n_edges = r.take("<BH")
-        edges = {}
-        for _ in range(n_edges):
-            cp, target, offset = r.take("<III")
-            if target >= n_states:
-                raise CorruptFile(f"edge to state {target}, but there are {n_states} states")
-            if cp > 0x10FFFF or 0xD800 <= cp <= 0xDFFF:
-                raise CorruptFile(f"edge labelled with invalid code point {cp:#x}")
-            edges[chr(cp)] = (target, offset)
-        states.append((bool(final), edges))
-    form_analyses = []
-    for _ in range(n_forms):
-        (n,) = r.take("<H")
-        form_analyses.append(r.take(f"<{n}I"))
+    view = memoryview(raw)
+    pos = _HEADER.size
+
+    def read(size):
+        nonlocal pos
+        if pos + size > len(raw):
+            raise CorruptFile("unexpected end of payload")
+        pos += size
+        return view[pos - size : pos]
+
+    def column(typecode, count):
+        col = array(typecode)
+        col.frombytes(read(count * col.itemsize))
+        if _SWAP:
+            col.byteswap()
+        return col
+
+    lengths = column(_U32, n_strings)
+    text_at = pos
+    try:
+        text = str(read(text_size), "utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorruptFile(
+            f"string table at payload offset {text_at + exc.start}: {exc.reason}"
+        ) from None
+    lemmas, grams, traits, flexes = (column(_U32, n_analyses) for _ in range(4))
+    masks = column("B", n_analyses)
+    finals = column("B", n_states)
+    edge_counts = column(_U16, n_states)
+    chars, targets, offsets = (column(_U32, n_transitions) for _ in range(3))
+    form_counts = column(_U16, n_forms)
+    form_ids = column(_U32, sum(form_counts))
+    compound_forms = column(_U32, n_compounds)
+    compound_counts = column(_U16, n_compounds)
+    compound_ids = column(_U32, sum(compound_counts))
+    fold_keys = column(_U32, n_fold_extra)
+    fold_counts = column(_U16, n_fold_extra)
+    fold_forms = column(_U32, sum(fold_counts))
+    if pos != len(raw):
+        raise CorruptFile(f"{len(raw) - pos} unread bytes after the last section")
+
+    ends = list(accumulate(lengths))
+    if (ends[-1] if ends else 0) != len(text):
+        raise CorruptFile(
+            f"string lengths add up to {ends[-1] if ends else 0} characters,"
+            f" but the string table holds {len(text)}"
+        )
+    string_columns = (lemmas, grams, traits, flexes, compound_forms, fold_keys, fold_forms)
+    top = max(map(max, filter(None, string_columns)), default=-1)
+    if top >= n_strings:
+        raise CorruptFile(f"string id {top}, but there are {n_strings} strings")
+    if sum(edge_counts) != n_transitions:
+        raise CorruptFile(
+            f"states have {sum(edge_counts)} edges, but the header counts {n_transitions}"
+        )
+    top = max(targets, default=0)
+    if top >= n_states:
+        raise CorruptFile(f"edge to state {top}, but there are {n_states} states")
+    # few distinct labels, so checking each once is cheap
+    invalid = [cp for cp in set(chars) if cp > 0x10FFFF or 0xD800 <= cp <= 0xDFFF]
+    if invalid:
+        raise CorruptFile(f"edge labelled with invalid code point {min(invalid):#x}")
+    top = max(max(form_ids, default=-1), max(compound_ids, default=-1))
+    if top >= n_analyses:
+        raise CorruptFile(f"analysis id {top}, but there are {n_analyses} analyses")
+    _check_offsets(finals, edge_counts, chars, targets, offsets, n_forms)
+
+    strings = [text[a:b] for a, b in zip(chain((0,), ends), ends)]
+    string = strings.__getitem__
+
+    def split(ids, sep):
+        # each distinct joined string is split once
+        parts = {i: tuple(strings[i].split(sep)) if strings[i] else () for i in set(ids)}
+        return map(parts.__getitem__, ids)
+
+    analyses = list(
+        map(Analysis, map(string, lemmas), map(string, grams), split(traits, "+"), split(flexes, ":"))
+    )
+    role_sets = {
+        mask: frozenset(role for role, bit in _ROLE_BITS.items() if mask & bit)
+        for mask in set(masks)
+    }
+    roles = list(map(role_sets.__getitem__, masks))
+
+    hops = zip(map(chr, chars), zip(targets, offsets))
+    states = [(bool(f), dict(islice(hops, n))) for f, n in zip(finals, edge_counts)]
+
+    # one tuple per distinct id list: most forms share their list
+    shared = {}
+    ids = iter(form_ids)
+    form_analyses = [
+        shared.setdefault(t, t) for t in (tuple(islice(ids, n)) for n in form_counts)
+    ]
     compounds = []
-    for _ in range(n_compounds):
-        form = r.take_str()
-        (n,) = r.take("<H")
-        ids = r.take(f"<{n}I")
+    ids = iter(compound_ids)
+    for form_id, n in zip(compound_forms, compound_counts):
+        form = strings[form_id]
         pattern = _compound_pattern(form)
         if not pattern:
             raise CorruptFile(f"compound {form!r} has no tokens")
-        compounds.append(_Compound(form, ids, pattern))
-    fold_extra = {}
-    for _ in range(n_fold_extra):
-        key = r.take_str()
-        (n,) = r.take("<H")
-        fold_extra[key] = tuple(r.take_str() for _ in range(n))
-    if r.pos != len(raw):
-        raise CorruptFile(f"{len(raw) - r.pos} unread bytes after the last section")
-    id_lists = form_analyses + [c.analysis_ids for c in compounds]
-    top = max(map(max, filter(None, id_lists)), default=-1)
-    if top >= n_analyses:
-        raise CorruptFile(f"analysis id {top}, but there are {n_analyses} analyses")
+        compounds.append(_Compound(form, tuple(islice(ids, n)), pattern))
+    forms = map(string, fold_forms)
+    fold_extra = {strings[k]: tuple(islice(forms, n)) for k, n in zip(fold_keys, fold_counts)}
 
     stats = LexiconStats(
         entry_count=entry_count,
@@ -665,3 +717,51 @@ def _read_payload(raw) -> Lexicon:
         compound_count=n_compounds,
     )
     return Lexicon(states, analyses, roles, form_analyses, compounds, fold_extra, stats)
+
+
+def _check_offsets(finals, edge_counts, chars, targets, offsets, n_forms) -> None:
+    """Raise CorruptFile unless every edge offset is the one
+    :func:`_build_dafsa` writes and the root accepts ``n_forms`` forms.
+
+    Counts each state's right language bottom-up in one depth-first pass,
+    which also finds any cycle.  Then every rank a lookup sums lies below
+    ``n_forms``.
+    """
+    first = [0, *accumulate(edge_counts)]  # state s's edges: first[s]..first[s+1]
+    counts = [-1] * len(finals)            # -1 until the state is counted
+    on_path = bytearray(len(finals))
+    # a state's targets mostly have higher numbers, so most are counted
+    # before it is reached and the stack stays short
+    for start in range(len(finals) - 1, -1, -1):
+        if counts[start] >= 0:
+            continue
+        on_path[start] = 1
+        stack = [(start, first[start], 1 if finals[start] else 0)]
+        while stack:
+            state, edge, acc = stack.pop()
+            end = first[state + 1]
+            while edge < end:
+                count = counts[targets[edge]]
+                if count < 0:
+                    break
+                if offsets[edge] != acc:
+                    raise CorruptFile(
+                        f"edge {chr(chars[edge])!r} of state {state} has offset"
+                        f" {offsets[edge]}, expected {acc}"
+                    )
+                acc += count
+                edge += 1
+            else:
+                counts[state] = acc
+                on_path[state] = 0
+                continue
+            target = targets[edge]
+            if on_path[target]:
+                raise CorruptFile(f"the automaton has a cycle through state {target}")
+            on_path[target] = 1
+            stack.append((state, edge, acc))
+            stack.append((target, first[target], 1 if finals[target] else 0))
+    if counts[0] != n_forms:
+        raise CorruptFile(
+            f"the automaton's form count is {counts[0]}, the form table's {n_forms}"
+        )

@@ -40,6 +40,10 @@ class MalformedAnnotations(LexcovError):
     """A row of a run's annotations.tsv cannot be read back."""
 
 
+class MalformedReplacements(LexcovError):
+    """A line of a replacement table is not a form and its replacement."""
+
+
 class MalformedManifest(LexcovError):
     """A run's run.json, or a row of a --counts file, lacks a key or holds
     an unknown value for it."""

@@ -14,6 +14,8 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 
+from .errors import MalformedReplacements
+
 _CRLF_RE = re.compile(r"\r\n?")
 _CONTROL_RE = re.compile(r"[\x00-\x08\x0b-\x1f\x7f-]+")
 _HSPACE_RE = re.compile(r"[^\S\n]+")
@@ -153,15 +155,26 @@ def apply_replacements(stream: TokenStream, table: dict[str, str]) -> TokenStrea
 
 
 def load_replacement_table(path) -> dict[str, str]:
-    """Two-column TSV: source form, replacement."""
+    """Two-column TSV: source form, replacement.
+
+    Raises MalformedReplacements for a non-blank line that is not exactly
+    two non-empty tab-separated fields: a replacement holding a tab would
+    break the run's annotations.tsv, and an empty one would turn a word
+    into an empty token.
+    """
     table = {}
     with open(path, encoding="utf-8-sig") as fh:
-        for line in fh:
+        for line_number, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():
                 continue
-            src, _, dst = line.partition("\t")
-            table[src] = dst
+            fields = line.split("\t")
+            if len(fields) != 2 or not all(fields):
+                raise MalformedReplacements(
+                    f"{path}, line {line_number}: expected a form and its replacement,"
+                    f" two non-empty tab-separated fields, found {line!r}"
+                )
+            table[fields[0]] = fields[1]
     return table
 
 

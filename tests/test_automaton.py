@@ -1,13 +1,19 @@
 import hashlib
 import itertools
+import os
 import random
 import struct
+import subprocess
+import sys
+import tempfile
 import zlib
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lexcov import automaton
 from lexcov.automaton import (
     CaseFoldPolicy,
     compile_lexicon,
@@ -336,6 +342,65 @@ class TestSaveLoad:
             save_lexicon(compile_lexicon(dicts), tmp_path / f"lex{i}.bin")
         assert (tmp_path / "lex1.bin").read_bytes() == (tmp_path / "lex2.bin").read_bytes()
 
+    def test_build_is_byte_identical_across_hash_seeds(self, fixtures_dir, tmp_path):
+        # the string table's order must not follow set or hash order
+        src = Path(automaton.__file__).parents[1]
+        outputs = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"lex{seed}.bin"
+            subprocess.run(
+                [sys.executable, "-m", "lexcov.cli", "compile",
+                 str(fixtures_dir / "neymar.dic"), "-o", str(out)],
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)},
+                check=True,
+                capture_output=True,
+            )
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+
+# words of forms and lemmas: letters whose case maps are not one-to-one, and
+# a comma, which DELAF escapes
+ENTRY_WORDS = st.text(alphabet="abßıİﬁ,", min_size=1, max_size=4)
+
+
+@st.composite
+def delaf_line(draw):
+    def escaped(words):
+        return " ".join(words).replace(",", "\\,")
+
+    form = escaped(draw(st.lists(ENTRY_WORDS, min_size=1, max_size=3)))
+    lemma = draw(st.just("") | ENTRY_WORDS.map(lambda w: escaped([w])))
+    gram = draw(st.sampled_from(["N", "V", "ADV"]))
+    traits = draw(st.lists(st.sampled_from(["Hum", "Conc", "Abs"]), max_size=2))
+    flexes = draw(st.lists(st.sampled_from(["ms", "fp", "I1s"]), max_size=2))
+    return f"{form},{lemma}.{gram}" + "".join("+" + t for t in traits) + "".join(
+        ":" + f for f in flexes
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    files=st.lists(
+        st.tuples(st.lists(delaf_line(), min_size=1, max_size=12), st.sampled_from(list(RoleTag))),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_save_load_round_trip(files):
+    lex = compile_lexicon([DictFile([parse_entry(l) for l in lines], role) for lines, role in files])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lex.bin"
+        save_lexicon(lex, path)
+        loaded = load_lexicon(path)
+    assert loaded._states == lex._states
+    assert loaded._analyses == lex._analyses
+    assert loaded._roles == lex._roles
+    assert loaded._form_analyses == lex._form_analyses
+    assert loaded._compounds == lex._compounds
+    assert loaded._fold_extra == lex._fold_extra
+    assert loaded.stats == lex.stats
+
 
 def resign(path, edit):
     """Rewrite a saved lexicon with ``edit`` applied to its decompressed
@@ -355,8 +420,31 @@ def replace_once(old, new):
     return edit
 
 
-# "zê" is the only simple form: the root's one edge is "z" to state 1, offset 0
-Z_EDGE = struct.pack("<III", ord("z"), 1, 0)
+# "zê" is the only simple form: the root's one edge is "z" to state 1, offset
+# 0; edge labels are u32 code points, and ord("z") occurs once as a u32
+Z_LABEL = struct.pack("<I", ord("z"))
+
+
+def set_u32(where, value):
+    """Overwrite the u32 at byte ``where(header)`` of the payload."""
+
+    def edit(raw):
+        at = where(automaton._HEADER.unpack_from(raw))
+        return raw[:at] + struct.pack("<I", value) + raw[at + 4 :]
+
+    return edit
+
+
+# the string table's length column follows the header; the first analysis's
+# lemma id follows the string table, whose count and byte size end the header
+FIRST_LENGTH = lambda header: automaton._HEADER.size
+FIRST_LEMMA = lambda header: automaton._HEADER.size + 4 * header[-2] + header[-1]
+# the root's first edge target opens the target column, which follows the
+# analyses (A rows of 4 u32 and a u8), the states' u8 final flags and u16 edge
+# counts (S each), and the T u32 code points
+ROOT_TARGET = lambda header: (
+    FIRST_LEMMA(header) + 17 * header[5] + 3 * header[3] + 4 * header[4]
+)
 
 
 class TestBrokenPayload:
@@ -376,12 +464,19 @@ class TestBrokenPayload:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (replace_once(Z_EDGE, struct.pack("<III", ord("z"), 999, 0)), "edge to state 999"),
-            (replace_once(Z_EDGE, struct.pack("<III", 0x110000, 1, 0)), "code point 0x110000"),
-            (replace_once(Z_EDGE, struct.pack("<III", 0xFFFFFFFF, 1, 0)), "code point 0xffffffff"),
-            (replace_once(Z_EDGE, struct.pack("<III", 0xD800, 1, 0)), "code point 0xd800"),
+            (set_u32(ROOT_TARGET, 999), "edge to state 999"),
+            (replace_once(Z_LABEL, struct.pack("<I", 0x110000)), "code point 0x110000"),
+            (replace_once(Z_LABEL, struct.pack("<I", 0xFFFFFFFF)), "code point 0xffffffff"),
+            (replace_once(Z_LABEL, struct.pack("<I", 0xD800)), "code point 0xd800"),
             (lambda raw: raw.replace("zê".encode(), b"z\xc3(", 1), "invalid continuation byte"),
             (lambda raw: raw + b"\0", "1 unread bytes"),
+            (lambda raw: raw[:-1], "unexpected end of payload"),
+            # "zê" is the first string: 2 characters, now 3
+            (
+                set_u32(FIRST_LENGTH, 3),
+                "string lengths add up to 12 characters, but the string table holds 11",
+            ),
+            (set_u32(FIRST_LEMMA, 5), "string id 5, but there are 5 strings"),
         ],
     )
     def test_resigned_payload_is_corrupt(self, saved, edit, message):
@@ -395,6 +490,17 @@ class TestBrokenPayload:
         "break_lexicon, message",
         [
             (lambda lex: lex._states.clear(), "no root state"),
+            (lambda lex: lex._states[0][1].update(z=(999, 0)), "edge to state 999"),
+            (
+                lambda lex: lex._states[0][1].update(z=(1, 5)),
+                "edge 'z' of state 0 has offset 5, expected 0",
+            ),
+            # an edge from state 1 back to the root
+            (lambda lex: lex._states[1][1].update(x=(0, 1)), "cycle through state"),
+            (
+                lambda lex: lex._form_analyses.append((0,)),
+                "the automaton's form count is 1, the form table's 2",
+            ),
             (lambda lex: lex._form_analyses.__setitem__(0, (7,)), "analysis id 7, but there are 2"),
             (
                 lambda lex: lex._compounds.__setitem__(

@@ -1,13 +1,10 @@
-import hashlib
 import json
 import shutil
-import struct
-import zlib
 from dataclasses import replace
 
 import pytest
 
-from lexcov.automaton import CaseFoldPolicy, load_lexicon
+from lexcov.automaton import CaseFoldPolicy, load_lexicon, save_lexicon
 from lexcov.cli import main
 from lexcov.dico import (
     DicoResult,
@@ -420,33 +417,69 @@ class TestExitCodes:
         corpus = tmp_path / "c.txt"
         corpus.write_text("O time venceu.\n", encoding="utf-8")
         data = bytearray(neymar_bin.read_bytes())
-        data[4:6] = (1).to_bytes(2, "little")
-        neymar_bin.write_bytes(bytes(data))
-        code, _, stderr = run_cli(
-            capsys, "apply", str(corpus), "-l", str(neymar_bin), "-o", str(tmp_path / "run")
-        )
-        assert code == 2
-        assert "format version 1, expected 2" in stderr
-        assert "re-run `lexcov compile`" in stderr
+        for version in (1, 2):
+            data[4:6] = version.to_bytes(2, "little")
+            neymar_bin.write_bytes(bytes(data))
+            code, _, stderr = run_cli(
+                capsys, "apply", str(corpus), "-l", str(neymar_bin), "-o", str(tmp_path / "run")
+            )
+            assert code == 2
+            assert f"format version {version}, expected 3" in stderr
+            assert "re-run `lexcov compile`" in stderr
 
-    def test_resigned_broken_payload(self, neymar_bin, tmp_path, capsys):
-        # the root's edge "a" (to state 6, offset 0) now leads to a state
-        # that does not exist, under a valid checksum
-        data = neymar_bin.read_bytes()
-        raw = zlib.decompress(data[46:])
-        edge = struct.pack("<III", ord("a"), 6, 0)
-        assert raw.count(edge) == 1
-        payload = zlib.compress(raw.replace(edge, struct.pack("<III", ord("a"), 999, 0)))
-        neymar_bin.write_bytes(
-            data[:6] + struct.pack("<Q", len(payload)) + hashlib.sha256(payload).digest() + payload
-        )
+    @staticmethod
+    def apply_broken(neymar_bin, tmp_path, capsys, break_lexicon):
+        """Exit code and stderr of apply with a lexicon broken before it
+        is saved, so that its checksum is valid."""
+        lex = load_lexicon(neymar_bin)
+        break_lexicon(lex)
+        save_lexicon(lex, neymar_bin)
         corpus = tmp_path / "c.txt"
         corpus.write_text("O time venceu.\n", encoding="utf-8")
-        code, _, stderr = run_cli(
+        return run_cli(
             capsys, "apply", str(corpus), "-l", str(neymar_bin), "-o", str(tmp_path / "run")
         )
+
+    def test_resigned_broken_payload(self, neymar_bin, tmp_path, capsys):
+        # the root's edge "a" (to state 6, offset 0) leads to a state that
+        # does not exist
+        def break_lexicon(lex):
+            assert lex._states[0][1]["a"] == (6, 0)
+            lex._states[0][1]["a"] = (999, 0)
+
+        code, _, stderr = self.apply_broken(neymar_bin, tmp_path, capsys, break_lexicon)
         assert code == 2
         assert "edge to state 999" in stderr
+
+    def test_wrong_edge_offset(self, neymar_bin, tmp_path, capsys):
+        # with offset 60 a lookup of "time" would index past the form table
+        def break_lexicon(lex):
+            target, offset = lex._states[0][1]["t"]
+            assert offset == 6
+            lex._states[0][1]["t"] = (target, 60)
+
+        code, _, stderr = self.apply_broken(neymar_bin, tmp_path, capsys, break_lexicon)
+        assert code == 2
+        assert "edge 't' of state 0 has offset 60, expected 6" in stderr
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("row", ["time\tbom\ttime", "time", "\tbom", "time\t"])
+    def test_malformed_replacement_row(self, fixtures_dir, neymar_bin, tmp_path, capsys, row):
+        outdir = tmp_path / "run"
+        assert main([
+            "apply", str(fixtures_dir / "neymar.txt"), "-l", str(neymar_bin), "-o", str(outdir)
+        ]) == 0
+        capsys.readouterr()
+        before = {p.name: p.read_bytes() for p in outdir.iterdir()}
+        table = tmp_path / "replacements.tsv"
+        table.write_text(f"corria\tcorreu\n\n{row}\n", encoding="utf-8")
+        code, _, stderr = run_cli(
+            capsys, "apply", str(fixtures_dir / "neymar.txt"), "-l", str(neymar_bin),
+            "-o", str(outdir), "--replacements", str(table),
+        )
+        assert code == 2
+        assert f"{table}, line 3: expected a form and its replacement" in stderr
+        assert {p.name: p.read_bytes() for p in outdir.iterdir()} == before
 
     @pytest.mark.parametrize("command", ["coverage", "classify"])
     def test_cut_annotation_row(self, neymar_bin, tmp_path, capsys, command):

@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from lexcov.preprocess import (
     TokenKind,
+    apply_replacements,
+    load_replacement_table,
     normalize_delimiters,
     reform_normalize,
     segment_sentences,
@@ -180,3 +182,14 @@ class TestReformNormalize:
         once = reform_normalize(word)
         assert reform_normalize(once) == once
         assert strip_marks(once) == strip_marks(word)
+
+
+def test_replacement_table_replaces_word_tokens(tmp_path):
+    path = tmp_path / "replacements.tsv"
+    path.write_text("time\tequipe\n\n  \nvenceu\tganhou\n", encoding="utf-8")
+    table = load_replacement_table(path)
+    assert table == {"time": "equipe", "venceu": "ganhou"}
+    stream = apply_replacements(tokenize("O time venceu."), table)
+    assert [t.text for t in stream.tokens if t.kind is TokenKind.WORD] == [
+        "O", "equipe", "ganhou"
+    ]

@@ -14,7 +14,7 @@ import random
 import time
 import tracemalloc
 
-from lexcov.automaton import CaseFoldPolicy, compile_lexicon
+from lexcov.automaton import CaseFoldPolicy, compile_lexicon, load_lexicon, save_lexicon
 from lexcov.delaf import DictFile, parse_entry
 from lexcov.dico import apply_dictionaries
 from lexcov.preprocess import segment_sentences, tokenize
@@ -103,6 +103,24 @@ def test_apply_over_files_is_linear_in_file_count():
         apply_dictionaries(lex, (f for f in files[:k]), CaseFoldPolicy.UNITEX_LIKE)
 
     ratio = growth(lambda k: (k,), run, len(files) // 2)
+    assert ratio < BOUND, ratio
+
+
+def test_load_is_linear(tmp_path):
+    rng = random.Random(7)
+    stems = sorted({"".join(rng.choice("abcdeilmnoprstu") for _ in range(7)) for _ in range(1_300)})
+    suffixes = ["a", "as", "o", "os", "ar", "ando", "ado", "ção", "mente", "inho"]
+    paths = {}
+    for n_stems in (600, 1_200):
+        entries = [
+            parse_entry(f"{stem}{suffix},{stem}ar.V+Hum:{rng.choice(['ms', 'fs'])}")
+            for stem in stems[:n_stems]
+            for suffix in suffixes
+        ]
+        entries += [parse_entry(f"{stem} de casa,.ADV") for stem in stems[:n_stems:10]]
+        paths[n_stems] = tmp_path / f"{n_stems}.lex"
+        save_lexicon(compile_lexicon([DictFile(entries)]), paths[n_stems])
+    ratio = growth(lambda n: (paths[n],), load_lexicon, 600)
     assert ratio < BOUND, ratio
 
 
