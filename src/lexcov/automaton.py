@@ -21,7 +21,7 @@ from itertools import accumulate, chain, islice
 from pathlib import Path
 
 from .delaf import DictEntry, DictFile, RoleTag
-from .errors import CorruptFile, EmptyLexicon, FormatLimitExceeded, FormatVersionMismatch
+from .errors import CorruptFile, EmptyLexicon, FormatVersionMismatch
 from .preprocess import TokenKind, tokenize
 
 
@@ -268,9 +268,6 @@ class Lexicon:
         # DFS with reversed edge order yields sorted output directly
         return out
 
-    def compound_forms(self):
-        return sorted({c.form for c in self._compounds})
-
 
 def compile_lexicon(dicts: list[DictFile]) -> Lexicon:
     """Compile DictFiles into a Lexicon.
@@ -349,10 +346,9 @@ def _compound_pattern(form: str):
 def _build_dafsa(sorted_forms):
     """Minimal acyclic automaton over a sorted list of unique keys.
 
-    Returns (states, transition_count) where states[i] is
-    (final, {char: (target, index_offset)}) and state 0 is the root.
-    The index offsets make the automaton a perfect hash: summing them
-    along a word's path gives its rank in the sorted key set.
+    Returns (states, transition_count), the states as :func:`_states`
+    gives them: state 0 is the root, and summing the index offsets along
+    a word's path gives its rank in the sorted key set.
     """
     root = _Node()
     register = {}
@@ -385,7 +381,7 @@ def _build_dafsa(sorted_forms):
         previous = word
     merge(0)
 
-    # number states (DFS preorder, sorted edges) and count right languages
+    # number states (DFS preorder, sorted edges)
     ids = {id(root): 0}
     order = [root]
     stack = [root]
@@ -398,76 +394,81 @@ def _build_dafsa(sorted_forms):
                 order.append(child)
                 stack.append(child)
 
-    counts = {}
-
-    def word_count(node):
-        stack = [(node, False)]
-        while stack:
-            cur, expanded = stack.pop()
-            if id(cur) in counts:
-                continue
-            if expanded:
-                counts[id(cur)] = (1 if cur.final else 0) + sum(
-                    counts[id(c)] for c in cur.edges.values()
-                )
-            else:
-                stack.append((cur, True))
-                stack.extend((c, False) for c in cur.edges.values())
-
-    word_count(root)
-
-    states = []
-    n_transitions = 0
+    finals, edge_counts, chars, targets = [], [], [], []
     for node in order:
-        edges = {}
-        acc = 1 if node.final else 0
+        finals.append(node.final)
+        edge_counts.append(len(node.edges))
         for ch in sorted(node.edges):
-            child = node.edges[ch]
-            edges[ch] = (ids[id(child)], acc)
-            acc += counts[id(child)]
-            n_transitions += 1
-        states.append((node.final, edges))
-    return states, n_transitions
+            chars.append(ord(ch))
+            targets.append(ids[id(node.edges[ch])])
+    return _states(finals, edge_counts, chars, targets, len(sorted_forms)), len(targets)
+
+
+def _states(finals, edge_counts, chars, targets, n_forms):
+    """The automaton's states as (final, {char: (target, index_offset)}),
+    from its columns: state s is final if ``finals[s]`` and has the next
+    ``edge_counts[s]`` edges, each a code point and a target state.
+
+    An edge's offset is 1 if its state is final, plus the forms accepted
+    below the state's earlier edges (Lucchesi & Kowaltowski 1993), so the
+    offsets summed along a form's path give its rank in code-point order.
+    One depth-first pass counts each state's forms bottom-up and writes
+    the offsets.  Raises CorruptFile if the pass meets a cycle or the root
+    does not accept ``n_forms`` forms; otherwise every rank a lookup sums
+    lies below ``n_forms``.
+    """
+    first = [0, *accumulate(edge_counts)]  # state s's edges: first[s]..first[s+1]
+    counts = [-1] * len(finals)            # -1 until the state is counted
+    offsets = [0] * len(targets)
+    on_path = bytearray(len(finals))
+    # a state's targets mostly have higher numbers, so most are counted
+    # before it is reached and the stack stays short
+    for start in range(len(finals) - 1, -1, -1):
+        if counts[start] >= 0:
+            continue
+        on_path[start] = 1
+        stack = [(start, first[start], 1 if finals[start] else 0)]
+        while stack:
+            state, edge, acc = stack.pop()
+            end = first[state + 1]
+            while edge < end:
+                count = counts[targets[edge]]
+                if count < 0:
+                    break
+                offsets[edge] = acc
+                acc += count
+                edge += 1
+            else:
+                counts[state] = acc
+                on_path[state] = 0
+                continue
+            target = targets[edge]
+            if on_path[target]:
+                raise CorruptFile(f"the automaton has a cycle through state {target}")
+            on_path[target] = 1
+            stack.append((state, edge, acc))
+            stack.append((target, first[target], 1 if finals[target] else 0))
+    if counts[0] != n_forms:
+        raise CorruptFile(
+            f"the automaton's form count is {counts[0]}, the form table's {n_forms}"
+        )
+    hops = zip(map(chr, chars), zip(targets, offsets))
+    return [(bool(f), dict(islice(hops, n))) for f, n in zip(finals, edge_counts)]
 
 
 # -- binary format ----------------------------------------------------------
 
 _MAGIC = b"LXCV"
-_FORMAT_VERSION = 3
+_FORMAT_VERSION = 4
 _ROLE_BITS = {RoleTag.GENERAL: 1, RoleTag.ABBREVIATIONS_ACRONYMS: 2, RoleTag.USER: 4}
 # entry, simple-form, folded-form, state and transition counts (u64);
-# analysis, compound, fold-extra, unique-form and string counts (u32);
+# analysis, compound, fold-extra and string counts (u32);
 # string table size in bytes (u64)
-_HEADER = struct.Struct("<QQQQQIIIIIQ")
-# columns are little-endian u8, u16 and u32; array typecodes name C types,
-# so the u16 and u32 codes are the ones of that item size on this platform
-_U16, _U32 = (next(code for code in "HIL" if array(code).itemsize == size) for size in (2, 4))
+_HEADER = struct.Struct("<QQQQQIIIIQ")
+# columns are little-endian u8 and u32; array typecodes name C types,
+# so the u32 code is the one of that item size on this platform
+_U32 = next(code for code in "IL" if array(code).itemsize == 4)
 _SWAP = sys.byteorder == "big"
-
-_U16_MAX = 0xFFFF
-
-
-def _check_u16_counts(lex: Lexicon) -> None:
-    """Raise FormatLimitExceeded if a count does not fit its u16 field."""
-    for state, (_final, edges) in enumerate(lex._states):
-        if len(edges) > _U16_MAX:
-            raise _too_many(f"automaton state {state}", len(edges), "edges")
-    for word_index, ids in enumerate(lex._form_analyses):
-        if len(ids) > _U16_MAX:
-            form = lex.iter_forms()[word_index]
-            raise _too_many(f"form {form!r}", len(ids), "analyses")
-    for comp in lex._compounds:
-        if len(comp.analysis_ids) > _U16_MAX:
-            raise _too_many(f"compound {comp.form!r}", len(comp.analysis_ids), "analyses")
-    for key, forms in lex._fold_extra.items():
-        if len(forms) > _U16_MAX:
-            raise _too_many(f"fold key {key!r}", len(forms), "forms")
-
-
-def _too_many(what, count, unit) -> FormatLimitExceeded:
-    return FormatLimitExceeded(
-        f"{what} has {count} {unit}; the lexicon format allows at most {_U16_MAX}"
-    )
 
 
 def _column(typecode, values) -> bytes:
@@ -478,12 +479,7 @@ def _column(typecode, values) -> bytes:
 
 
 def save_lexicon(lex: Lexicon, path) -> None:
-    """Write the versioned, checksummed binary form (docs/lexicon-binary.md).
-
-    Raises FormatLimitExceeded, before the file is opened, when a count
-    does not fit its u16 field.
-    """
-    _check_u16_counts(lex)
+    """Write the versioned, checksummed binary form (docs/lexicon-binary.md)."""
     strings = {}  # text -> string id, numbered in order of first use
 
     def string_ids(texts):
@@ -497,34 +493,31 @@ def save_lexicon(lex: Lexicon, path) -> None:
         string_ids(":".join(a.flex_codes) for a in analyses),
         _column("B", [sum(_ROLE_BITS[role] for role in roles) for roles in lex._roles]),
     ]
-    finals, edge_counts, chars, targets, offsets = [], [], [], [], []
+    finals, edge_counts, chars, targets = [], [], [], []
     for final, edges in lex._states:
         finals.append(final)
         edge_counts.append(len(edges))
         for ch in sorted(edges):
-            target, offset = edges[ch]
             chars.append(ord(ch))
-            targets.append(target)
-            offsets.append(offset)
+            targets.append(edges[ch][0])
     sections += [
         _column("B", finals),
-        _column(_U16, edge_counts),
+        _column(_U32, edge_counts),
         _column(_U32, chars),
         _column(_U32, targets),
-        _column(_U32, offsets),
     ]
     form_analyses = lex._form_analyses
     compounds = lex._compounds
     fold_keys = sorted(lex._fold_extra)
     fold_forms = [lex._fold_extra[key] for key in fold_keys]
     sections += [
-        _column(_U16, map(len, form_analyses)),
+        _column(_U32, map(len, form_analyses)),
         _column(_U32, chain.from_iterable(form_analyses)),
         string_ids(c.form for c in compounds),
-        _column(_U16, [len(c.analysis_ids) for c in compounds]),
+        _column(_U32, [len(c.analysis_ids) for c in compounds]),
         _column(_U32, chain.from_iterable(c.analysis_ids for c in compounds)),
         string_ids(fold_keys),
-        _column(_U16, map(len, fold_forms)),
+        _column(_U32, map(len, fold_forms)),
         string_ids(chain.from_iterable(fold_forms)),
     ]
     text = "".join(strings).encode("utf-8")
@@ -538,7 +531,6 @@ def save_lexicon(lex: Lexicon, path) -> None:
         len(analyses),
         len(compounds),
         len(fold_keys),
-        s.unique_form_count,
         len(strings),
         len(text),
     )
@@ -597,7 +589,6 @@ def _read_payload(raw) -> Lexicon:
         n_analyses,
         n_compounds,
         n_fold_extra,
-        unique_form_count,
         n_strings,
         text_size,
     ) = _HEADER.unpack_from(raw)
@@ -631,15 +622,15 @@ def _read_payload(raw) -> Lexicon:
     lemmas, grams, traits, flexes = (column(_U32, n_analyses) for _ in range(4))
     masks = column("B", n_analyses)
     finals = column("B", n_states)
-    edge_counts = column(_U16, n_states)
-    chars, targets, offsets = (column(_U32, n_transitions) for _ in range(3))
-    form_counts = column(_U16, n_forms)
+    edge_counts = column(_U32, n_states)
+    chars, targets = (column(_U32, n_transitions) for _ in range(2))
+    form_counts = column(_U32, n_forms)
     form_ids = column(_U32, sum(form_counts))
     compound_forms = column(_U32, n_compounds)
-    compound_counts = column(_U16, n_compounds)
+    compound_counts = column(_U32, n_compounds)
     compound_ids = column(_U32, sum(compound_counts))
     fold_keys = column(_U32, n_fold_extra)
-    fold_counts = column(_U16, n_fold_extra)
+    fold_counts = column(_U32, n_fold_extra)
     fold_forms = column(_U32, sum(fold_counts))
     if pos != len(raw):
         raise CorruptFile(f"{len(raw) - pos} unread bytes after the last section")
@@ -668,7 +659,7 @@ def _read_payload(raw) -> Lexicon:
     top = max(max(form_ids, default=-1), max(compound_ids, default=-1))
     if top >= n_analyses:
         raise CorruptFile(f"analysis id {top}, but there are {n_analyses} analyses")
-    _check_offsets(finals, edge_counts, chars, targets, offsets, n_forms)
+    states = _states(finals, edge_counts, chars, targets, n_forms)
 
     strings = [text[a:b] for a, b in zip(chain((0,), ends), ends)]
     string = strings.__getitem__
@@ -686,9 +677,6 @@ def _read_payload(raw) -> Lexicon:
         for mask in set(masks)
     }
     roles = list(map(role_sets.__getitem__, masks))
-
-    hops = zip(map(chr, chars), zip(targets, offsets))
-    states = [(bool(f), dict(islice(hops, n))) for f, n in zip(finals, edge_counts)]
 
     # one tuple per distinct id list: most forms share their list
     shared = {}
@@ -709,7 +697,7 @@ def _read_payload(raw) -> Lexicon:
 
     stats = LexiconStats(
         entry_count=entry_count,
-        unique_form_count=unique_form_count,
+        unique_form_count=n_forms + n_compounds,
         unique_form_count_folded=folded_count,
         state_count=n_states,
         transition_count=n_transitions,
@@ -718,50 +706,3 @@ def _read_payload(raw) -> Lexicon:
     )
     return Lexicon(states, analyses, roles, form_analyses, compounds, fold_extra, stats)
 
-
-def _check_offsets(finals, edge_counts, chars, targets, offsets, n_forms) -> None:
-    """Raise CorruptFile unless every edge offset is the one
-    :func:`_build_dafsa` writes and the root accepts ``n_forms`` forms.
-
-    Counts each state's right language bottom-up in one depth-first pass,
-    which also finds any cycle.  Then every rank a lookup sums lies below
-    ``n_forms``.
-    """
-    first = [0, *accumulate(edge_counts)]  # state s's edges: first[s]..first[s+1]
-    counts = [-1] * len(finals)            # -1 until the state is counted
-    on_path = bytearray(len(finals))
-    # a state's targets mostly have higher numbers, so most are counted
-    # before it is reached and the stack stays short
-    for start in range(len(finals) - 1, -1, -1):
-        if counts[start] >= 0:
-            continue
-        on_path[start] = 1
-        stack = [(start, first[start], 1 if finals[start] else 0)]
-        while stack:
-            state, edge, acc = stack.pop()
-            end = first[state + 1]
-            while edge < end:
-                count = counts[targets[edge]]
-                if count < 0:
-                    break
-                if offsets[edge] != acc:
-                    raise CorruptFile(
-                        f"edge {chr(chars[edge])!r} of state {state} has offset"
-                        f" {offsets[edge]}, expected {acc}"
-                    )
-                acc += count
-                edge += 1
-            else:
-                counts[state] = acc
-                on_path[state] = 0
-                continue
-            target = targets[edge]
-            if on_path[target]:
-                raise CorruptFile(f"the automaton has a cycle through state {target}")
-            on_path[target] = 1
-            stack.append((state, edge, acc))
-            stack.append((target, first[target], 1 if finals[target] else 0))
-    if counts[0] != n_forms:
-        raise CorruptFile(
-            f"the automaton's form count is {counts[0]}, the form table's {n_forms}"
-        )

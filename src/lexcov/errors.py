@@ -32,10 +32,6 @@ class CorruptFile(LexcovError):
     """A saved lexicon file failed structural or checksum validation."""
 
 
-class FormatLimitExceeded(LexcovError):
-    """A lexicon holds a count too large for its field in the binary format."""
-
-
 class MalformedAnnotations(LexcovError):
     """A row of a run's annotations.tsv cannot be read back."""
 

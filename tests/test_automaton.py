@@ -239,11 +239,14 @@ class TestMinimality:
 
         visit(0, frozenset())
 
-    def test_perfect_hash_indexes_are_sorted_ranks(self):
+    def test_perfect_hash_indexes_are_sorted_ranks(self, tmp_path):
+        # the loader derives the offsets again from the saved automaton
         forms = sorted({"a", "ab", "abc", "ba", "c", "ça"})
         lex = lex_from_forms(forms)
-        assert [lex.word_index(f) for f in forms] == list(range(len(forms)))
-        assert lex.iter_forms() == forms
+        save_lexicon(lex, tmp_path / "lex.bin")
+        for copy in (lex, load_lexicon(tmp_path / "lex.bin")):
+            assert [copy.word_index(f) for f in forms] == list(range(len(forms)))
+            assert copy.iter_forms() == forms
 
 
 class TestCompounds:
@@ -420,8 +423,8 @@ def replace_once(old, new):
     return edit
 
 
-# "zê" is the only simple form: the root's one edge is "z" to state 1, offset
-# 0; edge labels are u32 code points, and ord("z") occurs once as a u32
+# "zê" is the only simple form: the root's one edge is "z" to state 1; edge
+# labels are u32 code points, and ord("z") occurs once as a u32
 Z_LABEL = struct.pack("<I", ord("z"))
 
 
@@ -440,10 +443,10 @@ def set_u32(where, value):
 FIRST_LENGTH = lambda header: automaton._HEADER.size
 FIRST_LEMMA = lambda header: automaton._HEADER.size + 4 * header[-2] + header[-1]
 # the root's first edge target opens the target column, which follows the
-# analyses (A rows of 4 u32 and a u8), the states' u8 final flags and u16 edge
+# analyses (A rows of 4 u32 and a u8), the states' u8 final flags and u32 edge
 # counts (S each), and the T u32 code points
 ROOT_TARGET = lambda header: (
-    FIRST_LEMMA(header) + 17 * header[5] + 3 * header[3] + 4 * header[4]
+    FIRST_LEMMA(header) + 17 * header[5] + 5 * header[3] + 4 * header[4]
 )
 
 
@@ -491,10 +494,6 @@ class TestBrokenPayload:
         [
             (lambda lex: lex._states.clear(), "no root state"),
             (lambda lex: lex._states[0][1].update(z=(999, 0)), "edge to state 999"),
-            (
-                lambda lex: lex._states[0][1].update(z=(1, 5)),
-                "edge 'z' of state 0 has offset 5, expected 0",
-            ),
             # an edge from state 1 back to the root
             (lambda lex: lex._states[1][1].update(x=(0, 1)), "cycle through state"),
             (

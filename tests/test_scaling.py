@@ -137,5 +137,8 @@ def test_apply_memory_does_not_grow_with_tokens():
         finally:
             tracemalloc.stop()
 
+    # the first traced call also pays one-time allocations; measuring it
+    # would put them in one side of the ratio
+    peak(800)
     ratio = peak(1600) / peak(800)
     assert ratio < 1.5, ratio
