@@ -3,7 +3,15 @@
 __version__ = "0.1.0"
 
 from .automaton import CaseFoldPolicy, Lexicon, compile_lexicon, load_lexicon
-from .delaf import DictEntry, DictFile, RoleTag, load_dict_file, parse_entry, serialize_entry
+from .delaf import (
+    DictEntry,
+    DictFile,
+    RoleTag,
+    iter_dict_entries,
+    load_dict_file,
+    parse_entry,
+    serialize_entry,
+)
 from .dico import DicoResult, apply_dictionaries, merge_results
 from .preprocess import normalize_delimiters, reform_normalize, segment_sentences, tokenize
 
@@ -15,6 +23,7 @@ __all__ = [
     "DictEntry",
     "DictFile",
     "RoleTag",
+    "iter_dict_entries",
     "load_dict_file",
     "parse_entry",
     "serialize_entry",

@@ -16,6 +16,7 @@ import struct
 import sys
 import zlib
 from array import array
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice
 from pathlib import Path
@@ -31,14 +32,13 @@ class CaseFoldPolicy(enum.Enum):
     FULL_FOLD = "full_fold"
 
 
-@dataclass(frozen=True)
-class Analysis:
-    """A deduplicated (lemma, codes) payload shared by one or more forms."""
+class Analysis(namedtuple("Analysis", "lemma gram_code sem_traits flex_codes")):
+    """A deduplicated (lemma, codes) payload shared by one or more forms.
 
-    lemma: str
-    gram_code: str
-    sem_traits: tuple[str, ...]
-    flex_codes: tuple[str, ...]
+    ``sem_traits`` and ``flex_codes`` are tuples of strings.  It is a
+    tuple, so it compares equal to the plain 4-tuple of its fields."""
+
+    __slots__ = ()
 
 
 @dataclass
@@ -59,12 +59,17 @@ class _Compound:
     pattern: tuple[tuple[TokenKind, str], ...]
 
 
-class _Node:
-    __slots__ = ("final", "edges")
+_ROLE_BITS = {RoleTag.GENERAL: 1, RoleTag.ABBREVIATIONS_ACRONYMS: 2, RoleTag.USER: 4}
 
-    def __init__(self):
-        self.final = False
-        self.edges = {}
+
+def _role_sets(masks) -> list:
+    """Each analysis's roles from its role bits, one frozenset per
+    distinct mask."""
+    sets = {
+        mask: frozenset(role for role, bit in _ROLE_BITS.items() if mask & bit)
+        for mask in set(masks)
+    }
+    return list(map(sets.__getitem__, masks))
 
 
 def token_matches_form(token_text: str, form_text: str, policy: CaseFoldPolicy) -> bool:
@@ -274,37 +279,56 @@ def compile_lexicon(dicts: list[DictFile]) -> Lexicon:
 
     Identical (form, analysis) pairs are deduplicated.  Entries carrying
     several ':'-groups are expanded into one analysis per inflectional
-    reading.
+    reading.  Each file's entries are read once, so they may be an
+    iterator (:func:`lexcov.delaf.iter_dict_entries`).
     """
-    analysis_ids = {}
-    analyses = []
-    roles = []
-    simple = {}     # form -> set of analysis ids
-    compounds = {}  # form -> ordered dict of analysis ids (insertion order)
+    analysis_ids = {}  # (lemma, gram_code, sem_traits, flex_codes) -> analysis id
+    masks = []         # analysis id -> role bits
+    simple = {}        # form -> analysis id, or a set of ids once it has two
+    compounds = {}     # form -> ordered dict of analysis ids (insertion order)
     entry_count = 0
     for dfile in dicts or []:
+        bit = _ROLE_BITS[dfile.role_tag]
         for entry in dfile.entries:
             entry_count += 1
-            flex_groups = [(code,) for code in entry.flex_codes] or [()]
-            for flex in flex_groups:
+            form = entry.surface_form
+            multiword = entry.is_multiword()
+            flex_codes = entry.flex_codes
+            # zip gives each code as a 1-tuple
+            for flex in zip(flex_codes) if flex_codes else ((),):
                 key = (entry.lemma, entry.gram_code, entry.sem_traits, flex)
                 aid = analysis_ids.get(key)
                 if aid is None:
-                    aid = len(analyses)
-                    analysis_ids[key] = aid
-                    analyses.append(Analysis(*key))
-                    roles.append(set())
-                roles[aid].add(dfile.role_tag)
-                if entry.is_multiword():
-                    compounds.setdefault(entry.surface_form, {})[aid] = None
+                    aid = analysis_ids[key] = len(masks)
+                    masks.append(bit)
                 else:
-                    simple.setdefault(entry.surface_form, set()).add(aid)
+                    masks[aid] |= bit
+                if multiword:
+                    compounds.setdefault(form, {})[aid] = None
+                    continue
+                held = simple.setdefault(form, aid)
+                if held == aid:
+                    continue
+                if type(held) is int:
+                    simple[form] = {held, aid}
+                else:
+                    held.add(aid)
     if entry_count == 0:
         raise EmptyLexicon("no entries to compile")
 
     sorted_forms = sorted(simple)
+    shared = {}  # one tuple per distinct id list, as load_lexicon makes them
+    form_analyses = [
+        shared.setdefault(t, t)
+        for t in (
+            (held,) if type(held) is int else tuple(sorted(held))
+            for held in map(simple.__getitem__, sorted_forms)
+        )
+    ]
     states, n_transitions = _build_dafsa(sorted_forms)
-    form_analyses = [tuple(sorted(simple[f])) for f in sorted_forms]
+    folded_count = _folded_count(
+        chain(sorted_forms, compounds), lambda f: f in simple or f in compounds
+    )
 
     compound_list = [
         _Compound(form, tuple(ids), _compound_pattern(form))
@@ -318,25 +342,40 @@ def compile_lexicon(dicts: list[DictFile]) -> Lexicon:
             fold_extra.setdefault(key, []).append(form)
     fold_extra = {k: tuple(v) for k, v in fold_extra.items()}
 
-    all_forms = sorted_forms + list(compounds)
     stats = LexiconStats(
         entry_count=entry_count,
-        unique_form_count=len(simple) + len(compounds),
-        unique_form_count_folded=len({f.casefold() for f in all_forms}),
+        unique_form_count=len(sorted_forms) + len(compounds),
+        unique_form_count_folded=folded_count,
         state_count=len(states),
         transition_count=n_transitions,
-        analysis_count=len(analyses),
+        analysis_count=len(masks),
         compound_count=len(compound_list),
     )
     return Lexicon(
         states,
-        analyses,
-        [frozenset(r) for r in roles],
+        list(map(Analysis._make, analysis_ids)),
+        _role_sets(masks),
         form_analyses,
         compound_list,
         fold_extra,
         stats,
     )
+
+
+def _folded_count(forms, is_form) -> int:
+    """``len({f.casefold() for f in forms})`` for unique ``forms``, with
+    ``is_form`` their membership test, holding only the casefolds that
+    differ from their form."""
+    unchanged = 0
+    recased = set()
+    for form in forms:
+        folded = form.casefold()
+        if folded == form:
+            unchanged += 1
+        else:
+            recased.add(folded)
+    # a recased form that is itself an unchanged form is counted already
+    return unchanged + sum(1 for f in recased if not (is_form(f) and f.casefold() == f))
 
 
 def _compound_pattern(form: str):
@@ -350,19 +389,28 @@ def _build_dafsa(sorted_forms):
     gives them: state 0 is the root, and summing the index offsets along
     a word's path gives its rank in the sorted key set.
     """
-    root = _Node()
+    # A state is registered once no later word can change it: the register
+    # maps its key, (final, ((char, state id), ...)), to its id.  ``path``
+    # holds the last word's states, which later words can still change,
+    # as [final, {char: state id}] lists, root first.  A path state's last
+    # edge leads to the next path state and gets its target once that
+    # state is registered.  Sorted input adds each state's edges in char
+    # order, so states with equal right languages have equal keys.
     register = {}
-    unchecked = []  # (parent, char, child) not yet merged into the register
+    keys = []  # state id -> key
+    path = [[False, {}]]
 
-    def merge(down_to):
-        while len(unchecked) > down_to:
-            parent, ch, child = unchecked.pop()
-            key = (child.final, tuple((c, id(n)) for c, n in child.edges.items()))
-            seen = register.get(key)
-            if seen is not None:
-                parent.edges[ch] = seen
-            else:
-                register[key] = child
+    def register_down_to(depth):
+        top = len(path) - 1
+        while top > depth:
+            final, edges = path.pop()
+            key = (final, tuple(edges.items()))
+            state = register.get(key)
+            if state is None:
+                state = register[key] = len(keys)
+                keys.append(key)
+            top -= 1
+            path[top][1][previous[top]] = state
 
     previous = ""
     for word in sorted_forms:
@@ -370,37 +418,38 @@ def _build_dafsa(sorted_forms):
         limit = min(len(word), len(previous))
         while common < limit and word[common] == previous[common]:
             common += 1
-        merge(common)
-        node = unchecked[-1][2] if unchecked else root
+        register_down_to(common)
+        node = path[-1]
         for ch in word[common:]:
-            nxt = _Node()
-            node.edges[ch] = nxt
-            unchecked.append((node, ch, nxt))
-            node = nxt
-        node.final = True
+            node[1][ch] = None
+            node = [False, {}]
+            path.append(node)
+        node[0] = True
         previous = word
-    merge(0)
+    register_down_to(0)
+    root = len(keys)
+    keys.append((path[0][0], tuple(path[0][1].items())))
 
     # number states (DFS preorder, sorted edges)
-    ids = {id(root): 0}
+    number = [-1] * len(keys)
+    number[root] = 0
     order = [root]
     stack = [root]
     while stack:
-        node = stack.pop()
-        for ch in sorted(node.edges, reverse=True):
-            child = node.edges[ch]
-            if id(child) not in ids:
-                ids[id(child)] = len(order)
+        for _, child in reversed(keys[stack.pop()][1]):
+            if number[child] < 0:
+                number[child] = len(order)
                 order.append(child)
                 stack.append(child)
 
     finals, edge_counts, chars, targets = [], [], [], []
-    for node in order:
-        finals.append(node.final)
-        edge_counts.append(len(node.edges))
-        for ch in sorted(node.edges):
+    for state in order:
+        final, edges = keys[state]
+        finals.append(final)
+        edge_counts.append(len(edges))
+        for ch, child in edges:
             chars.append(ord(ch))
-            targets.append(ids[id(node.edges[ch])])
+            targets.append(number[child])
     return _states(finals, edge_counts, chars, targets, len(sorted_forms)), len(targets)
 
 
@@ -460,7 +509,6 @@ def _states(finals, edge_counts, chars, targets, n_forms):
 
 _MAGIC = b"LXCV"
 _FORMAT_VERSION = 4
-_ROLE_BITS = {RoleTag.GENERAL: 1, RoleTag.ABBREVIATIONS_ACRONYMS: 2, RoleTag.USER: 4}
 # entry, simple-form, folded-form, state and transition counts (u64);
 # analysis, compound, fold-extra and string counts (u32);
 # string table size in bytes (u64)
@@ -672,11 +720,7 @@ def _read_payload(raw) -> Lexicon:
     analyses = list(
         map(Analysis, map(string, lemmas), map(string, grams), split(traits, "+"), split(flexes, ":"))
     )
-    role_sets = {
-        mask: frozenset(role for role, bit in _ROLE_BITS.items() if mask & bit)
-        for mask in set(masks)
-    }
-    roles = list(map(role_sets.__getitem__, masks))
+    roles = _role_sets(masks)
 
     # one tuple per distinct id list: most forms share their list
     shared = {}

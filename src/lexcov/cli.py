@@ -37,7 +37,7 @@ from .coverage import (
     render_delta_text,
     render_diff_text,
 )
-from .delaf import RoleTag, load_dict_file
+from .delaf import DictFile, RoleTag, iter_dict_entries
 from .dico import (
     DicoResult,
     apply_dictionaries,
@@ -103,9 +103,13 @@ def _apply_corpus(patterns, lexicon_paths, policy, abbrev=None, replacements=Non
 
 # -- subcommands ------------------------------------------------------------
 
+def _streamed(paths, role=RoleTag.GENERAL) -> list[DictFile]:
+    """DictFiles whose entries are read from their files as they are used."""
+    return [DictFile(iter_dict_entries(p), role, p) for p in paths]
+
+
 def cmd_compile(args) -> int:
-    dicts = [load_dict_file(p, RoleTag(args.role)) for p in args.dicts]
-    lex = compile_lexicon(dicts)
+    lex = compile_lexicon(_streamed(args.dicts, RoleTag(args.role)))
     save_lexicon(lex, args.output)
     stats = {
         "entries": lex.stats.entry_count,
@@ -261,9 +265,7 @@ def cmd_classify(args) -> int:
 
 def cmd_diff(args) -> int:
     fold_mode = "cased" if args.cased else "folded"
-    a = [load_dict_file(p) for p in args.a]
-    b = [load_dict_file(p) for p in args.b]
-    diff = diff_dictionaries(a, b, fold_mode)
+    diff = diff_dictionaries(_streamed(args.a), _streamed(args.b), fold_mode)
     if args.format == "json":
         print(json.dumps(diff.to_dict(), indent=2, ensure_ascii=False))
     else:

@@ -12,6 +12,8 @@ The normative format description lives in docs/delaf-format.md.
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,23 +28,29 @@ class RoleTag(enum.Enum):
     USER = "user"
 
 
-@dataclass(frozen=True)
-class DictEntry:
-    """One DELAF line: an inflected form with its analysis."""
+class DictEntry(namedtuple("DictEntry", "surface_form lemma gram_code sem_traits flex_codes")):
+    """One DELAF line: an inflected form with its analysis.
 
-    surface_form: str
-    lemma: str
-    gram_code: str
-    sem_traits: tuple[str, ...] = ()
-    flex_codes: tuple[str, ...] = ()
+    It is a tuple, so it compares equal to the plain 5-tuple of its
+    fields."""
 
-    def __post_init__(self):
-        if not self.surface_form:
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        surface_form: str,
+        lemma: str,
+        gram_code: str,
+        sem_traits: tuple[str, ...] = (),
+        flex_codes: tuple[str, ...] = (),
+    ):
+        if not surface_form:
             raise ValueError("surface_form must be non-empty")
-        if not self.lemma:
+        if not lemma:
             raise ValueError("lemma must be non-empty")
-        if not self.gram_code:
+        if not gram_code:
             raise ValueError("gram_code must be non-empty")
+        return tuple.__new__(cls, (surface_form, lemma, gram_code, sem_traits, flex_codes))
 
     def is_multiword(self) -> bool:
         return " " in self.surface_form
@@ -50,9 +58,12 @@ class DictEntry:
 
 @dataclass
 class DictFile:
-    """An ordered collection of entries loaded from one DELAF file."""
+    """An ordered collection of entries loaded from one DELAF file.
 
-    entries: list[DictEntry]
+    :func:`load_dict_file` gives a list; a reader that needs one pass,
+    such as the compiler, may hold :func:`iter_dict_entries` instead."""
+
+    entries: Iterable[DictEntry]
     role_tag: RoleTag = RoleTag.GENERAL
     path: str | None = None
 
@@ -90,36 +101,40 @@ def _scan_field(
 def parse_entry(line: str, line_number: int | None = None) -> DictEntry:
     """Parse a single DELAF line into a DictEntry.
 
+    A line with no ``\\`` is split at its first ``,`` and the first ``.``
+    after it; any other line, and any line that split does not accept, is
+    read by the escape-aware scanner, which reports what is wrong with it.
     Raises MalformedEntry if the line does not match the grammar.
     """
-    form, i = _scan_field(line, 0, ",", line_number)
-    if i >= len(line):
-        raise MalformedEntry("missing ',' separator", line, len(line), line_number)
-    if not form:
-        raise MalformedEntry("empty surface form", line, 0, line_number)
-    lemma, j = _scan_field(line, i + 1, ".", line_number)
-    if j >= len(line):
-        raise MalformedEntry("missing '.' separator", line, len(line), line_number)
-    codes = line[j + 1 :]
+    form, _, rest = line.partition(",")
+    lemma, dot, codes = rest.partition(".")
+    if not (form and dot) or "\\" in line:
+        form, i = _scan_field(line, 0, ",", line_number)
+        if i >= len(line):
+            raise MalformedEntry("missing ',' separator", line, len(line), line_number)
+        if not form:
+            raise MalformedEntry("empty surface form", line, 0, line_number)
+        lemma, j = _scan_field(line, i + 1, ".", line_number)
+        if j >= len(line):
+            raise MalformedEntry("missing '.' separator", line, len(line), line_number)
+        codes = line[j + 1 :]
+    at = len(line) - len(codes)  # where the codes start
     code_part, colon, flex_part = codes.partition(":")
     if colon and not flex_part:
-        raise MalformedEntry("empty inflectional code", line, j + 1, line_number)
+        raise MalformedEntry("empty inflectional code", line, at, line_number)
     pieces = code_part.split("+")
     gram_code = pieces[0]
     if not gram_code:
-        raise MalformedEntry("empty grammatical code", line, j + 1, line_number)
+        raise MalformedEntry("empty grammatical code", line, at, line_number)
     sem_traits = pieces[1:]
-    if any(not s for s in sem_traits):
-        raise MalformedEntry("empty semantic trait", line, j + 1, line_number)
+    if "" in sem_traits:
+        raise MalformedEntry("empty semantic trait", line, at, line_number)
     flex_codes = flex_part.split(":") if flex_part else []
-    if any(not f for f in flex_codes):
-        raise MalformedEntry("empty inflectional code", line, j + 1, line_number)
-    return DictEntry(
-        surface_form=form,
-        lemma=lemma or form,
-        gram_code=gram_code,
-        sem_traits=tuple(sem_traits),
-        flex_codes=tuple(flex_codes),
+    if "" in flex_codes:
+        raise MalformedEntry("empty inflectional code", line, at, line_number)
+    # what DictEntry's constructor checks holds already
+    return tuple.__new__(
+        DictEntry, (form, lemma or form, gram_code, tuple(sem_traits), tuple(flex_codes))
     )
 
 
@@ -134,16 +149,23 @@ def serialize_entry(entry: DictEntry) -> str:
     return "".join(out)
 
 
+def iter_dict_entries(path: str | Path) -> Iterator[DictEntry]:
+    """The entries of a DELAF text file, read line by line, in file order.
+
+    A leading BOM is dropped, lines end at ``\\n`` (a ``\\r`` before it is
+    dropped, a lone ``\\r`` is part of its line) and blank lines are
+    skipped; line numbers in errors count every line.
+    """
+    with open(path, encoding="utf-8-sig", newline="\n") as fh:
+        for line_number, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\r\n")
+            if line and not line.isspace():
+                yield parse_entry(line, line_number)
+
+
 def load_dict_file(path: str | Path, role_tag: RoleTag = RoleTag.GENERAL) -> DictFile:
-    """Load a DELAF text file, skipping blank lines, preserving order."""
-    text = Path(path).read_text(encoding="utf-8-sig")
-    entries = []
-    for line_number, raw in enumerate(text.split("\n"), start=1):
-        line = raw.rstrip("\r")
-        if not line.strip():
-            continue
-        entries.append(parse_entry(line, line_number))
-    return DictFile(entries=entries, role_tag=role_tag, path=str(path))
+    """Load a DELAF text file into a DictFile whose entries are a list."""
+    return DictFile(entries=list(iter_dict_entries(path)), role_tag=role_tag, path=str(path))
 
 
 def save_dict_file(dict_file: DictFile, path: str | Path) -> None:

@@ -7,6 +7,9 @@ internals it checks.
 
 from __future__ import annotations
 
+from lexcov.delaf import DictEntry
+from lexcov.errors import MalformedEntry
+
 
 def oracle_match(token: str, form: str, policy: str) -> bool:
     """Reference token-vs-form matching rule."""
@@ -93,6 +96,61 @@ def minimal_state_count(words) -> int:
 
     signature(trie)
     return len(canon)
+
+
+def right_language_classes(words) -> int:
+    """States of the minimal acyclic automaton, by definition: the number
+    of distinct right languages of the prefixes of ``words`` (a prefix is
+    final if its right language holds the empty word)."""
+    words = set(words)
+    prefixes = {w[:i] for w in words for i in range(len(w) + 1)} | {""}
+    return len(
+        {frozenset(w[len(p) :] for w in words if w.startswith(p)) for p in prefixes}
+    )
+
+
+def _oracle_scan_field(line, start, terminators, line_number):
+    out = []
+    i = start
+    while i < len(line):
+        ch = line[i]
+        if ch == "\\":
+            if i + 1 >= len(line):
+                raise MalformedEntry("dangling backslash", line, i, line_number)
+            out.append(line[i + 1])
+            i += 2
+        elif ch in terminators:
+            return "".join(out), i
+        else:
+            out.append(ch)
+            i += 1
+    return "".join(out), len(line)
+
+
+def oracle_parse_entry(line: str, line_number=None) -> DictEntry:
+    """The DELAF line grammar read by one character scanner for every
+    line, escaped or not: the reference for parse_entry's results and
+    its MalformedEntry message, column and line number."""
+    form, i = _oracle_scan_field(line, 0, ",", line_number)
+    if i >= len(line):
+        raise MalformedEntry("missing ',' separator", line, len(line), line_number)
+    if not form:
+        raise MalformedEntry("empty surface form", line, 0, line_number)
+    lemma, j = _oracle_scan_field(line, i + 1, ".", line_number)
+    if j >= len(line):
+        raise MalformedEntry("missing '.' separator", line, len(line), line_number)
+    code_part, colon, flex_part = line[j + 1 :].partition(":")
+    if colon and not flex_part:
+        raise MalformedEntry("empty inflectional code", line, j + 1, line_number)
+    pieces = code_part.split("+")
+    if not pieces[0]:
+        raise MalformedEntry("empty grammatical code", line, j + 1, line_number)
+    if any(not s for s in pieces[1:]):
+        raise MalformedEntry("empty semantic trait", line, j + 1, line_number)
+    flex_codes = flex_part.split(":") if flex_part else []
+    if any(not f for f in flex_codes):
+        raise MalformedEntry("empty inflectional code", line, j + 1, line_number)
+    return DictEntry(form, lemma or form, pieces[0], tuple(pieces[1:]), tuple(flex_codes))
 
 
 def levenshtein(a: str, b: str) -> int:

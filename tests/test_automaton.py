@@ -26,7 +26,7 @@ from lexcov.delaf import DictEntry, DictFile, RoleTag, parse_entry, serialize_en
 from lexcov.errors import CorruptFile, EmptyLexicon, FormatVersionMismatch
 from lexcov.preprocess import tokenize
 
-from oracles import minimal_state_count, oracle_lookup, oracle_match
+from oracles import minimal_state_count, oracle_lookup, oracle_match, right_language_classes
 
 
 def lex_from_lines(lines, role=RoleTag.GENERAL):
@@ -221,6 +221,16 @@ class TestMinimality:
         )[:1000]
         lex = lex_from_forms(forms)
         assert lex.stats.state_count == minimal_state_count(forms)
+
+    @given(
+        forms=st.sets(st.text(alphabet="abßıﬁI", min_size=1, max_size=6), min_size=1, max_size=60)
+    )
+    def test_states_are_right_language_classes(self, forms):
+        forms = sorted(forms)
+        lex = lex_from_forms(forms)
+        assert lex.stats.state_count == right_language_classes(forms)
+        assert [lex.word_index(f) for f in forms] == list(range(len(forms)))
+        assert lex.stats.unique_form_count_folded == len({f.casefold() for f in forms})
 
     def test_determinism_and_acyclicity(self):
         forms = ["ab", "abc", "b", "bc"]

@@ -1,3 +1,4 @@
+import itertools
 import json
 import shutil
 from dataclasses import replace
@@ -6,6 +7,8 @@ import pytest
 
 from lexcov.automaton import CaseFoldPolicy, load_lexicon, save_lexicon
 from lexcov.cli import main
+from lexcov.coverage import diff_dictionaries
+from lexcov.delaf import load_dict_file
 from lexcov.dico import (
     DicoResult,
     TokenStatus,
@@ -337,6 +340,22 @@ class TestDiff:
         assert diff["only_in_a"] == ["velho"]
         assert diff["only_in_b"] == ["novo"]
         assert diff["common"] == 1
+
+    @pytest.mark.parametrize("cased", [False, True])
+    def test_streamed_diff_equals_listed_diff(self, fixtures_dir, capsys, cased):
+        # lexcov diff reads the files as it goes; diff_dictionaries over
+        # loaded lists must give the same JSON, for every pair of fixtures
+        paths = sorted(fixtures_dir.glob("*.dic"))
+        for a, b in itertools.product(paths, repeat=2):
+            flag = ["--cased"] if cased else []
+            code, stdout, _ = run_cli(
+                capsys, "diff", "-a", str(a), "-b", str(b), "--format", "json", *flag
+            )
+            assert code == 0
+            listed = diff_dictionaries(
+                [load_dict_file(a)], [load_dict_file(b)], "cased" if cased else "folded"
+            )
+            assert stdout == json.dumps(listed.to_dict(), indent=2, ensure_ascii=False) + "\n"
 
 
 class TestBench:

@@ -5,12 +5,15 @@ from lexcov.delaf import (
     DictEntry,
     RoleTag,
     canonicalize_line,
+    iter_dict_entries,
     load_dict_file,
     parse_entry,
     save_dict_file,
     serialize_entry,
 )
 from lexcov.errors import MalformedEntry
+
+from oracles import oracle_parse_entry
 
 
 class TestParseEntry:
@@ -75,6 +78,32 @@ class TestParseEntry:
             parse_entry("semvirgula.V", line_number=7)
         assert exc.value.line == "semvirgula.V"
         assert exc.value.line_number == 7
+
+
+def outcome(parse, line, line_number):
+    try:
+        return ("entry", parse(line, line_number))
+    except MalformedEntry as exc:
+        return ("MalformedEntry", str(exc), exc.line, exc.column, exc.line_number)
+
+
+class TestParseMatchesScanner:
+    """parse_entry splits unescaped lines itself; on every line it must
+    agree with the scanner-only oracle, errors included."""
+
+    @given(line=st.text(alphabet="aBç,.+:\\ "), line_number=st.none() | st.integers(1, 9))
+    def test_any_line(self, line, line_number):
+        assert outcome(parse_entry, line, line_number) == outcome(
+            oracle_parse_entry, line, line_number
+        )
+
+    @pytest.mark.parametrize(
+        "line",
+        ["a,b.V+x:y:z", "a,.V", ",.V", "a,b", "a.b,c.V", "a,b.", "a,b.V+", "a,b.V:",
+         "a,b.+x", "a,b.V::y", "a\\,b,.V", "a,b\\.c.V", "a,b.V\\", "a,b.c.d:e"],
+    )
+    def test_examples(self, line):
+        assert outcome(parse_entry, line, 3) == outcome(oracle_parse_entry, line, 3)
 
 
 class TestSerializeEntry:
@@ -143,6 +172,40 @@ class TestDictFile:
         with pytest.raises(MalformedEntry) as exc:
             load_dict_file(path)
         assert exc.value.line_number == 2
+
+    @pytest.mark.parametrize(
+        "raw, forms",
+        [
+            (b"\xef\xbb\xbfa,.N\nb,.N\n", [(1, "a"), (2, "b")]),
+            (b"a,.N\r\nb,.N\r\n", [(1, "a"), (2, "b")]),
+            (b"\na,.N\n \t\n\nb,.N\n\n", [(2, "a"), (5, "b")]),
+            (b"a\rz,.N\nb,.N\n", [(1, "a\rz"), (2, "b")]),
+            (b"a,.N\nb,.N", [(1, "a"), (2, "b")]),
+        ],
+        ids=["bom", "crlf", "blank-lines", "lone-cr", "no-final-newline"],
+    )
+    def test_stream_and_list_agree(self, tmp_path, raw, forms):
+        path = tmp_path / "d.dic"
+        path.write_bytes(raw)
+        listed = load_dict_file(path).entries
+        assert isinstance(listed, list)
+        assert list(iter_dict_entries(path)) == listed
+        assert [e.surface_form for e in listed] == [form for _, form in forms]
+        # the same file with its last entry broken: both report its line
+        path.write_bytes(raw.replace(b"b,.N", b"b.N"))
+        for read in (lambda p: load_dict_file(p).entries, lambda p: list(iter_dict_entries(p))):
+            with pytest.raises(MalformedEntry) as exc:
+                read(path)
+            assert exc.value.line_number == forms[-1][0]
+            assert exc.value.line == "b.N"
+
+    def test_stream_is_lazy(self, tmp_path):
+        path = tmp_path / "d.dic"
+        path.write_text("a,.N\nbad\n", encoding="utf-8")
+        entries = iter_dict_entries(path)
+        assert next(entries).surface_form == "a"
+        with pytest.raises(MalformedEntry):
+            next(entries)
 
     def test_save_is_canonical_sorted(self, tmp_path, fixtures_dir):
         dfile = load_dict_file(fixtures_dir / "sample.dic")

@@ -1,9 +1,9 @@
 """Growth checks: doubling the input of a linear stage about doubles its time.
 
-Each check times the stage at n and 2n, best of 3 with the collector off,
-in CPU time of this process so that load from other processes does not
-count, and bounds t(2n)/t(n) below 3.0.  A stage that is quadratic in its input
-reads about 4.
+Each check times the stage at n and 2n, best of 3 (5 for segmentation and
+for apply over files) with the collector off, in CPU time of this process
+so that load from other processes does not count, and bounds t(2n)/t(n)
+below 3.0.  A stage that is quadratic in its input reads about 4.
 
 Apply's memory grows with the types of a corpus, not its tokens: doubling
 the files of one vocabulary keeps its peak below 1.5 times.
@@ -15,7 +15,7 @@ import time
 import tracemalloc
 
 from lexcov.automaton import CaseFoldPolicy, compile_lexicon, load_lexicon, save_lexicon
-from lexcov.delaf import DictFile, parse_entry
+from lexcov.delaf import DictFile, iter_dict_entries, parse_entry
 from lexcov.dico import apply_dictionaries
 from lexcov.preprocess import segment_sentences, tokenize
 
@@ -35,13 +35,13 @@ LEXICON = [
 ]
 
 
-def growth(make_args, run, n):
-    """Best-of-REPEATS t(2n) over best-of-REPEATS t(n); arguments are built
-    outside the timing."""
+def growth(make_args, run, n, repeats=REPEATS):
+    """Best-of-``repeats`` t(2n) over best-of-``repeats`` t(n); arguments
+    are built outside the timing."""
 
     def best(size):
         times = []
-        for _ in range(REPEATS):
+        for _ in range(repeats):
             args = make_args(size)
             gc.collect()
             gc.disable()
@@ -70,12 +70,39 @@ def sentences_text(n_words, seed=7):
 
 
 def test_segmentation_is_linear():
-    text = sentences_text(40_000)
+    # one segmentation takes tens of milliseconds, short enough for
+    # scheduling noise to move the ratio: a longer text and more repeats
+    # than the other checks keep it steady
+    text = sentences_text(60_000)
     ratio = growth(
         lambda n: (tokenize(text[:n]),),
         segment_sentences,
         len(text) // 2,
+        repeats=5,
     )
+    assert ratio < BOUND, ratio
+
+
+def test_compile_is_linear(tmp_path):
+    rng = random.Random(7)
+    stems = sorted({"".join(rng.choice("abcdeilmnoprstu") for _ in range(7)) for _ in range(2_200)})
+    suffixes = ["a", "as", "o", "os", "ar", "ando", "ado", "ção", "mente", "inho"]
+    paths = {}
+    for n_stems in (1_000, 2_000):
+        lines = [
+            f"{stem}{suffix},{stem}ar.V+Hum:{rng.choice(['ms', 'fs'])}"
+            for stem in stems[:n_stems]
+            for suffix in suffixes
+        ]
+        lines += [f"{stem} de casa,.ADV" for stem in stems[:n_stems:10]]
+        paths[n_stems] = tmp_path / f"{n_stems}.dic"
+        paths[n_stems].write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    def compile_file(path):
+        # the entries are parsed as the build reads them, as in lexcov compile
+        compile_lexicon([DictFile(iter_dict_entries(path))])
+
+    ratio = growth(lambda n: (paths[n],), compile_file, 1_000)
     assert ratio < BOUND, ratio
 
 
@@ -96,13 +123,14 @@ def test_compound_pass_is_linear_in_one_long_sentence():
 
 def test_apply_over_files_is_linear_in_file_count():
     lex = compile_lexicon([DictFile([parse_entry(line) for line in LEXICON])])
-    files = [segment_sentences(tokenize(sentences_text(24, seed))) for seed in range(1600)]
+    # short runs, steadied as in test_segmentation_is_linear
+    files = [segment_sentences(tokenize(sentences_text(24, seed))) for seed in range(2400)]
 
     def run(k):
         # a generator of streams, the form lexcov apply passes
         apply_dictionaries(lex, (f for f in files[:k]), CaseFoldPolicy.UNITEX_LIKE)
 
-    ratio = growth(lambda k: (k,), run, len(files) // 2)
+    ratio = growth(lambda k: (k,), run, len(files) // 2, repeats=5)
     assert ratio < BOUND, ratio
 
 
