@@ -12,7 +12,7 @@ from .delaf import (
     parse_entry,
     serialize_entry,
 )
-from .dico import DicoResult, apply_dictionaries, merge_results
+from .dico import DicoResult, apply_dictionaries, merge_results, token_annotations
 from .preprocess import normalize_delimiters, reform_normalize, segment_sentences, tokenize
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "DicoResult",
     "apply_dictionaries",
     "merge_results",
+    "token_annotations",
     "normalize_delimiters",
     "reform_normalize",
     "segment_sentences",

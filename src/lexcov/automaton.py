@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .delaf import DictEntry, DictFile, RoleTag
 from .errors import CorruptFile, EmptyLexicon, FormatVersionMismatch
-from .preprocess import TokenKind, tokenize
+from .preprocess import TokenKind, token_columns
 
 
 class CaseFoldPolicy(enum.Enum):
@@ -56,7 +56,9 @@ class LexiconStats:
 class _Compound:
     form: str
     analysis_ids: tuple[int, ...]
-    pattern: tuple[tuple[TokenKind, str], ...]
+    # the form's token columns, as token_columns gives them
+    kinds: tuple[TokenKind, ...]
+    texts: tuple[str, ...]
 
 
 _ROLE_BITS = {RoleTag.GENERAL: 1, RoleTag.ABBREVIATIONS_ACRONYMS: 2, RoleTag.USER: 4}
@@ -111,10 +113,10 @@ class Lexicon:
         self._fold_extra = fold_extra      # fold_key -> forms other than the key
         self._compound_index = {}          # fold_key of the first token -> compounds
         for ci, comp in enumerate(compounds):
-            self._compound_index.setdefault(fold_key(comp.pattern[0][1]), []).append(ci)
+            self._compound_index.setdefault(fold_key(comp.texts[0]), []).append(ci)
         # no match_compounds window needs more tokens than this; 0 when
         # the lexicon has no compounds
-        self.max_compound_tokens = max((len(c.pattern) for c in compounds), default=0)
+        self.max_compound_tokens = max((len(c.texts) for c in compounds), default=0)
         self.stats = stats
 
     # -- simple-form lookup ------------------------------------------------
@@ -218,19 +220,20 @@ class Lexicon:
         token with that key."""
         return key in self._compound_index
 
-    def match_compounds(self, tokens, policy=CaseFoldPolicy.UNITEX_LIKE):
-        """All multiword matches anchored at tokens[0], longest first.
+    def match_compounds(self, kinds, texts, policy=CaseFoldPolicy.UNITEX_LIKE):
+        """All multiword matches anchored at the first token, longest first.
 
-        ``tokens`` is a contiguous token window from one sentence.  Returns
-        a list of (token_span, compound_form, analysis_ids).
+        ``kinds`` and ``texts`` are the columns of a contiguous token
+        window from one sentence (see :class:`TokenStream`).  Returns a
+        list of (token_span, compound_form, analysis_ids).
         """
-        if not tokens or tokens[0].kind is not TokenKind.WORD:
+        if not texts or kinds[0] is not TokenKind.WORD:
             return []
-        candidates = self._compound_index.get(fold_key(tokens[0].text), ())
+        candidates = self._compound_index.get(fold_key(texts[0]), ())
         matches = []
         for ci in candidates:
             comp = self._compounds[ci]
-            span = self._match_pattern(comp.pattern, tokens, policy)
+            span = self._match_pattern(comp, kinds, texts, policy)
             if span is not None:
                 matches.append((span, ci))
         matches.sort(key=lambda m: (-m[0], m[1]))  # longest first, then entry order
@@ -240,23 +243,21 @@ class Lexicon:
         ]
 
     @staticmethod
-    def _match_pattern(pattern, tokens, policy):
-        if len(pattern) > len(tokens):
+    def _match_pattern(comp, kinds, texts, policy):
+        if len(comp.texts) > len(texts):
             return None
-        for pat, tok in zip(pattern, tokens):
-            kind, text = pat
-            if kind is TokenKind.WORD:
-                if tok.kind is not TokenKind.WORD or not token_matches_form(
-                    tok.text, text, policy
+        for pattern_kind, pattern_text, kind, text in zip(comp.kinds, comp.texts, kinds, texts):
+            if pattern_kind is TokenKind.WORD:
+                if kind is not TokenKind.WORD or not token_matches_form(
+                    text, pattern_text, policy
                 ):
                     return None
-            elif kind is TokenKind.SPACE:
-                if tok.kind is not TokenKind.SPACE or tok.text != " ":
+            elif pattern_kind is TokenKind.SPACE:
+                if kind is not TokenKind.SPACE or text != " ":
                     return None
-            else:
-                if tok.kind is not kind or tok.text != text:
-                    return None
-        return len(pattern)
+            elif kind is not pattern_kind or text != pattern_text:
+                return None
+        return len(comp.texts)
 
     def iter_forms(self):
         """All simple forms in sorted order."""
@@ -331,7 +332,7 @@ def compile_lexicon(dicts: list[DictFile]) -> Lexicon:
     )
 
     compound_list = [
-        _Compound(form, tuple(ids), _compound_pattern(form))
+        _Compound(form, tuple(ids), *_compound_pattern(form))
         for form, ids in compounds.items()
     ]
 
@@ -379,7 +380,8 @@ def _folded_count(forms, is_form) -> int:
 
 
 def _compound_pattern(form: str):
-    return tuple((t.kind, t.text) for t in tokenize(form).tokens)
+    kinds, texts = token_columns(form)
+    return tuple(kinds), tuple(texts)
 
 
 def _build_dafsa(sorted_forms):
@@ -732,10 +734,10 @@ def _read_payload(raw) -> Lexicon:
     ids = iter(compound_ids)
     for form_id, n in zip(compound_forms, compound_counts):
         form = strings[form_id]
-        pattern = _compound_pattern(form)
-        if not pattern:
+        kinds, texts = _compound_pattern(form)
+        if not texts:
             raise CorruptFile(f"compound {form!r} has no tokens")
-        compounds.append(_Compound(form, tuple(islice(ids, n)), pattern))
+        compounds.append(_Compound(form, tuple(islice(ids, n)), kinds, texts))
     forms = map(string, fold_forms)
     fold_extra = {strings[k]: tuple(islice(forms, n)) for k, n in zip(fold_keys, fold_counts)}
 

@@ -80,8 +80,11 @@ def _expand_corpus(patterns) -> list[str]:
     return sorted(dict.fromkeys(paths))
 
 
-def _preprocess_file(path, abbrevs, replacements):
-    text = normalize_delimiters(Path(path).read_text(encoding="utf-8"))
+def _preprocess_file(path, abbrevs, replacements, digests):
+    data = Path(path).read_bytes()
+    digests[path] = hashlib.sha256(data).hexdigest()
+    # normalizing turns \r\n and \r into \n, as reading in text mode would
+    text = normalize_delimiters(data.decode("utf-8"))
     stream = tokenize(text, source_id=str(path))
     if replacements:
         apply_replacements(stream, replacements)
@@ -89,16 +92,19 @@ def _preprocess_file(path, abbrevs, replacements):
 
 
 def _apply_corpus(patterns, lexicon_paths, policy, abbrev=None, replacements=None, sink=None):
-    """Apply the lexicons to the expanded corpus; the sorted file list and
-    the one DicoResult over all of it.  ``sink`` gets each token's
-    annotation, as for :func:`apply_dictionaries`."""
+    """Apply the lexicons to the expanded corpus; the sorted file list
+    with the sha256 of each file as it was read, and the one DicoResult
+    over all of it.  ``sink`` gets each annotated stream, as for
+    :func:`apply_dictionaries`."""
     lexicons = [load_lexicon(p) for p in lexicon_paths]
     corpus = _expand_corpus(patterns)
     abbrevs = load_abbreviation_list(abbrev) if abbrev else ()
     table = load_replacement_table(replacements) if replacements else None
+    digests = {}
     # one file's tokens at a time, in sorted corpus order
-    streams = (_preprocess_file(path, abbrevs, table) for path in corpus)
-    return corpus, apply_dictionaries(lexicons, streams, policy, sink)
+    streams = (_preprocess_file(path, abbrevs, table, digests) for path in corpus)
+    result = apply_dictionaries(lexicons, streams, policy, sink)
+    return [(path, digests[path]) for path in corpus], result
 
 
 # -- subcommands ------------------------------------------------------------
@@ -131,7 +137,7 @@ def cmd_apply(args) -> int:
     # annotations.tsv replaces an earlier run's only once the whole corpus
     # is applied
     with open_annotations(outdir) as sink:
-        corpus, result = _apply_corpus(
+        inputs, result = _apply_corpus(
             args.corpus, args.lexicon, policy, args.abbrev, args.replacements, sink
         )
         write_outputs(result, outdir)
@@ -141,9 +147,9 @@ def cmd_apply(args) -> int:
         "version": __version__,
         "command": ["apply"] + args.corpus,
         "created": _timestamp(),
-        "corpus_id": ",".join(Path(p).name for p in corpus),
+        "corpus_id": ",".join(Path(p).name for p, _ in inputs),
         "policy": policy.value,
-        "inputs": [{"path": str(p), "sha256": _sha256(p)} for p in corpus],
+        "inputs": [{"path": str(p), "sha256": digest} for p, digest in inputs],
         "lexicons": [{"path": str(p), "sha256": _sha256(p)} for p in args.lexicon],
         "configs": {
             "abbrev": _sha256(args.abbrev) if args.abbrev else None,
@@ -212,12 +218,12 @@ def cmd_coverage(args) -> int:
             print("coverage: need --counts, --run, or --lexicon with corpus", file=sys.stderr)
             return 2
         # an in-memory apply, so this equals `coverage --run` of such a run
-        corpus, dico = _apply_corpus(args.corpus, args.lexicon, _POLICIES[args.case_policy])
+        inputs, dico = _apply_corpus(args.corpus, args.lexicon, _POLICIES[args.case_policy])
         reports.append(
             coverage_from_dico(
                 dico,
                 fold_mode,
-                corpus_id=",".join(Path(p).name for p in corpus),
+                corpus_id=",".join(Path(p).name for p, _ in inputs),
                 dict_id=",".join(Path(p).name for p in args.lexicon),
             )
         )

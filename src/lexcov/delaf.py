@@ -141,12 +141,12 @@ def parse_entry(line: str, line_number: int | None = None) -> DictEntry:
 def serialize_entry(entry: DictEntry) -> str:
     """Emit the canonical DELAF line for an entry."""
     lemma = "" if entry.lemma == entry.surface_form else _escape(entry.lemma)
-    out = [_escape(entry.surface_form), ",", lemma, ".", entry.gram_code]
-    for trait in entry.sem_traits:
-        out.append("+" + trait)
-    for code in entry.flex_codes:
-        out.append(":" + code)
-    return "".join(out)
+    line = f"{_escape(entry.surface_form)},{lemma}.{entry.gram_code}"
+    if entry.sem_traits:
+        line += "+" + "+".join(entry.sem_traits)
+    if entry.flex_codes:
+        line += ":" + ":".join(entry.flex_codes)
+    return line
 
 
 def iter_dict_entries(path: str | Path) -> Iterator[DictEntry]:

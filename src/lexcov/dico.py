@@ -4,10 +4,12 @@ words, compound matches, and unknown forms (the dlf/dlc/err outputs)."""
 from __future__ import annotations
 
 import enum
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Callable, Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import compress, count, repeat
+from operator import is_
 from pathlib import Path
 
 from .automaton import CaseFoldPolicy, Lexicon, fold_key
@@ -16,7 +18,10 @@ from .errors import MalformedAnnotations, PolicyMismatch
 from .preprocess import TokenKind, TokenStream
 
 
-class TokenStatus(enum.Enum):
+class TokenStatus(str, enum.Enum):
+    """A word token's status.  Members are str, equal to their values, so
+    a ``word_counts`` key hashes at C speed."""
+
     KNOWN_SIMPLE = "known_simple"
     IN_COMPOUND_ONLY = "in_compound_only"
     UNKNOWN = "unknown"
@@ -30,6 +35,48 @@ class TokenAnnotation:
     sentence_initial: bool
     status: TokenStatus | None          # None for number/punct/space tokens
     analyses: tuple[DictEntry, ...] = ()
+
+
+class AnnotatedStream(
+    namedtuple("AnnotatedStream", "stream sentence_offset analyses compound_only")
+):
+    """One stream as :func:`apply_dictionaries` annotated it, passed to
+    its ``sink`` once the stream is applied.  :func:`token_annotations`
+    gives one :class:`TokenAnnotation` per token of it.
+
+    - ``stream``: the :class:`TokenStream`;
+    - ``sentence_offset``: added to the stream's sentence indices, to give
+      the run's;
+    - ``analyses``: word text -> its sorted analyses, () when nothing
+      matches; one table for every stream of the call;
+    - ``compound_only``: the ascending positions of the word tokens
+      without analyses that a compound match covers.  The other word
+      tokens without analyses are unknown.
+    """
+
+    __slots__ = ()
+
+
+def token_annotations(annotated: AnnotatedStream) -> list[TokenAnnotation]:
+    """One :class:`TokenAnnotation` per token of ``annotated``, in order."""
+    stream, offset, analyses_by_text, compound_only = annotated
+    compound_only = set(compound_only)
+    initial = set(stream.initial_positions)
+    out = []
+    for i, (kind, text, index) in enumerate(
+        zip(stream.kinds, stream.texts, stream.sentence_indices)
+    ):
+        status, analyses = None, ()
+        if kind is TokenKind.WORD:
+            analyses = analyses_by_text[text]
+            if analyses:
+                status = TokenStatus.KNOWN_SIMPLE
+            elif i in compound_only:
+                status = TokenStatus.IN_COMPOUND_ONLY
+            else:
+                status = TokenStatus.UNKNOWN
+        out.append(TokenAnnotation(text, kind, index + offset, i in initial, status, analyses))
+    return out
 
 
 @dataclass
@@ -65,7 +112,7 @@ def apply_dictionaries(
     lexicons,
     streams: TokenStream | Iterable[TokenStream],
     policy: CaseFoldPolicy = CaseFoldPolicy.UNITEX_LIKE,
-    sink: Callable[[TokenAnnotation], object] | None = None,
+    sink: Callable[[AnnotatedStream], object] | None = None,
 ) -> DicoResult:
     """Annotate every word token of one stream, or of several in order.
 
@@ -79,114 +126,131 @@ def apply_dictionaries(
     ``sentence_count`` so far, and an empty stream adds none.
 
     The result keeps word-token counts only.  ``sink``, when given, is
-    called with each token's :class:`TokenAnnotation`, in order, as its
-    stream is applied.
+    called once per non-empty stream, in order, with its
+    :class:`AnnotatedStream`.
+
+    Each distinct text is looked up once per call, and tokens are counted
+    by text at C speed; a token's status depends on its position only
+    when its text has no analyses and a compound covers it.
     """
     if isinstance(lexicons, Lexicon):
         lexicons = [lexicons]
     if isinstance(streams, TokenStream):
         streams = (streams,)
     result = DicoResult(policy=policy)
-    word_counts = result.word_counts
     # a lookup depends only on the text, the policy and the lexicons, all
     # fixed for this call: text -> sorted analyses, () when nothing matches
     analyses_by_text = {}
     # text -> orders of the lexicons with a compound starting with it
     starters_by_text = {}
     compound_limit = max((lex.max_compound_tokens for lex in lexicons), default=0)
+    # word tokens by text, the sentence-initial ones by text, and the
+    # compound-only ones by (text, sentence_initial): the per-type table is
+    # made from these three once every stream is applied
+    text_counts = Counter()
+    initial_counts = Counter()
+    compound_only_counts = Counter()
     for stream in streams:
-        tokens = stream.tokens
-        if not tokens:
+        kinds, texts = stream.kinds, stream.texts
+        if not texts:
             continue
         offset = result.sentence_count
+        words = list(compress(texts, map(is_, kinds, repeat(TokenKind.WORD))))
+        text_counts.update(words)
+        distinct = set(words)
+        for text in distinct.difference(analyses_by_text):
+            analyses = _lookup_analyses(lexicons, text, policy)
+            analyses_by_text[text] = analyses
+            result.dlf.update(analyses)
+        initial = [i for i in stream.initial_positions if kinds[i] is TokenKind.WORD]
+        initial_counts.update(texts[i] for i in initial)
         covered = _compound_pass(
-            lexicons, tokens, policy, result.dlc, compound_limit, starters_by_text
+            lexicons, stream, distinct, policy, result.dlc, compound_limit, starters_by_text
         )
-        for i, tok in enumerate(tokens):
-            status, analyses = None, ()
-            if tok.kind is TokenKind.WORD:
-                analyses = analyses_by_text.get(tok.text)
-                if analyses is None:
-                    analyses = _lookup_analyses(lexicons, tok.text, policy)
-                    analyses_by_text[tok.text] = analyses
-                    result.dlf.update(analyses)
-                if analyses:
-                    status = TokenStatus.KNOWN_SIMPLE
-                elif covered[i]:
-                    status = TokenStatus.IN_COMPOUND_ONLY
-                else:
-                    status = TokenStatus.UNKNOWN
-                word_counts[tok.text, status, tok.sentence_initial] += 1
-            if sink is not None:
-                sink(TokenAnnotation(
-                    tok.text,
-                    tok.kind,
-                    tok.sentence_index + offset,
-                    tok.sentence_initial,
-                    status,
-                    analyses,
-                ))
-        result.sentence_count = offset + 1 + max(t.sentence_index for t in tokens)
+        compound_only = [
+            i for i in covered if kinds[i] is TokenKind.WORD and not analyses_by_text[texts[i]]
+        ]
+        if compound_only:
+            firsts = set(initial)
+            compound_only_counts.update((texts[i], i in firsts) for i in compound_only)
+        if sink is not None:
+            sink(AnnotatedStream(stream, offset, analyses_by_text, compound_only))
+        result.sentence_count = offset + 1 + max(stream.sentence_indices)
+    word_counts = result.word_counts
+    for text, n in text_counts.items():
+        known = bool(analyses_by_text[text])
+        first = initial_counts.get(text, 0)
+        for initial, m in ((False, n - first), (True, first)):
+            if not m:
+                continue
+            if known:
+                word_counts[text, TokenStatus.KNOWN_SIMPLE, initial] = m
+                continue
+            in_compound = compound_only_counts[text, initial]
+            if in_compound:
+                word_counts[text, TokenStatus.IN_COMPOUND_ONLY, initial] = in_compound
+            if m > in_compound:
+                word_counts[text, TokenStatus.UNKNOWN, initial] = m - in_compound
     return result
 
 
-def _compound_pass(lexicons, tokens, policy, dlc, limit, starters_by_text) -> list[bool]:
-    """Count compound matches into ``dlc``; return which tokens they cover.
+def _compound_pass(lexicons, stream, words, policy, dlc, limit, starters_by_text) -> list[int]:
+    """Count compound matches into ``dlc``; return the positions they
+    cover, ascending.
 
     Greedy longest match, anchored left to right.  A window is capped at
     ``limit`` tokens, the longest compound pattern, and at the anchor's
     sentence, so the pass is linear.  Only lexicons with a compound
-    starting with the token are asked; ``starters_by_text`` caches which.
+    starting with the token are asked; ``starters_by_text`` caches which
+    for each of the stream's distinct ``words``.
     """
-    covered = [False] * len(tokens)
     if not limit:
-        return covered
-    n = len(tokens)
-    i = 0
-    while i < n:
-        tok = tokens[i]
-        if tok.kind is not TokenKind.WORD:
-            i += 1
+        return []
+    for text in words.difference(starters_by_text):
+        key = fold_key(text)
+        starters_by_text[text] = tuple(
+            o for o, lex in enumerate(lexicons) if lex.starts_compound(key)
+        )
+    kinds, texts, sentences = stream.kinds, stream.texts, stream.sentence_indices
+    n = len(texts)
+    covered = []
+    resume = 0  # the first position after the last match
+    # the positions whose text starts a compound in some lexicon
+    for i in compress(count(), map(starters_by_text.get, texts)):
+        if i < resume or kinds[i] is not TokenKind.WORD:
             continue
-        starting = starters_by_text.get(tok.text)
-        if starting is None:
-            key = fold_key(tok.text)
-            starting = tuple(
-                o for o, lex in enumerate(lexicons) if lex.starts_compound(key)
-            )
-            starters_by_text[tok.text] = starting
-        if not starting:
-            i += 1
-            continue
-        end = i + 1
         stop = min(n, i + limit)
-        while end < stop and tokens[end].sentence_index == tok.sentence_index:
+        end = i + 1
+        while end < stop and sentences[end] == sentences[i]:
             end += 1
-        window = tokens[i:end]
+        window_kinds, window_texts = kinds[i:end], texts[i:end]
         best = None  # (span, lex_order, form, ids)
-        for order in starting:
-            for span, form, ids in lexicons[order].match_compounds(window, policy):
+        for order in starters_by_text[texts[i]]:
+            for span, form, ids in lexicons[order].match_compounds(
+                window_kinds, window_texts, policy
+            ):
                 if span > 1 and (best is None or span > best[0]):
                     best = (span, order, form, ids)
                 break  # matches are longest-first per lexicon
         if best is None:
-            i += 1
             continue
         span, order, form, ids = best
         for entry in _entries(lexicons[order], form, ids):
             dlc[entry] = dlc.get(entry, 0) + 1
-        for k in range(i, i + span):
-            covered[k] = True
-        i += span
+        covered.extend(range(i, i + span))
+        resume = i + span
     return covered
 
 
 def _lookup_analyses(lexicons, text, policy) -> tuple[DictEntry, ...]:
-    matched = set()
+    matched = []
     for lex in lexicons:
         for form, ids in lex.lookup_forms(text, policy).items():
-            matched.update(_entries(lex, form, ids))
-    return tuple(sorted(matched, key=serialize_entry))
+            matched += _entries(lex, form, ids)
+    if len(matched) < 2:
+        return tuple(matched)
+    # two lexicons may hold the same entry
+    return tuple(sorted(set(matched), key=serialize_entry))
 
 
 def _entries(lex: Lexicon, form: str, ids) -> list[DictEntry]:
@@ -211,10 +275,12 @@ def merge_results(a: DicoResult, b: DicoResult) -> DicoResult:
 def _analysis_label(entry: DictEntry) -> str:
     # analysis without the surface form, e.g. "correr.V:I1s"
     lemma = "" if entry.lemma == entry.surface_form else entry.lemma
-    parts = [lemma, ".", entry.gram_code]
-    parts.extend("+" + t for t in entry.sem_traits)
-    parts.extend(":" + c for c in entry.flex_codes)
-    return "".join(parts)
+    label = f"{lemma}.{entry.gram_code}"
+    if entry.sem_traits:
+        label += "+" + "+".join(entry.sem_traits)
+    if entry.flex_codes:
+        label += ":" + ":".join(entry.flex_codes)
+    return label
 
 
 def write_outputs(result: DicoResult, outdir) -> None:
@@ -233,7 +299,7 @@ def _write_lines(path, lines) -> None:
 @contextmanager
 def open_annotations(outdir):
     """Yield a sink for :func:`apply_dictionaries` that writes the
-    annotations.tsv row of each non-space token.
+    annotations.tsv rows of each stream's non-space tokens.
 
     Rows go to a temporary file in ``outdir``, renamed to annotations.tsv
     when the block ends.  If the block raises, the temporary file is
@@ -243,26 +309,23 @@ def open_annotations(outdir):
     created = not outdir.exists()
     outdir.mkdir(parents=True, exist_ok=True)
     partial = outdir / "annotations.tsv.partial"
-    # apply shares one analyses tuple between all tokens of a text, so each
-    # label is built once; the cache holds each tuple it keys, so no id is
-    # reused while it is in use
-    labels = {}
+    rows = _Rows({})
     try:
         with open(partial, "w", encoding="utf-8") as fh:
-            write = fh.write
 
-            def sink(ann: TokenAnnotation) -> None:
-                if ann.kind is TokenKind.SPACE:
-                    return
-                held = labels.get(id(ann.analyses))
-                if held is None:
-                    label = ";".join(_analysis_label(e) for e in ann.analyses)
-                    held = labels[id(ann.analyses)] = (ann.analyses, label)
-                status = ann.status.value if ann.status else ""
-                write(
-                    f"{ann.text}\t{ann.kind.value}\t{ann.sentence_index}"
-                    f"\t{status}\t{held[1]}\n"
-                )
+            def sink(annotated: AnnotatedStream) -> None:
+                nonlocal rows
+                stream, offset, analyses_by_text, compound_only = annotated
+                if rows.analyses is not analyses_by_text:
+                    rows = _Rows(analyses_by_text)
+                texts, kinds = stream.texts, stream.kinds
+                # each token's status and label columns, None for a space
+                tails = list(map(rows.__getitem__, zip(texts, kinds)))
+                for i in compound_only:
+                    tails[i] = _COMPOUND_ONLY_TAIL
+                indices = map(str, map(offset.__add__, stream.sentence_indices))
+                fields = compress(zip(texts, kinds, indices, tails), tails)
+                fh.write("".join(map("\t".join, fields)))
 
             yield sink
         partial.replace(outdir / "annotations.tsv")
@@ -273,8 +336,45 @@ def open_annotations(outdir):
         raise
 
 
+# the status and label columns of a row, and its newline
+_COMPOUND_ONLY_TAIL = f"{TokenStatus.IN_COMPOUND_ONLY.value}\t\n"
+_UNKNOWN_TAIL = f"{TokenStatus.UNKNOWN.value}\t\n"
+_NON_WORD_TAIL = "\t\n"
+
+
+class _Rows(dict):
+    """(text, kind) -> the status and label columns of such a token's
+    annotations.tsv row, None for a space.  A word's are the ones its
+    text has outside compounds, from the analyses table of one
+    :func:`apply_dictionaries` call.  Each is made the first time it is
+    looked up; only a known word's is a string of its own."""
+
+    def __init__(self, analyses):
+        super().__init__()
+        self.analyses = analyses
+
+    def __missing__(self, key):
+        text, kind = key
+        if kind is TokenKind.SPACE:
+            tail = None
+        elif kind is not TokenKind.WORD:
+            tail = _NON_WORD_TAIL
+        elif analyses := self.analyses[text]:
+            label = ";".join(map(_analysis_label, analyses))
+            tail = f"{TokenStatus.KNOWN_SIMPLE.value}\t{label}\n"
+        else:
+            tail = _UNKNOWN_TAIL
+        self[key] = tail
+        return tail
+
+
 _KINDS = frozenset(kind.value for kind in TokenKind)
-_STATUSES = {"": None, **{status.value: status for status in TokenStatus}}
+# the (kind, status) columns of every valid row -> the row's status, None
+# for a row that is not a word's
+_ROW_STATUSES = {
+    **{(TokenKind.WORD.value, status.value): status for status in TokenStatus},
+    **{(kind.value, ""): None for kind in TokenKind if kind is not TokenKind.WORD},
+}
 
 
 def read_annotations(path) -> Counter[tuple[str, TokenStatus, bool]]:
@@ -282,30 +382,40 @@ def read_annotations(path) -> Counter[tuple[str, TokenStatus, bool]]:
     flags are recomputed (first word row of each sentence)."""
     word_counts = Counter()
     seen_sentences = set()
+    invalid = object()
+    # a sentence's rows are consecutive: its index is parsed at its first
+    last_index = None
     with open(path, encoding="utf-8") as fh:
         for line_number, raw in enumerate(fh, 1):
-            row = raw.rstrip("\n").split("\t")
-            if len(row) != 5:
+            # the label column, last, is not split: a tab in it is a sixth field
+            row = raw.split("\t", 4)
+            if len(row) != 5 or "\t" in row[4]:
+                found = raw.count("\t") + 1
                 raise _malformed(
-                    path, line_number, f"expected 5 tab-separated fields, found {len(row)}"
+                    path, line_number, f"expected 5 tab-separated fields, found {found}"
                 )
-            text, kind, sentence_index, status, _ = row
-            if kind not in _KINDS:
-                raise _malformed(path, line_number, f"unknown token kind {kind!r}")
-            # a word row has a status and no other row has one
-            if status not in _STATUSES or (kind == "word") != bool(status):
-                raise _malformed(path, line_number, f"status {status!r} on a {kind} row")
-            try:
-                sentence_index = int(sentence_index)
-            except ValueError:
+            text, kind, sentence_index, status_column, _ = row
+            status = _ROW_STATUSES.get((kind, status_column), invalid)
+            if status is invalid:
+                if kind not in _KINDS:
+                    raise _malformed(path, line_number, f"unknown token kind {kind!r}")
+                # a word row has a status and no other row has one
                 raise _malformed(
-                    path, line_number, f"sentence index {sentence_index!r} is not an integer"
-                ) from None
-            if kind == "word":
-                initial = sentence_index not in seen_sentences
+                    path, line_number, f"status {status_column!r} on a {kind} row"
+                )
+            if sentence_index != last_index:
+                try:
+                    number = int(sentence_index)
+                except ValueError:
+                    raise _malformed(
+                        path, line_number, f"sentence index {sentence_index!r} is not an integer"
+                    ) from None
+                last_index = sentence_index
+            if status is not None:
+                initial = number not in seen_sentences
                 if initial:
-                    seen_sentences.add(sentence_index)
-                word_counts[text, _STATUSES[status], initial] += 1
+                    seen_sentences.add(number)
+                word_counts[text, status, initial] += 1
     return word_counts
 
 

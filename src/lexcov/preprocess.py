@@ -5,6 +5,10 @@ Tokenization is lossless: concatenating token texts reproduces the input
 byte-for-byte.  Word tokens are maximal runs of Unicode letters, number
 tokens maximal digit runs, whitespace runs become single space tokens,
 and every other character is its own punct token.
+
+A tokenized text is a :class:`TokenStream` of parallel columns, one entry
+per token, after Unitex's ``Tokenize``: no Python object is made per
+token unless a caller asks for :class:`Token` views.
 """
 
 from __future__ import annotations
@@ -12,47 +16,225 @@ from __future__ import annotations
 import enum
 import re
 import unicodedata
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from collections.abc import Sequence
+from itertools import accumulate, compress, count, repeat
+from operator import attrgetter
 
 from .errors import MalformedReplacements
 
 _CRLF_RE = re.compile(r"\r\n?")
-_CONTROL_RE = re.compile(r"[\x00-\x08\x0b-\x1f\x7f-]+")
+_CONTROL_RE = re.compile(r"[\x00-\x08\x0b-\x1f\x7f-]+")
 _HSPACE_RE = re.compile(r"[^\S\n]+")
 
 # word | number | whitespace | anything else (one char)
 _TOKEN_RE = re.compile(r"([^\W\d_]+)|(\d+)|(\s+)|(.)", re.DOTALL)
 
-_TERMINATORS = {".", "!", "?", "…"}
+_TERMINATORS = frozenset({".", "!", "?", "…"})
 
 
-class TokenKind(enum.Enum):
+class TokenKind(str, enum.Enum):
+    """A token's kind.  Members are str, equal to their values, so a
+    (text, kind) key hashes at C speed."""
+
     WORD = "word"
     NUMBER = "number"
     PUNCT = "punct"
     SPACE = "space"
 
 
-@dataclass
-class Token:
-    kind: TokenKind
-    text: str
-    byte_span: tuple[int, int]
-    sentence_index: int = 0
-    sentence_initial: bool = False
+# a match's lastindex -> the kind of the group that matched
+_KIND_OF_GROUP = (None, TokenKind.WORD, TokenKind.NUMBER, TokenKind.SPACE, TokenKind.PUNCT)
+_LASTINDEX = attrgetter("lastindex")
 
 
-@dataclass
+def token_columns(text: str) -> tuple[list[TokenKind], list[str]]:
+    """The kinds and the texts of ``text``'s tokens, in order."""
+    matches = list(_TOKEN_RE.finditer(text))
+    return (
+        list(map(_KIND_OF_GROUP.__getitem__, map(_LASTINDEX, matches))),
+        list(map(re.Match.group, matches)),
+    )
+
+
 class TokenStream:
-    tokens: list[Token] = field(default_factory=list)
-    source_id: str = ""
+    """One text's tokens as parallel columns, one entry per token:
+
+    - ``kinds``: the :class:`TokenKind` of each token;
+    - ``texts``: each token's text;
+    - ``sentence_indices``: each token's sentence, 0 until
+      :func:`segment_sentences` fills it;
+    - ``initial_positions``: the ascending positions of the
+      sentence-initial word tokens.
+
+    :meth:`byte_spans` gives each token's UTF-8 byte span in the text it
+    was tokenized from, computed on request.  :attr:`tokens` shows the
+    stream as :class:`Token` views.  ``TokenStream(tokens=[Token(...),
+    ...])`` builds a stream from tokens and takes them over: they become
+    views of its columns.
+    """
+
+    def __init__(self, tokens=(), source_id: str = ""):
+        tokens = list(tokens)
+        self.kinds = [t.kind for t in tokens]
+        self.texts = [t.text for t in tokens]
+        self.sentence_indices = [t.sentence_index for t in tokens]
+        self.initial_positions = [i for i, t in enumerate(tokens) if t.sentence_initial]
+        self.source_id = source_id
+        self._byte_spans = [t.byte_span for t in tokens]
+        self._source = None
+        for i, tok in enumerate(tokens):
+            tok._stream, tok._i = self, i
+
+    @classmethod
+    def _of_columns(cls, kinds, texts, source_id="", *, source=None, byte_spans=None):
+        stream = cls.__new__(cls)
+        stream.kinds = kinds
+        stream.texts = texts
+        stream.sentence_indices = [0] * len(texts)
+        stream.initial_positions = []
+        stream.source_id = source_id
+        stream._byte_spans = byte_spans
+        stream._source = source
+        return stream
+
+    def byte_spans(self) -> list[tuple[int, int]]:
+        """Each token's (start, end) UTF-8 byte offsets in the text it was
+        tokenized from; computed on the first call."""
+        if self._byte_spans is None:
+            # the source's own pieces: apply_replacements may have changed texts
+            pieces = map(re.Match.group, _TOKEN_RE.finditer(self._source))
+            ends = list(accumulate(map(len, map(str.encode, pieces))))
+            self._byte_spans = list(zip([0, *ends], ends))
+        return self._byte_spans
+
+    @property
+    def tokens(self) -> _TokenView:
+        """The stream as a sequence of :class:`Token` views, made as they
+        are read."""
+        return _TokenView(self)
 
     @property
     def word_token_count(self) -> int:
-        return sum(1 for t in self.tokens if t.kind is TokenKind.WORD)
+        return self.kinds.count(TokenKind.WORD)
 
     def word_tokens(self) -> list[Token]:
-        return [t for t in self.tokens if t.kind is TokenKind.WORD]
+        return [Token._at(self, i) for i, k in enumerate(self.kinds) if k is TokenKind.WORD]
+
+
+def _column(name):
+    """A Token field that reads and sets the stream column ``name``."""
+
+    def get(token):
+        return getattr(token._stream, name)[token._i]
+
+    def set(token, value):
+        getattr(token._stream, name)[token._i] = value
+
+    return property(get, set)
+
+
+class Token:
+    """One token of a :class:`TokenStream`: a view of one position of its
+    columns, so reading a field reads the column and setting it sets the
+    column.  ``Token(kind, text, byte_span)`` makes a token of its own,
+    until a TokenStream is built from it."""
+
+    __slots__ = ("_stream", "_i")
+
+    def __init__(self, kind, text, byte_span, sentence_index=0, sentence_initial=False):
+        stream = TokenStream._of_columns([kind], [text], byte_spans=[byte_span])
+        stream.sentence_indices[0] = sentence_index
+        if sentence_initial:
+            stream.initial_positions.append(0)
+        self._stream, self._i = stream, 0
+
+    @classmethod
+    def _at(cls, stream, i):
+        tok = cls.__new__(cls)
+        tok._stream, tok._i = stream, i
+        return tok
+
+    kind = _column("kinds")
+    text = _column("texts")
+    sentence_index = _column("sentence_indices")
+
+    @property
+    def byte_span(self) -> tuple[int, int]:
+        return self._stream.byte_spans()[self._i]
+
+    @byte_span.setter
+    def byte_span(self, value):
+        self._stream.byte_spans()[self._i] = value
+
+    @property
+    def sentence_initial(self) -> bool:
+        positions = self._stream.initial_positions
+        at = bisect_left(positions, self._i)
+        return at < len(positions) and positions[at] == self._i
+
+    @sentence_initial.setter
+    def sentence_initial(self, value):
+        positions = self._stream.initial_positions
+        at = bisect_left(positions, self._i)
+        present = at < len(positions) and positions[at] == self._i
+        if value and not present:
+            positions.insert(at, self._i)
+        elif present and not value:
+            del positions[at]
+
+    def _fields(self):
+        return (self.kind, self.text, self.byte_span, self.sentence_index, self.sentence_initial)
+
+    def __eq__(self, other):
+        if not isinstance(other, Token):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None
+
+    def __repr__(self):
+        kind, text, span, index, initial = self._fields()
+        return (
+            f"Token(kind={kind!r}, text={text!r}, byte_span={span!r},"
+            f" sentence_index={index!r}, sentence_initial={initial!r})"
+        )
+
+
+class _TokenView(Sequence):
+    """A TokenStream's tokens as :class:`Token` views; ``len`` reads no token."""
+
+    __slots__ = ("_stream",)
+
+    def __init__(self, stream):
+        self._stream = stream
+
+    def __len__(self):
+        return len(self._stream.texts)
+
+    def __getitem__(self, i):
+        at = range(len(self))[i]
+        if isinstance(at, range):
+            return [Token._at(self._stream, j) for j in at]
+        return Token._at(self._stream, at)
+
+    def __iter__(self):
+        stream = self._stream
+        return (Token._at(stream, i) for i in range(len(stream.texts)))
+
+    def __mul__(self, times):
+        # repeated as a list of views, as a list of tokens would be
+        return list(self) * times
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return repr(list(self))
 
 
 def normalize_delimiters(raw: str) -> str:
@@ -67,22 +249,8 @@ def normalize_delimiters(raw: str) -> str:
 
 def tokenize(text: str, source_id: str = "") -> TokenStream:
     """Split a normalized text into word/number/punct/space tokens."""
-    tokens = []
-    byte_pos = 0
-    for m in _TOKEN_RE.finditer(text):
-        piece = m.group(0)
-        if m.group(1) is not None:
-            kind = TokenKind.WORD
-        elif m.group(2) is not None:
-            kind = TokenKind.NUMBER
-        elif m.group(3) is not None:
-            kind = TokenKind.SPACE
-        else:
-            kind = TokenKind.PUNCT
-        nbytes = len(piece.encode("utf-8"))
-        tokens.append(Token(kind, piece, (byte_pos, byte_pos + nbytes)))
-        byte_pos += nbytes
-    return TokenStream(tokens=tokens, source_id=source_id)
+    kinds, texts = token_columns(text)
+    return TokenStream._of_columns(kinds, texts, source_id, source=text)
 
 
 def _normalize_abbreviations(abbreviations) -> set[str]:
@@ -96,51 +264,57 @@ def load_abbreviation_list(path) -> set[str]:
 
 
 def segment_sentences(stream: TokenStream, abbreviations=()) -> TokenStream:
-    """Assign sentence indices and sentence-initial flags in place.
+    """Fill the stream's sentence indices and initial positions in place.
 
     A boundary follows ``.``/``!``/``?``/``…`` when the next word token is
     uppercase-initial (or the text ends).  A period preceded by a single
     uppercase letter or a listed abbreviation does not end a sentence.
     """
     abbrevs = _normalize_abbreviations(abbreviations)
-    tokens = stream.tokens
-    index = 0
-    for i, tok in enumerate(tokens):
-        tok.sentence_index = index
-        tok.sentence_initial = False
-        if tok.kind is not TokenKind.PUNCT or tok.text not in _TERMINATORS:
+    kinds, texts = stream.kinds, stream.texts
+    n = len(texts)
+    # the position of each sentence's first token, and n
+    starts = [0]
+    for i in compress(count(), map(_TERMINATORS.__contains__, texts)):
+        if kinds[i] is not TokenKind.PUNCT:
             continue
-        if tok.text == "." and _is_abbreviation_dot(tokens, i, abbrevs):
+        if texts[i] == "." and _is_abbreviation_dot(kinds, texts, i, abbrevs):
             continue
-        if _starts_new_sentence(tokens, i):
-            index += 1
-    seen = set()
-    for tok in tokens:
-        if tok.kind is TokenKind.WORD and tok.sentence_index not in seen:
-            tok.sentence_initial = True
-            seen.add(tok.sentence_index)
+        if _starts_new_sentence(kinds, texts, i):
+            starts.append(i + 1)
+    starts.append(n)
+    indices = []
+    initial = []
+    for s, (start, stop) in enumerate(zip(starts, starts[1:])):
+        indices.extend(repeat(s, stop - start))
+        try:
+            initial.append(kinds.index(TokenKind.WORD, start, stop))
+        except ValueError:
+            pass  # a sentence with no word
+    stream.sentence_indices = indices
+    stream.initial_positions = initial
     return stream
 
 
-def _is_abbreviation_dot(tokens, i, abbrevs) -> bool:
-    if i == 0 or tokens[i - 1].kind is not TokenKind.WORD:
+def _is_abbreviation_dot(kinds, texts, i, abbrevs) -> bool:
+    if i == 0 or kinds[i - 1] is not TokenKind.WORD:
         return False
-    prev = tokens[i - 1].text
+    prev = texts[i - 1]
     if len(prev) == 1 and prev.isupper():
         return True
     return prev.casefold() in abbrevs
 
 
-def _starts_new_sentence(tokens, i) -> bool:
-    for j in range(i + 1, len(tokens)):
-        nxt = tokens[j]
-        if nxt.kind is TokenKind.SPACE:
+def _starts_new_sentence(kinds, texts, i) -> bool:
+    for j in range(i + 1, len(texts)):
+        kind = kinds[j]
+        if kind is TokenKind.SPACE:
             continue
-        if nxt.kind is TokenKind.PUNCT and nxt.text in _TERMINATORS:
+        if kind is TokenKind.PUNCT and texts[j] in _TERMINATORS:
             # terminator runs ("?!", "...") end one sentence, at the last mark
             return False
-        if nxt.kind is TokenKind.WORD:
-            return nxt.text[0].isupper()
+        if kind is TokenKind.WORD:
+            return texts[j][0].isupper()
         return False
     return True  # end of text
 
@@ -148,9 +322,10 @@ def _starts_new_sentence(tokens, i) -> bool:
 def apply_replacements(stream: TokenStream, table: dict[str, str]) -> TokenStream:
     """Replace word-token texts via a lookup table (unambiguous-form hook)."""
     if table:
-        for tok in stream.tokens:
-            if tok.kind is TokenKind.WORD and tok.text in table:
-                tok.text = table[tok.text]
+        kinds, texts = stream.kinds, stream.texts
+        for i in compress(count(), map(table.__contains__, texts)):
+            if kinds[i] is TokenKind.WORD:
+                texts[i] = table[texts[i]]
     return stream
 
 

@@ -7,8 +7,14 @@ internals it checks.
 
 from __future__ import annotations
 
+import re
+from collections import Counter
+from dataclasses import dataclass
+
 from lexcov.delaf import DictEntry
+from lexcov.dico import TokenAnnotation, TokenStatus
 from lexcov.errors import MalformedEntry
+from lexcov.preprocess import TokenKind
 
 
 def oracle_match(token: str, form: str, policy: str) -> bool:
@@ -184,3 +190,172 @@ def oracle_edit_1(probe: str, forms, alphabet) -> list[str]:
         if added is None or added in alphabet:
             out.append(form)
     return sorted(out)
+
+
+# -- the reference annotator: one Token object and one TokenAnnotation per
+# token, as apply worked before it counted by type.  It uses the lexicons'
+# public lookup methods, and its own tokenizer, segmenter and row format.
+
+_ORACLE_TOKEN_RE = re.compile(r"([^\W\d_]+)|(\d+)|(\s+)|(.)", re.DOTALL)
+_ORACLE_TERMINATORS = {".", "!", "?", "…"}
+
+
+@dataclass
+class OracleToken:
+    kind: TokenKind
+    text: str
+    byte_span: tuple[int, int]
+    sentence_index: int = 0
+    sentence_initial: bool = False
+
+
+def oracle_tokenize(text: str) -> list[OracleToken]:
+    tokens = []
+    byte_pos = 0
+    for m in _ORACLE_TOKEN_RE.finditer(text):
+        piece = m.group(0)
+        if m.group(1) is not None:
+            kind = TokenKind.WORD
+        elif m.group(2) is not None:
+            kind = TokenKind.NUMBER
+        elif m.group(3) is not None:
+            kind = TokenKind.SPACE
+        else:
+            kind = TokenKind.PUNCT
+        nbytes = len(piece.encode("utf-8"))
+        tokens.append(OracleToken(kind, piece, (byte_pos, byte_pos + nbytes)))
+        byte_pos += nbytes
+    return tokens
+
+
+def oracle_segment(tokens, abbreviations=()):
+    """Sentence indices and initial flags set token by token, in place."""
+    abbrevs = {a.strip().rstrip(".").casefold() for a in abbreviations if a.strip()}
+    index = 0
+    for i, tok in enumerate(tokens):
+        tok.sentence_index = index
+        tok.sentence_initial = False
+        if tok.kind is not TokenKind.PUNCT or tok.text not in _ORACLE_TERMINATORS:
+            continue
+        if tok.text == "." and i > 0 and tokens[i - 1].kind is TokenKind.WORD:
+            prev = tokens[i - 1].text
+            if (len(prev) == 1 and prev.isupper()) or prev.casefold() in abbrevs:
+                continue
+        for nxt in tokens[i + 1 :]:
+            if nxt.kind is TokenKind.SPACE:
+                continue
+            if nxt.kind is TokenKind.WORD and nxt.text[0].isupper():
+                index += 1
+            break
+        else:
+            index += 1  # end of text
+    seen = set()
+    for tok in tokens:
+        if tok.kind is TokenKind.WORD and tok.sentence_index not in seen:
+            tok.sentence_initial = True
+            seen.add(tok.sentence_index)
+    return tokens
+
+
+def _oracle_escape(text):
+    return text.replace("\\", "\\\\").replace(",", "\\,")
+
+
+def oracle_serialize(entry: DictEntry) -> str:
+    lemma = "" if entry.lemma == entry.surface_form else _oracle_escape(entry.lemma)
+    out = [_oracle_escape(entry.surface_form), ",", lemma, ".", entry.gram_code]
+    out.extend("+" + t for t in entry.sem_traits)
+    out.extend(":" + c for c in entry.flex_codes)
+    return "".join(out)
+
+
+def _oracle_entries(lex, form, ids):
+    return [lex.entry_for(form, i) for i in ids]
+
+
+def _oracle_compounds(lexicons, tokens, policy, dlc):
+    """Greedy longest compound matches, left to right, within a sentence;
+    which tokens they cover."""
+    covered = [False] * len(tokens)
+    i = 0
+    while i < len(tokens):
+        if tokens[i].kind is not TokenKind.WORD:
+            i += 1
+            continue
+        end = i + 1
+        while end < len(tokens) and tokens[end].sentence_index == tokens[i].sentence_index:
+            end += 1
+        window = tokens[i:end]
+        kinds = [t.kind for t in window]
+        texts = [t.text for t in window]
+        best = None
+        for order, lex in enumerate(lexicons):
+            for span, form, ids in lex.match_compounds(kinds, texts, policy):
+                if span > 1 and (best is None or span > best[0]):
+                    best = (span, order, form, ids)
+                break
+        if best is None:
+            i += 1
+            continue
+        span, order, form, ids = best
+        for entry in _oracle_entries(lexicons[order], form, ids):
+            dlc[entry] = dlc.get(entry, 0) + 1
+        for k in range(i, i + span):
+            covered[k] = True
+        i += span
+    return covered
+
+
+def oracle_annotate(lexicons, token_lists, policy):
+    """One TokenAnnotation per token of each list, in order, with the
+    sentence indices of each list shifted past the ones before it; and the
+    (dlf, dlc, word_counts, sentence_count) of the run."""
+    annotations = []
+    dlf, dlc, word_counts = set(), {}, Counter()
+    sentence_count = 0
+    for tokens in token_lists:
+        if not tokens:
+            continue
+        covered = _oracle_compounds(lexicons, tokens, policy, dlc)
+        for i, tok in enumerate(tokens):
+            status, analyses = None, ()
+            if tok.kind is TokenKind.WORD:
+                matched = set()
+                for lex in lexicons:
+                    for form, ids in lex.lookup_forms(tok.text, policy).items():
+                        matched.update(_oracle_entries(lex, form, ids))
+                analyses = tuple(sorted(matched, key=oracle_serialize))
+                dlf.update(analyses)
+                if analyses:
+                    status = TokenStatus.KNOWN_SIMPLE
+                elif covered[i]:
+                    status = TokenStatus.IN_COMPOUND_ONLY
+                else:
+                    status = TokenStatus.UNKNOWN
+                word_counts[tok.text, status, tok.sentence_initial] += 1
+            annotations.append(TokenAnnotation(
+                tok.text, tok.kind, tok.sentence_index + sentence_count,
+                tok.sentence_initial, status, analyses,
+            ))
+        sentence_count += 1 + max(t.sentence_index for t in tokens)
+    return annotations, (dlf, dlc, word_counts, sentence_count)
+
+
+def _oracle_label(entry: DictEntry) -> str:
+    lemma = "" if entry.lemma == entry.surface_form else entry.lemma
+    parts = [lemma, ".", entry.gram_code]
+    parts.extend("+" + t for t in entry.sem_traits)
+    parts.extend(":" + c for c in entry.flex_codes)
+    return "".join(parts)
+
+
+def oracle_annotations_tsv(annotations) -> str:
+    """The annotations.tsv text of these annotations: one row per
+    non-space token."""
+    return "".join(
+        f"{a.text}\t{a.kind.value}\t{a.sentence_index}"
+        f"\t{a.status.value if a.status else ''}"
+        f"\t{';'.join(_oracle_label(e) for e in a.analyses)}\n"
+        for a in annotations
+        if a.kind is not TokenKind.SPACE
+    )

@@ -16,7 +16,7 @@ from lexcov.classify import Category, build_unknown_records, classify
 from lexcov.cli import main
 from lexcov.coverage import compare_versions, coverage_from_counts, mean_delta
 from lexcov.delaf import DictFile, load_dict_file, parse_entry
-from lexcov.dico import TokenStatus, apply_dictionaries
+from lexcov.dico import TokenStatus, apply_dictionaries, token_annotations
 from lexcov.preprocess import (
     normalize_delimiters,
     reform_normalize,
@@ -107,7 +107,9 @@ def test_criterion_3_oracle_equivalence():
         tokens = [word() for _ in range(rng.randint(1, 10_000))]
         stream = segment_sentences(tokenize(" ".join(tokens)))
         annotations = []
-        result = apply_dictionaries(lex, stream, policy, sink=annotations.append)
+        result = apply_dictionaries(
+            lex, stream, policy, sink=lambda a: annotations.extend(token_annotations(a))
+        )
         want_err = {
             t for t in tokens if not hash_oracle_known(t, form_set, policy.value)
         }

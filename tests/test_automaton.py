@@ -33,6 +33,12 @@ def lex_from_lines(lines, role=RoleTag.GENERAL):
     return compile_lexicon([DictFile([parse_entry(l) for l in lines], role)])
 
 
+def columns(text):
+    """The kinds and texts columns of ``text``'s tokens, a match_compounds window."""
+    stream = tokenize(text)
+    return stream.kinds, stream.texts
+
+
 def lex_from_forms(forms):
     return lex_from_lines([f"{f},.N" for f in forms])
 
@@ -204,7 +210,7 @@ def test_matching_texts_share_fold_key(form, other, policy):
 def test_match_compounds_matches_oracle(words, other, policy):
     lex = lex_from_lines([" ".join(words) + ",.N"])
     for token_words in itertools.product(*([w, *upper_variants(w), other] for w in words)):
-        got = bool(lex.match_compounds(tokenize(" ".join(token_words)).tokens, policy))
+        got = bool(lex.match_compounds(*columns(" ".join(token_words)), policy))
         want = all(oracle_match(t, w, policy.value) for t, w in zip(token_words, words))
         assert got == want, (token_words, policy)
 
@@ -262,36 +268,35 @@ class TestMinimality:
 class TestCompounds:
     def test_single_compound_match(self):
         lex = lex_from_lines(["por exemplo,.ADV"])
-        tokens = tokenize("por exemplo vale").tokens
-        matches = lex.match_compounds(tokens)
+        matches = lex.match_compounds(*columns("por exemplo vale"))
         assert len(matches) == 1
         span, form, ids = matches[0]
         assert span == 3 and form == "por exemplo"
 
     def test_no_compounds(self):
         lex = lex_from_forms(["por"])
-        assert lex.match_compounds(tokenize("por exemplo").tokens) == []
+        assert lex.match_compounds(*columns("por exemplo")) == []
 
     def test_overlapping_compounds_longest_first(self):
         lex = lex_from_lines(["a fim de,.PREP", "a fim,.ADJ"])
-        tokens = tokenize("a fim de tudo").tokens
-        matches = lex.match_compounds(tokens)
+        kinds, texts = columns("a fim de tudo")
+        matches = lex.match_compounds(kinds, texts)
         assert [m[0] for m in matches] == [5, 3]
         assert [m[1] for m in matches] == ["a fim de", "a fim"]
         # brute-force over the entry list agrees
         brute = []
         for entry_form in ["a fim de", "a fim"]:
             words = entry_form.split(" ")
-            window = [t.text for t in tokens if t.text != " "][: len(words)]
+            window = [t for t in texts if t != " "][: len(words)]
             if window == words:
                 brute.append(entry_form)
         assert set(brute) == {m[1] for m in matches}
 
     def test_case_policy_applies_to_compounds(self):
         lex = lex_from_lines(["por exemplo,.ADV"])
-        tokens = tokenize("Por exemplo sim").tokens
-        assert lex.match_compounds(tokens, CaseFoldPolicy.UNITEX_LIKE)
-        assert not lex.match_compounds(tokens, CaseFoldPolicy.EXACT)
+        kinds, texts = columns("Por exemplo sim")
+        assert lex.match_compounds(kinds, texts, CaseFoldPolicy.UNITEX_LIKE)
+        assert not lex.match_compounds(kinds, texts, CaseFoldPolicy.EXACT)
 
 
 class TestSaveLoad:
@@ -313,7 +318,7 @@ class TestSaveLoad:
         path = tmp_path / "lex.bin"
         save_lexicon(lex, path)
         loaded = load_lexicon(path)
-        assert loaded.match_compounds(tokenize("por exemplo").tokens)
+        assert loaded.match_compounds(*columns("por exemplo"))
 
     def test_truncated_file_is_corrupt(self, neymar_lexicon, tmp_path):
         path = tmp_path / "lex.bin"

@@ -14,11 +14,13 @@ from lexcov.dico import (
     TokenStatus,
     apply_dictionaries,
     merge_results,
-    open_annotations,
     read_annotations,
+    token_annotations,
     write_outputs,
 )
 from lexcov.preprocess import normalize_delimiters, segment_sentences, tokenize
+
+from oracles import oracle_annotations_tsv
 
 
 def run_cli(capsys, *argv):
@@ -171,7 +173,10 @@ class TestApply:
                 tokenize(normalize_delimiters(path.read_text(encoding="utf-8")))
             )
             part = []
-            folded = merge_results(folded, apply_dictionaries(lex, stream, sink=part.append))
+            folded = merge_results(
+                folded,
+                apply_dictionaries(lex, stream, sink=lambda a: part.extend(token_annotations(a))),
+            )
             offset = 1 + max((a.sentence_index for a in annotations), default=-1)
             annotations += [replace(a, sentence_index=a.sentence_index + offset) for a in part]
         statuses = {(a.text, a.status) for a in annotations}
@@ -184,12 +189,12 @@ class TestApply:
             for line in (outdir / "annotations.tsv").read_text(encoding="utf-8").splitlines()
         ]
         assert sorted({int(r[2]) for r in rows if r[1] == "word"}) == [0, 1, 3, 4, 5]
-        with open_annotations(tmp_path / "folded") as sink:
-            for a in annotations:
-                sink(a)
         write_outputs(folded, tmp_path / "folded")
-        for name in ("dlf", "dlc", "err", "annotations.tsv"):
+        for name in ("dlf", "dlc", "err"):
             assert (outdir / name).read_bytes() == (tmp_path / "folded" / name).read_bytes()
+        assert (outdir / "annotations.tsv").read_text(encoding="utf-8") == (
+            oracle_annotations_tsv(annotations)
+        )
 
 
 class TestCoverage:
@@ -498,6 +503,26 @@ class TestExitCodes:
         assert code == 2
         assert f"{table}, line 3: expected a form and its replacement" in stderr
         assert {p.name: p.read_bytes() for p in outdir.iterdir()} == before
+
+    @pytest.mark.parametrize("command", ["coverage", "classify"])
+    def test_annotation_row_with_a_sixth_field(self, neymar_bin, tmp_path, capsys, command):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("O time venceu.\n", encoding="utf-8")
+        outdir = tmp_path / "run"
+        assert main(["apply", str(corpus), "-l", str(neymar_bin), "-o", str(outdir)]) == 0
+        capsys.readouterr()
+        table = outdir / "annotations.tsv"
+        rows = table.read_text(encoding="utf-8").splitlines()
+        rows[1] += "\textra"
+        table.write_text("".join(r + "\n" for r in rows), encoding="utf-8")
+        argv = (
+            ["coverage", "--run", str(outdir)]
+            if command == "coverage"
+            else ["classify", str(outdir), "-l", str(neymar_bin)]
+        )
+        code, _, stderr = run_cli(capsys, *argv)
+        assert code == 2
+        assert "annotations.tsv, line 2: expected 5 tab-separated fields, found 6" in stderr
 
     @pytest.mark.parametrize("command", ["coverage", "classify"])
     def test_cut_annotation_row(self, neymar_bin, tmp_path, capsys, command):

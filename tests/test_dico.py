@@ -1,6 +1,9 @@
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lexcov.automaton import CaseFoldPolicy, compile_lexicon
 from lexcov.delaf import DictFile, load_dict_file, parse_entry, serialize_entry
@@ -11,12 +14,27 @@ from lexcov.dico import (
     merge_results,
     open_annotations,
     read_annotations,
+    token_annotations,
     write_outputs,
 )
 from lexcov.errors import MalformedAnnotations, PolicyMismatch
-from lexcov.preprocess import normalize_delimiters, segment_sentences, tokenize
+from lexcov.preprocess import (
+    Token,
+    TokenKind,
+    TokenStream,
+    apply_replacements,
+    normalize_delimiters,
+    segment_sentences,
+    tokenize,
+)
 
-from oracles import oracle_err_and_known
+from oracles import (
+    oracle_annotate,
+    oracle_annotations_tsv,
+    oracle_err_and_known,
+    oracle_segment,
+    oracle_tokenize,
+)
 
 NEYMAR_SENTENCE = "O time de Neymar corria atrás do prejuízo"
 
@@ -141,7 +159,7 @@ class TestOneCaseRule:
     def run(self, text, lex):
         """The result and the (text, status) of each word token, in order."""
         annotations = []
-        result = run(text, lex, sink=annotations.append)
+        result = run(text, lex, sink=lambda a: annotations.extend(token_annotations(a)))
         return result, [(a.text, a.status) for a in annotations if a.status]
 
     def test_sharp_s_upper_case(self):
@@ -240,6 +258,11 @@ class TestOutputs:
             ("time\tword\t0\t\t", "status '' on a word row"),
             (".\tpunct\t0\tunknown\t", "status 'unknown' on a punct row"),
             ("time\tword\tzero\tknown_simple\t.N", "sentence index 'zero' is not an integer"),
+            ("time\tword\t0\tknown_simple", "expected 5 tab-separated fields, found 4"),
+            # a tab in the last column, which a split at the first four
+            # tabs would keep in the label
+            ("time\tword\t0\tknown_simple\t.N\t.V", "expected 5 tab-separated fields, found 6"),
+            ("", "expected 5 tab-separated fields, found 1"),
         ],
     )
     def test_malformed_row(self, tmp_path, row, problem):
@@ -255,3 +278,166 @@ class TestOutputs:
                 run(NEYMAR_SENTENCE, neymar_lexicon, sink=sink)
                 raise RuntimeError("stop")
         assert not outdir.exists()
+
+
+class TestAgainstReferenceAnnotator:
+    """The column path (tokenize, replace, segment, apply by type, the
+    cached-row writer) against ``oracles.oracle_annotate``: one Token
+    object and one TokenAnnotation per token."""
+
+    LEXICONS = {
+        "a": lex_from_lines([
+            "o,.DET", "time,.N", "de,.PREP", "casa,.N", "venceu,vencer.V:J3s",
+            "por,.PREP", "por exemplo,.ADV", "a fim de,.PREP", "a fim,.ADJ",
+            "de casa em casa,.ADV", "guarda-chuva,.N", "sr. silva,.N+Hum",
+            "straße,.N", "straße larga,.N", "ı larga,.N", "anos 70,.N",
+        ]),
+        "b": lex_from_lines(["fim,.N", "fim,.V:W", "a fim,.ADV", "exemplo,.N:ms", "casa,.V:P3s"]),
+    }
+    # "qq" and "xx" become word tokens that look like a number and a
+    # terminator; "Zico" becomes a word token holding a space
+    REPLACEMENTS = {"tyme": "time", "qq": "70", "xx": ".", "Zico": "por exemplo"}
+    ABBREVIATIONS = ["Sr", "etc."]
+    WORDS = [
+        "o", "O", "time", "Time", "TIME", "de", "casa", "Casa", "venceu", "por", "Por",
+        "exemplo", "a", "A", "fim", "em", "guarda", "chuva", "Sr", "Silva", "STRASSE",
+        "straße", "I", "LARGA", "larga", "anos", "Zico", "neymar", "J", "etc", "tyme",
+        "qq", "xx",
+    ]
+    MARKS = [".", ",", "!", "?", "…", "...", "?!", "-", "70", "2"]
+    # compounds and abbreviations as whole pieces, so that most texts hold some
+    PHRASES = [
+        "por exemplo", "Por exemplo", "a fim de", "a fim", "de casa em casa", "guarda-chuva",
+        "Sr. Silva", "sr. silva", "STRASSE LARGA", "I LARGA", "anos 70", "J. Silva", "etc.",
+    ]
+
+    def column_run(self, files, lexicons, policy, outdir):
+        annotations = []
+        with open_annotations(outdir) as sink:
+
+            def both(annotated):
+                sink(annotated)
+                annotations.extend(token_annotations(annotated))
+
+            streams = (
+                segment_sentences(
+                    apply_replacements(tokenize(normalize_delimiters(text)), self.REPLACEMENTS),
+                    self.ABBREVIATIONS,
+                )
+                for text in files
+            )
+            result = apply_dictionaries(lexicons, streams, policy, both)
+        return (outdir / "annotations.tsv").read_bytes(), annotations, result
+
+    def reference_run(self, files, lexicons, policy):
+        token_lists = []
+        for text in files:
+            tokens = oracle_tokenize(normalize_delimiters(text))
+            for tok in tokens:
+                if tok.kind is TokenKind.WORD and tok.text in self.REPLACEMENTS:
+                    tok.text = self.REPLACEMENTS[tok.text]
+            token_lists.append(oracle_segment(tokens, self.ABBREVIATIONS))
+        annotations, tables = oracle_annotate(lexicons, token_lists, policy)
+        return oracle_annotations_tsv(annotations).encode("utf-8"), annotations, tables
+
+    def check(self, files, names, policy):
+        lexicons = [self.LEXICONS[name] for name in names]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run"
+            tsv, annotations, result = self.column_run(files, lexicons, policy, path)
+            assert read_annotations(path / "annotations.tsv") == result.word_counts
+        want_tsv, want_annotations, (dlf, dlc, word_counts, sentence_count) = (
+            self.reference_run(files, lexicons, policy)
+        )
+        assert tsv == want_tsv
+        assert annotations == want_annotations
+        assert result.word_counts == word_counts
+        assert (result.dlf, result.dlc, result.sentence_count) == (dlf, dlc, sentence_count)
+
+    def test_fixed_corpus(self):
+        files = [
+            "Por exemplo, o time venceu a fim de casa em casa?! Sr. Silva venceu...",
+            "",
+            "o time de casa em casa venceu por exemplo tyme a fim de STRASSE LARGA",
+            "J. Silva e etc. casa. Zico venceu qq xx. Xx I LARGA anos 70 guarda-chuva…",
+            "",
+        ]
+        for policy in CaseFoldPolicy:
+            for names in (["a"], ["a", "b"], ["b", "a"]):
+                self.check(files, names, policy)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference(self, data):
+        piece = st.sampled_from(self.WORDS + self.MARKS + self.PHRASES)
+        separator = st.sampled_from([" ", " ", " ", "\n", ""])
+        mixed = st.lists(st.tuples(piece, separator), max_size=40).map(
+            lambda pairs: "".join(p + s for p, s in pairs)
+        )
+        # a passage with no terminator at all
+        passage = st.lists(st.sampled_from(self.WORDS + self.PHRASES), max_size=60).map(" ".join)
+        files = data.draw(st.lists(st.one_of(mixed, passage, st.just("")), max_size=5))
+        names = data.draw(st.sampled_from([["a"], ["b"], ["a", "b"], ["b", "a"]]))
+        policy = data.draw(st.sampled_from(list(CaseFoldPolicy)))
+        self.check(files, names, policy)
+
+
+class TestTokenConstructionPath:
+    """A stream built from Token objects, as perfbench/probe.py builds its
+    micro inputs, segments and applies as the stream tokenize gives."""
+
+    TEXTS = [
+        "Por exemplo, o Sr. Silva venceu a fim de casa. J. Silva?! Não…",
+        "o time de casa em casa sem ponto final",
+        "",
+        "70 anos. ...O time!\nA fim de tudo",
+    ]
+    LEX = lex_from_lines(["o,.DET", "time,.N", "por exemplo,.ADV", "a fim de,.PREP", "casa,.N"])
+
+    def annotate(self, stream):
+        annotations = []
+        result = apply_dictionaries(
+            self.LEX, stream, sink=lambda a: annotations.extend(token_annotations(a))
+        )
+        return annotations, result
+
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_built_stream_segments_and_applies_alike(self, text):
+        direct = tokenize(text)
+        built = TokenStream(tokens=[Token(t.kind, t.text, t.byte_span) for t in tokenize(text).tokens])
+        assert built.tokens == direct.tokens
+        for stream in (direct, built):
+            segment_sentences(stream, ["Sr"])
+        assert built.tokens == direct.tokens
+        assert (built.sentence_indices, built.initial_positions) == (
+            direct.sentence_indices, direct.initial_positions
+        )
+        (got, got_result), (want, want_result) = self.annotate(built), self.annotate(direct)
+        assert got == want
+        assert got_result.word_counts == want_result.word_counts
+        assert (got_result.dlf, got_result.dlc) == (want_result.dlf, want_result.dlc)
+
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_probe_copy_of_a_segmented_stream(self, text):
+        # probe.py's _segmented: fresh tokens, then each view given the
+        # sentence fields of the segmented original
+        segmented = segment_sentences(tokenize(text), ["Sr"])
+        tokens = segmented.tokens[:]
+        copy = TokenStream(tokens=[type(t)(t.kind, t.text, t.byte_span) for t in tokens])
+        for new, old in zip(copy.tokens, tokens):
+            new.sentence_index = old.sentence_index
+            new.sentence_initial = old.sentence_initial
+        assert copy.tokens == segmented.tokens
+        assert copy.initial_positions == segmented.initial_positions
+        assert self.annotate(copy)[0] == self.annotate(segmented)[0]
+
+    def test_tokens_become_views_of_the_stream(self):
+        tokens = [Token(TokenKind.WORD, "time", (0, 4)), Token(TokenKind.SPACE, " ", (4, 5))]
+        stream = TokenStream(tokens=tokens)
+        tokens[0].text = "casa"
+        tokens[0].sentence_initial = True
+        assert stream.texts == ["casa", " "]
+        assert stream.initial_positions == [0]
+        stream.tokens[1].sentence_index = 3
+        assert tokens[1].sentence_index == 3
+        assert [t.byte_span for t in stream.tokens] == [(0, 4), (4, 5)]
