@@ -3,7 +3,6 @@ words, compound matches, and unknown forms (the dlf/dlc/err outputs)."""
 
 from __future__ import annotations
 
-import enum
 from collections import Counter, namedtuple
 from collections.abc import Callable, Iterable
 from contextlib import contextmanager
@@ -15,12 +14,11 @@ from pathlib import Path
 from .automaton import CaseFoldPolicy, Lexicon, fold_key
 from .delaf import DictEntry, serialize_entry
 from .errors import MalformedAnnotations, PolicyMismatch
-from .preprocess import TokenKind, TokenStream
+from .preprocess import _StrEnum, TokenKind, TokenStream
 
 
-class TokenStatus(str, enum.Enum):
-    """A word token's status.  Members are str, equal to their values, so
-    a ``word_counts`` key hashes at C speed."""
+class TokenStatus(_StrEnum):
+    """A word token's status."""
 
     KNOWN_SIMPLE = "known_simple"
     IN_COMPOUND_ONLY = "in_compound_only"

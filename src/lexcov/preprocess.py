@@ -24,7 +24,8 @@ from operator import attrgetter
 from .errors import MalformedReplacements
 
 _CRLF_RE = re.compile(r"\r\n?")
-_CONTROL_RE = re.compile(r"[\x00-\x08\x0b-\x1f\x7f-]+")
+# C0 and C1 controls other than \t and \n, and DEL
+_CONTROL_RE = re.compile(r"[\x00-\x08\x0b-\x1f\x7f-\x9f]+")
 _HSPACE_RE = re.compile(r"[^\S\n]+")
 
 # word | number | whitespace | anything else (one char)
@@ -33,9 +34,20 @@ _TOKEN_RE = re.compile(r"([^\W\d_]+)|(\d+)|(\s+)|(.)", re.DOTALL)
 _TERMINATORS = frozenset({".", "!", "?", "…"})
 
 
-class TokenKind(str, enum.Enum):
-    """A token's kind.  Members are str, equal to their values, so a
-    (text, kind) key hashes at C speed."""
+class _StrEnum(str, enum.Enum):
+    """An enum whose members are str, equal to their values, so a key
+    holding them hashes at C speed.  ``str()`` and ``format()`` give
+    ``Class.MEMBER``, as a plain enum's do, on every Python version."""
+
+    def __str__(self):
+        return f"{type(self).__name__}.{self.name}"
+
+    def __format__(self, spec):
+        return format(str(self), spec)
+
+
+class TokenKind(_StrEnum):
+    """A token's kind."""
 
     WORD = "word"
     NUMBER = "number"
@@ -85,6 +97,22 @@ class TokenStream:
         self._source = None
         for i, tok in enumerate(tokens):
             tok._stream, tok._i = self, i
+
+    def _fields(self):
+        return (
+            self.kinds, self.texts, self.byte_spans(), self.sentence_indices,
+            self.initial_positions, self.source_id,
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, TokenStream):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"TokenStream(tokens={list(self.tokens)!r}, source_id={self.source_id!r})"
 
     @classmethod
     def _of_columns(cls, kinds, texts, source_id="", *, source=None, byte_spans=None):

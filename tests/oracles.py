@@ -8,6 +8,7 @@ internals it checks.
 from __future__ import annotations
 
 import re
+import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 
@@ -195,6 +196,23 @@ def oracle_edit_1(probe: str, forms, alphabet) -> list[str]:
 # -- the reference annotator: one Token object and one TokenAnnotation per
 # token, as apply worked before it counted by type.  It uses the lexicons'
 # public lookup methods, and its own tokenizer, segmenter and row format.
+
+_ORACLE_CONTROLS = {*range(0x00, 0x09), *range(0x0B, 0x20), *range(0x7F, 0xA0)}
+
+
+def oracle_normalize(raw: str) -> str:
+    """NFC, LF line ends, controls other than tab and LF dropped, runs of
+    horizontal space made one space: character by character."""
+    text = unicodedata.normalize("NFC", raw).replace("\r\n", "\n").replace("\r", "\n")
+    text = "".join(c for c in text if ord(c) not in _ORACLE_CONTROLS)
+    out, in_run = [], False
+    for c in text:
+        hspace = c.isspace() and c != "\n"
+        if not (hspace and in_run):
+            out.append(" " if hspace else c)
+        in_run = hspace
+    return "".join(out)
+
 
 _ORACLE_TOKEN_RE = re.compile(r"([^\W\d_]+)|(\d+)|(\s+)|(.)", re.DOTALL)
 _ORACLE_TERMINATORS = {".", "!", "?", "…"}

@@ -32,6 +32,7 @@ from oracles import (
     oracle_annotate,
     oracle_annotations_tsv,
     oracle_err_and_known,
+    oracle_normalize,
     oracle_segment,
     oracle_tokenize,
 )
@@ -332,7 +333,7 @@ class TestAgainstReferenceAnnotator:
     def reference_run(self, files, lexicons, policy):
         token_lists = []
         for text in files:
-            tokens = oracle_tokenize(normalize_delimiters(text))
+            tokens = oracle_tokenize(oracle_normalize(text))
             for tok in tokens:
                 if tok.kind is TokenKind.WORD and tok.text in self.REPLACEMENTS:
                     tok.text = self.REPLACEMENTS[tok.text]
@@ -360,6 +361,7 @@ class TestAgainstReferenceAnnotator:
             "",
             "o time de casa em casa venceu por exemplo tyme a fim de STRASSE LARGA",
             "J. Silva e etc. casa. Zico venceu qq xx. Xx I LARGA anos 70 guarda-chuva…",
+            "guarda-\x85chuva - de\x7f casa\r\nem\t casa",
             "",
         ]
         for policy in CaseFoldPolicy:
@@ -370,7 +372,8 @@ class TestAgainstReferenceAnnotator:
     @given(data=st.data())
     def test_matches_reference(self, data):
         piece = st.sampled_from(self.WORDS + self.MARKS + self.PHRASES)
-        separator = st.sampled_from([" ", " ", " ", "\n", ""])
+        # with controls the normalizer drops, and a tab and CR it rewrites
+        separator = st.sampled_from([" ", " ", " ", "\n", "", "\x85", "\x7f", "\x01", " \t", "\r\n"])
         mixed = st.lists(st.tuples(piece, separator), max_size=40).map(
             lambda pairs: "".join(p + s for p, s in pairs)
         )

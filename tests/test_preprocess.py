@@ -2,8 +2,11 @@ import unicodedata
 
 from hypothesis import given, settings, strategies as st
 
+from lexcov.dico import TokenStatus
 from lexcov.preprocess import (
+    Token,
     TokenKind,
+    TokenStream,
     apply_replacements,
     load_replacement_table,
     normalize_delimiters,
@@ -11,6 +14,8 @@ from lexcov.preprocess import (
     segment_sentences,
     tokenize,
 )
+
+from oracles import oracle_normalize
 
 
 def words_of(text):
@@ -34,6 +39,15 @@ class TestNormalizeDelimiters:
     def test_control_chars_removed(self):
         assert normalize_delimiters("a\x00b\x1fc") == "abc"
         assert normalize_delimiters("a\nb") == "a\nb"
+        assert normalize_delimiters("a\x85b\x9fc\x80d\x7fe") == "abcde"
+
+    def test_hyphens_kept(self):
+        assert normalize_delimiters("guarda-chuva") == "guarda-chuva"
+        assert normalize_delimiters("abordá-lo - sim") == "abordá-lo - sim"
+
+    @given(st.text(max_size=200))
+    def test_matches_reference(self, text):
+        assert normalize_delimiters(text) == oracle_normalize(text)
 
     @given(st.text(max_size=200))
     def test_idempotent(self, text):
@@ -88,6 +102,44 @@ class TestTokenize:
     @given(st.text(max_size=300))
     def test_lossless_on_arbitrary_text(self, text):
         assert "".join(t.text for t in tokenize(text).tokens) == text
+
+
+class TestTokenStream:
+    def test_equal_streams(self):
+        direct = tokenize("O time. Venceu", source_id="a")
+        built = TokenStream(
+            tokens=[Token(t.kind, t.text, t.byte_span) for t in direct.tokens], source_id="a"
+        )
+        assert built == direct
+        segment_sentences(direct)
+        assert built != direct
+        segment_sentences(built)
+        assert built == direct
+
+    def test_unequal_streams(self):
+        stream = tokenize("O time.", source_id="a")
+        assert stream != tokenize("O tim.", source_id="a")
+        assert stream != tokenize("O time.", source_id="b")
+        spans = [t.byte_span for t in stream.tokens]
+        spans[0] = (0, 2)
+        moved = TokenStream(
+            tokens=[Token(t.kind, t.text, span) for t, span in zip(stream.tokens, spans)],
+            source_id="a",
+        )
+        assert moved != stream
+
+    def test_repr_lists_tokens(self):
+        assert repr(tokenize("O", source_id="a")) == (
+            "TokenStream(tokens=[Token(kind=<TokenKind.WORD: 'word'>, text='O',"
+            " byte_span=(0, 1), sentence_index=0, sentence_initial=False)], source_id='a')"
+        )
+
+
+def test_enum_members_are_their_values_and_print_by_name():
+    assert TokenKind.WORD == "word" and TokenStatus.UNKNOWN == "unknown"
+    assert str(TokenKind.WORD) == f"{TokenKind.WORD}" == "TokenKind.WORD"
+    assert f"{TokenStatus.UNKNOWN:>22}" == "   TokenStatus.UNKNOWN"
+    assert "\t".join([TokenKind.WORD, TokenStatus.KNOWN_SIMPLE]) == "word\tknown_simple"
 
 
 class TestSegmentSentences:

@@ -1,7 +1,7 @@
 """Growth checks: doubling the input of a linear stage about doubles its time.
 
-Each check times the stage at n and 2n, best of 3 (5 for segmentation,
-compile and apply over files) with the collector off, in CPU time of this process
+Each check times the stage at n and 2n, best of 3 (5 for segmentation and
+for apply over files) with the collector off, in CPU time of this process
 so that load from other processes does not count, and bounds t(2n)/t(n)
 below 3.0.  A stage that is quadratic in its input reads about 4.
 
@@ -102,8 +102,7 @@ def test_compile_is_linear(tmp_path):
         # the entries are parsed as the build reads them, as in lexcov compile
         compile_lexicon([DictFile(iter_dict_entries(path))])
 
-    # steadied as in test_segmentation_is_linear
-    ratio = growth(lambda n: (paths[n],), compile_file, 1_000, repeats=5)
+    ratio = growth(lambda n: (paths[n],), compile_file, 1_000)
     assert ratio < BOUND, ratio
 
 
