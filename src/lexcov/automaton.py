@@ -18,12 +18,14 @@ import zlib
 from array import array
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, chain, islice
+from operator import sub
 from pathlib import Path
 
 from .delaf import DictEntry, DictFile, RoleTag
 from .errors import CorruptFile, EmptyLexicon, FormatVersionMismatch
-from .preprocess import TokenKind, token_columns
+from .preprocess import _TOKEN_RE, TokenKind, token_columns
 
 
 class CaseFoldPolicy(enum.Enum):
@@ -52,26 +54,13 @@ class LexiconStats:
     compound_count: int
 
 
-@dataclass(frozen=True)
-class _Compound:
-    form: str
-    analysis_ids: tuple[int, ...]
-    # the form's token columns, as token_columns gives them
-    kinds: tuple[TokenKind, ...]
-    texts: tuple[str, ...]
-
-
 _ROLE_BITS = {RoleTag.GENERAL: 1, RoleTag.ABBREVIATIONS_ACRONYMS: 2, RoleTag.USER: 4}
-
-
-def _role_sets(masks) -> list:
-    """Each analysis's roles from its role bits, one frozenset per
-    distinct mask."""
-    sets = {
-        mask: frozenset(role for role, bit in _ROLE_BITS.items() if mask & bit)
-        for mask in set(masks)
-    }
-    return list(map(sets.__getitem__, masks))
+# the roles of each role mask; a mask byte's other bits name no role
+_ROLE_MASK = 7
+_ROLE_SETS = tuple(
+    frozenset(role for role, bit in _ROLE_BITS.items() if mask & bit)
+    for mask in range(_ROLE_MASK + 1)
+)
 
 
 def token_matches_form(token_text: str, form_text: str, policy: CaseFoldPolicy) -> bool:
@@ -101,23 +90,44 @@ def fold_key(text: str) -> str:
 
 
 class Lexicon:
-    """Immutable compiled lexicon.  Build with :func:`compile_lexicon`."""
+    """Immutable compiled lexicon.  Build with :func:`compile_lexicon`, or
+    read one with :func:`load_lexicon`.
 
-    def __init__(self, states, analyses, roles, form_analyses, compounds, fold_extra, stats):
+    It holds the ``.lex`` payload's columns (docs/lexicon-binary.md) and
+    builds an analysis, a form's analysis ids or a compound's match
+    pattern only when a lookup reads it.
+    """
+
+    def __init__(self, states, strings, analyses, masks, forms, compounds, fold_extra, stats):
         # states[i] = (final, {char: (target, index_offset)})
         self._states = states
-        self._analyses = analyses          # list[Analysis]
-        self._roles = roles                # list[frozenset[RoleTag]]
-        self._form_analyses = form_analyses  # list[tuple[int, ...]] by word index
-        self._compounds = compounds        # list[_Compound], file/entry order
+        self._strings = strings            # list[str], the string table
+        # by analysis id, the string ids of its lemma, its code, its
+        # '+'-joined traits and its ':'-joined flex codes
+        self._lemmas, self._grams, self._traits, self._flexes = analyses
+        self._masks = masks                # by analysis id, its role bits
+        # word index w has the analysis ids
+        # form_ids[form_offsets[w]:form_offsets[w + 1]]
+        self._form_offsets, self._form_ids = forms
+        # compound c, in file/entry order, is compound_forms[c] with the
+        # analysis ids compound_ids[compound_offsets[c]:compound_offsets[c + 1]]
+        self._compound_forms, self._compound_offsets, self._compound_ids = compounds
         self._fold_extra = fold_extra      # fold_key -> forms other than the key
+        self._trait_parts = {}             # traits string id -> its traits
+        self._flex_parts = {}              # flex codes string id -> its codes
+        self._patterns = {}                # compound -> its form's token columns
         self._compound_index = {}          # fold_key of the first token -> compounds
-        for ci, comp in enumerate(compounds):
-            self._compound_index.setdefault(fold_key(comp.texts[0]), []).append(ci)
-        # no match_compounds window needs more tokens than this; 0 when
-        # the lexicon has no compounds
-        self.max_compound_tokens = max((len(c.texts) for c in compounds), default=0)
+        for ci, form in enumerate(self._compound_forms):
+            first = _TOKEN_RE.match(form).group()
+            self._compound_index.setdefault(fold_key(first), []).append(ci)
         self.stats = stats
+
+    @cached_property
+    def max_compound_tokens(self) -> int:
+        """No :meth:`match_compounds` window needs more tokens than this;
+        0 when the lexicon has no compounds."""
+        count = _TOKEN_RE.subn  # a form's tokens are the pattern's matches
+        return max((count("", form)[1] for form in self._compound_forms), default=0)
 
     # -- simple-form lookup ------------------------------------------------
 
@@ -180,14 +190,27 @@ class Lexicon:
         return sorted(found)
 
     def analysis(self, analysis_id: int) -> Analysis:
-        return self._analyses[analysis_id]
+        strings = self._strings
+        return Analysis(
+            strings[self._lemmas[analysis_id]],
+            strings[self._grams[analysis_id]],
+            self._parts(self._trait_parts, self._traits[analysis_id], "+"),
+            self._parts(self._flex_parts, self._flexes[analysis_id], ":"),
+        )
+
+    def _parts(self, cache, string_id, sep) -> tuple[str, ...]:
+        """The parts of a joined string, split on its first use."""
+        parts = cache.get(string_id)
+        if parts is None:
+            joined = self._strings[string_id]
+            parts = cache[string_id] = tuple(joined.split(sep)) if joined else ()
+        return parts
 
     def analysis_roles(self, analysis_id: int) -> frozenset:
-        return self._roles[analysis_id]
+        return _ROLE_SETS[self._masks[analysis_id] & _ROLE_MASK]
 
     def entry_for(self, form: str, analysis_id: int) -> DictEntry:
-        a = self._analyses[analysis_id]
-        return DictEntry(form, a.lemma, a.gram_code, a.sem_traits, a.flex_codes)
+        return DictEntry(form, *self.analysis(analysis_id))
 
     def lookup_forms(self, token_text: str, policy=CaseFoldPolicy.UNITEX_LIKE):
         """Map of matched lexicon form -> tuple of analysis ids."""
@@ -199,7 +222,8 @@ class Lexicon:
             if token_matches_form(token_text, form, policy):
                 idx = self.word_index(form)
                 if idx is not None:
-                    result[form] = self._form_analyses[idx]
+                    offsets = self._form_offsets
+                    result[form] = tuple(self._form_ids[offsets[idx] : offsets[idx + 1]])
         return result
 
     def lookup(self, token_text: str, policy=CaseFoldPolicy.UNITEX_LIKE) -> frozenset:
@@ -232,21 +256,31 @@ class Lexicon:
         candidates = self._compound_index.get(fold_key(texts[0]), ())
         matches = []
         for ci in candidates:
-            comp = self._compounds[ci]
-            span = self._match_pattern(comp, kinds, texts, policy)
+            span = self._match_pattern(self._pattern(ci), kinds, texts, policy)
             if span is not None:
                 matches.append((span, ci))
         matches.sort(key=lambda m: (-m[0], m[1]))  # longest first, then entry order
+        offsets, ids = self._compound_offsets, self._compound_ids
         return [
-            (span, self._compounds[ci].form, self._compounds[ci].analysis_ids)
+            (span, self._compound_forms[ci], tuple(ids[offsets[ci] : offsets[ci + 1]]))
             for span, ci in matches
         ]
 
+    def _pattern(self, ci):
+        """Compound ``ci``'s form as token columns, built on first use."""
+        pattern = self._patterns.get(ci)
+        if pattern is None:
+            pattern = self._patterns[ci] = token_columns(self._compound_forms[ci])
+        return pattern
+
     @staticmethod
-    def _match_pattern(comp, kinds, texts, policy):
-        if len(comp.texts) > len(texts):
+    def _match_pattern(pattern, kinds, texts, policy):
+        pattern_kinds, pattern_texts = pattern
+        if len(pattern_texts) > len(texts):
             return None
-        for pattern_kind, pattern_text, kind, text in zip(comp.kinds, comp.texts, kinds, texts):
+        for pattern_kind, pattern_text, kind, text in zip(
+            pattern_kinds, pattern_texts, kinds, texts
+        ):
             if pattern_kind is TokenKind.WORD:
                 if kind is not TokenKind.WORD or not token_matches_form(
                     text, pattern_text, policy
@@ -257,7 +291,7 @@ class Lexicon:
                     return None
             elif kind is not pattern_kind or text != pattern_text:
                 return None
-        return len(comp.texts)
+        return len(pattern_texts)
 
     def iter_forms(self):
         """All simple forms in sorted order."""
@@ -318,23 +352,14 @@ def compile_lexicon(dicts: list[DictFile]) -> Lexicon:
         raise EmptyLexicon("no entries to compile")
 
     sorted_forms = sorted(simple)
-    shared = {}  # one tuple per distinct id list, as load_lexicon makes them
-    form_analyses = [
-        shared.setdefault(t, t)
-        for t in (
-            (held,) if type(held) is int else tuple(sorted(held))
-            for held in map(simple.__getitem__, sorted_forms)
-        )
-    ]
+    forms = _ragged(
+        (held,) if type(held) is int else sorted(held)
+        for held in map(simple.__getitem__, sorted_forms)
+    )
     states, n_transitions = _build_dafsa(sorted_forms)
     folded_count = _folded_count(
         chain(sorted_forms, compounds), lambda f: f in simple or f in compounds
     )
-
-    compound_list = [
-        _Compound(form, tuple(ids), *_compound_pattern(form))
-        for form, ids in compounds.items()
-    ]
 
     fold_extra = {}
     for form in sorted_forms:
@@ -343,6 +368,22 @@ def compile_lexicon(dicts: list[DictFile]) -> Lexicon:
             fold_extra.setdefault(key, []).append(form)
     fold_extra = {k: tuple(v) for k, v in fold_extra.items()}
 
+    # the string table, numbered in order of first use in the order
+    # save_lexicon writes the columns that hold string ids
+    strings = {}
+
+    def string_ids(texts):
+        return array(_U32, [strings.setdefault(t, len(strings)) for t in texts])
+
+    analyses = (
+        string_ids(key[0] for key in analysis_ids),
+        string_ids(key[1] for key in analysis_ids),
+        string_ids("+".join(key[2]) for key in analysis_ids),
+        string_ids(":".join(key[3]) for key in analysis_ids),
+    )
+    fold_keys = sorted(fold_extra)
+    string_ids(chain(compounds, fold_keys, chain.from_iterable(map(fold_extra.get, fold_keys))))
+
     stats = LexiconStats(
         entry_count=entry_count,
         unique_form_count=len(sorted_forms) + len(compounds),
@@ -350,17 +391,29 @@ def compile_lexicon(dicts: list[DictFile]) -> Lexicon:
         state_count=len(states),
         transition_count=n_transitions,
         analysis_count=len(masks),
-        compound_count=len(compound_list),
+        compound_count=len(compounds),
     )
     return Lexicon(
         states,
-        list(map(Analysis._make, analysis_ids)),
-        _role_sets(masks),
-        form_analyses,
-        compound_list,
+        list(strings),
+        analyses,
+        array("B", masks),
+        forms,
+        (list(compounds), *_ragged(compounds.values())),
         fold_extra,
         stats,
     )
+
+
+def _ragged(lists):
+    """``(offsets, items)``: the lists' items back to back, and where each
+    list starts, so that list i is ``items[offsets[i] : offsets[i + 1]]``."""
+    items = array(_U32)
+    offsets = array(_U32, [0])
+    for ids in lists:
+        items.extend(ids)
+        offsets.append(len(items))
+    return offsets, items
 
 
 def _folded_count(forms, is_form) -> int:
@@ -377,11 +430,6 @@ def _folded_count(forms, is_form) -> int:
             recased.add(folded)
     # a recased form that is itself an unchanged form is counted already
     return unchanged + sum(1 for f in recased if not (is_form(f) and f.casefold() == f))
-
-
-def _compound_pattern(form: str):
-    kinds, texts = token_columns(form)
-    return tuple(kinds), tuple(texts)
 
 
 def _build_dafsa(sorted_forms):
@@ -530,18 +578,13 @@ def _column(typecode, values) -> bytes:
 
 def save_lexicon(lex: Lexicon, path) -> None:
     """Write the versioned, checksummed binary form (docs/lexicon-binary.md)."""
-    strings = {}  # text -> string id, numbered in order of first use
-
-    def string_ids(texts):
-        return _column(_U32, [strings.setdefault(t, len(strings)) for t in texts])
-
-    analyses = lex._analyses
+    strings = lex._strings
+    # compound forms and fold-extra strings are held as text; the table
+    # holds each string once
+    string_id = {text: i for i, text in enumerate(strings)}.__getitem__
     sections = [
-        string_ids(a.lemma for a in analyses),
-        string_ids(a.gram_code for a in analyses),
-        string_ids("+".join(a.sem_traits) for a in analyses),
-        string_ids(":".join(a.flex_codes) for a in analyses),
-        _column("B", [sum(_ROLE_BITS[role] for role in roles) for roles in lex._roles]),
+        *(_column(_U32, ids) for ids in (lex._lemmas, lex._grams, lex._traits, lex._flexes)),
+        _column("B", lex._masks),
     ]
     finals, edge_counts, chars, targets = [], [], [], []
     for final, edges in lex._states:
@@ -556,30 +599,30 @@ def save_lexicon(lex: Lexicon, path) -> None:
         _column(_U32, chars),
         _column(_U32, targets),
     ]
-    form_analyses = lex._form_analyses
-    compounds = lex._compounds
+    form_offsets = lex._form_offsets
+    compound_offsets = lex._compound_offsets
     fold_keys = sorted(lex._fold_extra)
     fold_forms = [lex._fold_extra[key] for key in fold_keys]
     sections += [
-        _column(_U32, map(len, form_analyses)),
-        _column(_U32, chain.from_iterable(form_analyses)),
-        string_ids(c.form for c in compounds),
-        _column(_U32, [len(c.analysis_ids) for c in compounds]),
-        _column(_U32, chain.from_iterable(c.analysis_ids for c in compounds)),
-        string_ids(fold_keys),
+        _column(_U32, map(sub, form_offsets[1:], form_offsets)),
+        _column(_U32, lex._form_ids),
+        _column(_U32, map(string_id, lex._compound_forms)),
+        _column(_U32, map(sub, compound_offsets[1:], compound_offsets)),
+        _column(_U32, lex._compound_ids),
+        _column(_U32, map(string_id, fold_keys)),
         _column(_U32, map(len, fold_forms)),
-        string_ids(chain.from_iterable(fold_forms)),
+        _column(_U32, map(string_id, chain.from_iterable(fold_forms))),
     ]
     text = "".join(strings).encode("utf-8")
     s = lex.stats
     header = _HEADER.pack(
         s.entry_count,
-        len(form_analyses),
+        len(form_offsets) - 1,
         s.unique_form_count_folded,
         len(lex._states),
         len(targets),
-        len(analyses),
-        len(compounds),
+        len(lex._masks),
+        len(lex._compound_forms),
         len(fold_keys),
         len(strings),
         len(text),
@@ -712,33 +755,11 @@ def _read_payload(raw) -> Lexicon:
     states = _states(finals, edge_counts, chars, targets, n_forms)
 
     strings = [text[a:b] for a, b in zip(chain((0,), ends), ends)]
-    string = strings.__getitem__
-
-    def split(ids, sep):
-        # each distinct joined string is split once
-        parts = {i: tuple(strings[i].split(sep)) if strings[i] else () for i in set(ids)}
-        return map(parts.__getitem__, ids)
-
-    analyses = list(
-        map(Analysis, map(string, lemmas), map(string, grams), split(traits, "+"), split(flexes, ":"))
-    )
-    roles = _role_sets(masks)
-
-    # one tuple per distinct id list: most forms share their list
-    shared = {}
-    ids = iter(form_ids)
-    form_analyses = [
-        shared.setdefault(t, t) for t in (tuple(islice(ids, n)) for n in form_counts)
-    ]
-    compounds = []
-    ids = iter(compound_ids)
-    for form_id, n in zip(compound_forms, compound_counts):
-        form = strings[form_id]
-        kinds, texts = _compound_pattern(form)
-        if not texts:
-            raise CorruptFile(f"compound {form!r} has no tokens")
-        compounds.append(_Compound(form, tuple(islice(ids, n)), kinds, texts))
-    forms = map(string, fold_forms)
+    compounds = list(map(strings.__getitem__, compound_forms))
+    # _TOKEN_RE matches every character, so only the empty form has no tokens
+    if not all(compounds):
+        raise CorruptFile("compound '' has no tokens")
+    forms = map(strings.__getitem__, fold_forms)
     fold_extra = {strings[k]: tuple(islice(forms, n)) for k, n in zip(fold_keys, fold_counts)}
 
     stats = LexiconStats(
@@ -750,5 +771,20 @@ def _read_payload(raw) -> Lexicon:
         analysis_count=n_analyses,
         compound_count=n_compounds,
     )
-    return Lexicon(states, analyses, roles, form_analyses, compounds, fold_extra, stats)
+    return Lexicon(
+        states,
+        strings,
+        (lemmas, grams, traits, flexes),
+        masks,
+        (_offsets(form_counts), form_ids),
+        (compounds, _offsets(compound_counts), compound_ids),
+        fold_extra,
+        stats,
+    )
+
+
+def _offsets(counts):
+    """Where each of the lists with these lengths starts, back to back,
+    and where the last one ends."""
+    return array(_U32, accumulate(counts, initial=0))
 

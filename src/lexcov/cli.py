@@ -1,4 +1,4 @@
-"""Command-line front end: compile, apply, coverage, classify, diff, bench.
+"""Command-line front end: compile, apply, coverage, classify, diff.
 
 Exit codes: 0 success, 1 environment/IO problems, 2 invalid input.
 Run manifests (run.json) honor SOURCE_DATE_EPOCH for reproducible trees.
@@ -12,9 +12,7 @@ import glob
 import hashlib
 import json
 import os
-import random
 import sys
-import time
 from pathlib import Path
 
 from . import __version__
@@ -279,25 +277,6 @@ def cmd_diff(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    lex = load_lexicon(args.lexicon)
-    policy = _POLICIES[args.case_policy]
-    forms = lex.iter_forms()
-    if not forms:
-        print("bench: lexicon has no simple forms", file=sys.stderr)
-        return 2
-    rng = random.Random(42)
-    probes = [rng.choice(forms) for _ in range(args.count)]
-    start = time.perf_counter()
-    for probe in probes:
-        lex.lookup(probe, policy)
-    elapsed = time.perf_counter() - start
-    rate = args.count / elapsed if elapsed else float("inf")
-    print(json.dumps({"lookups": args.count, "seconds": round(elapsed, 3),
-                      "lookups_per_second": int(rate)}))
-    return 0
-
-
 # -- argument parsing -------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,11 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.set_defaults(func=cmd_diff)
 
-    p = sub.add_parser("bench", help="report lookup throughput")
-    p.add_argument("-l", "--lexicon", required=True)
-    p.add_argument("--count", type=int, default=100_000)
-    p.add_argument("--case-policy", choices=sorted(_POLICIES), default="unitex_like")
-    p.set_defaults(func=cmd_bench)
     return parser
 
 

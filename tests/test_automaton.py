@@ -7,7 +7,6 @@ import subprocess
 import sys
 import tempfile
 import zlib
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -24,7 +23,7 @@ from lexcov.automaton import (
 )
 from lexcov.delaf import DictEntry, DictFile, RoleTag, parse_entry, serialize_entry
 from lexcov.errors import CorruptFile, EmptyLexicon, FormatVersionMismatch
-from lexcov.preprocess import tokenize
+from lexcov.preprocess import TokenKind, tokenize
 
 from oracles import minimal_state_count, oracle_lookup, oracle_match, right_language_classes
 
@@ -406,18 +405,52 @@ def delaf_line(draw):
     )
 )
 def test_save_load_round_trip(files):
-    lex = compile_lexicon([DictFile([parse_entry(l) for l in lines], role) for lines, role in files])
+    entries = [[parse_entry(l) for l in lines] for lines, _ in files]
+    lex = compile_lexicon([DictFile(e, role) for e, (_, role) in zip(entries, files)])
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "lex.bin"
+        path, again = Path(tmp) / "lex.bin", Path(tmp) / "again.bin"
         save_lexicon(lex, path)
         loaded = load_lexicon(path)
-    assert loaded._states == lex._states
-    assert loaded._analyses == lex._analyses
-    assert loaded._roles == lex._roles
-    assert loaded._form_analyses == lex._form_analyses
-    assert loaded._compounds == lex._compounds
-    assert loaded._fold_extra == lex._fold_extra
+        save_lexicon(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
     assert loaded.stats == lex.stats
+    assert loaded.max_compound_tokens == lex.max_compound_tokens
+    # the loaded lexicon holds each input entry, one analysis per flex
+    # code, with the roles of every file that has the analysis
+    expected, roles = {}, {}
+    for file_entries, (_, role) in zip(entries, files):
+        for e in file_entries:
+            for flex in zip(e.flex_codes) if e.flex_codes else ((),):
+                expected.setdefault(e.surface_form, set()).add(e._replace(flex_codes=flex))
+                roles.setdefault((e.lemma, e.gram_code, e.sem_traits, flex), set()).add(role)
+    for form, held in expected.items():
+        if " " not in form:
+            ids = loaded.lookup_forms(form, CaseFoldPolicy.EXACT)[form]
+        elif columns(form)[0][0] is TokenKind.WORD:  # a compound match starts with a word
+            matches = loaded.match_compounds(*columns(form), CaseFoldPolicy.EXACT)
+            ids = next(ids for _, matched, ids in matches if matched == form)
+        else:
+            continue
+        assert {loaded.entry_for(form, i) for i in ids} == held
+    for i in range(lex.stats.analysis_count):
+        assert loaded.analysis(i) == lex.analysis(i)
+        assert loaded.analysis_roles(i) == lex.analysis_roles(i) == roles[loaded.analysis(i)]
+    # compiled and loaded agree on every simple and compound form, and on
+    # its capitalized and upper-case variants for the case policies
+    for form in sorted(expected):
+        for text in {form, form.upper(), form[0].upper() + form[1:]}:
+            window = columns(text)
+            key = fold_key(window[1][0])
+            assert loaded.starts_compound(key) == lex.starts_compound(key)
+            for policy in CaseFoldPolicy:
+                hits = lex.lookup_forms(text, policy)
+                assert loaded.lookup_forms(text, policy) == hits
+                matches = lex.match_compounds(*window, policy)
+                assert loaded.match_compounds(*window, policy) == matches
+                found = [*hits.items(), *((matched, ids) for _, matched, ids in matches)]
+                for matched, ids in found:
+                    for i in ids:
+                        assert loaded.entry_for(matched, i) == lex.entry_for(matched, i)
 
 
 def resign(path, edit):
@@ -457,6 +490,9 @@ def set_u32(where, value):
 # lemma id follows the string table, whose count and byte size end the header
 FIRST_LENGTH = lambda header: automaton._HEADER.size
 FIRST_LEMMA = lambda header: automaton._HEADER.size + 4 * header[-2] + header[-1]
+# the traits and flex codes columns follow the A lemma and A code ids
+FIRST_TRAITS = lambda header: FIRST_LEMMA(header) + 8 * header[5]
+FIRST_FLEXES = lambda header: FIRST_LEMMA(header) + 12 * header[5]
 # the root's first edge target opens the target column, which follows the
 # analyses (A rows of 4 u32 and a u8), the states' u8 final flags and u32 edge
 # counts (S each), and the T u32 code points
@@ -495,6 +531,10 @@ class TestBrokenPayload:
                 "string lengths add up to 12 characters, but the string table holds 11",
             ),
             (set_u32(FIRST_LEMMA, 5), "string id 5, but there are 5 strings"),
+            # traits and flex codes are split only when a lookup reads
+            # them, but their ids are checked at load
+            (set_u32(FIRST_TRAITS, 6), "string id 6, but there are 5 strings"),
+            (set_u32(FIRST_FLEXES, 7), "string id 7, but there are 5 strings"),
         ],
     )
     def test_resigned_payload_is_corrupt(self, saved, edit, message):
@@ -512,20 +552,17 @@ class TestBrokenPayload:
             # an edge from state 1 back to the root
             (lambda lex: lex._states[1][1].update(x=(0, 1)), "cycle through state"),
             (
-                lambda lex: lex._form_analyses.append((0,)),
+                lambda lex: (lex._form_ids.append(0), lex._form_offsets.append(len(lex._form_ids))),
                 "the automaton's form count is 1, the form table's 2",
             ),
-            (lambda lex: lex._form_analyses.__setitem__(0, (7,)), "analysis id 7, but there are 2"),
+            (lambda lex: lex._form_ids.__setitem__(0, 7), "analysis id 7, but there are 2"),
             (
-                lambda lex: lex._compounds.__setitem__(
-                    0, replace(lex._compounds[0], analysis_ids=(0, 2))
-                ),
+                lambda lex: (lex._compound_ids.append(2), lex._compound_offsets.__setitem__(1, 2)),
                 "analysis id 2, but there are 2",
             ),
-            (
-                lambda lex: lex._compounds.__setitem__(0, replace(lex._compounds[0], form="")),
-                "compound '' has no tokens",
-            ),
+            # compounds are tokenized only when a match reaches them, but
+            # an empty form fails at load
+            (lambda lex: lex._compound_forms.__setitem__(0, ""), "compound '' has no tokens"),
         ],
     )
     def test_saved_broken_lexicon_is_corrupt(self, saved, break_lexicon, message):

@@ -363,17 +363,6 @@ class TestDiff:
             assert stdout == json.dumps(listed.to_dict(), indent=2, ensure_ascii=False) + "\n"
 
 
-class TestBench:
-    def test_reports_rate(self, neymar_bin, capsys):
-        code, stdout, _ = run_cli(
-            capsys, "bench", "-l", str(neymar_bin), "--count", "1000"
-        )
-        assert code == 0
-        payload = json.loads(stdout)
-        assert payload["lookups"] == 1000
-        assert payload["lookups_per_second"] > 0
-
-
 class TestReproducibility:
     def test_identical_trees(self, fixtures_dir, neymar_bin, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
@@ -442,11 +431,13 @@ class TestExitCodes:
         data = bytearray(neymar_bin.read_bytes())
         data[-1] ^= 0xFF
         corrupt.write_bytes(bytes(data))
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("O time venceu.\n", encoding="utf-8")
         code, _, stderr = run_cli(
-            capsys, "bench", "-l", str(corrupt), "--count", "10"
+            capsys, "apply", str(corpus), "-l", str(corrupt), "-o", str(tmp_path / "run")
         )
         assert code == 2
-        assert stderr
+        assert "checksum mismatch" in stderr
 
     def test_old_format_version_says_to_recompile(self, neymar_bin, tmp_path, capsys):
         corpus = tmp_path / "c.txt"
@@ -578,14 +569,19 @@ class TestExitCodes:
         assert code == 2
         assert f"{counts}, row 2: missing key 'tokens_total'" in stderr
 
-    def test_internal_key_error_is_not_invalid_input(self, neymar_bin, monkeypatch):
+    def test_internal_key_error_is_not_invalid_input(
+        self, fixtures_dir, neymar_bin, tmp_path, monkeypatch
+    ):
         # a KeyError raised by a bug is not reported as bad input (exit 2)
         def broken(*args, **kwargs):
             raise KeyError("bug")
 
         monkeypatch.setattr("lexcov.cli.load_lexicon", broken)
         with pytest.raises(KeyError):
-            main(["bench", "-l", str(neymar_bin), "--count", "1"])
+            main([
+                "apply", str(fixtures_dir / "neymar.txt"), "-l", str(neymar_bin),
+                "-o", str(tmp_path / "run"),
+            ])
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

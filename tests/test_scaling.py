@@ -1,9 +1,9 @@
 """Growth checks: doubling the input of a linear stage about doubles its time.
 
-Each check times the stage at n and 2n, best of 3 (5 for segmentation and
-for apply over files) with the collector off, in CPU time of this process
-so that load from other processes does not count, and bounds t(2n)/t(n)
-below 3.0.  A stage that is quadratic in its input reads about 4.
+Each check times the stage at n and 2n, best of 3 (5 for segmentation,
+compile and apply over files) with the collector off, in CPU time of this
+process so that load from other processes does not count, and bounds
+t(2n)/t(n) below 3.0.  A stage that is quadratic in its input reads about 4.
 
 Apply's memory grows with the types of a corpus, not its tokens: doubling
 the files of one vocabulary keeps its peak below 1.5 times.
@@ -102,7 +102,8 @@ def test_compile_is_linear(tmp_path):
         # the entries are parsed as the build reads them, as in lexcov compile
         compile_lexicon([DictFile(iter_dict_entries(path))])
 
-    ratio = growth(lambda n: (paths[n],), compile_file, 1_000)
+    # best of 3 read above the bound now and then on a shared machine
+    ratio = growth(lambda n: (paths[n],), compile_file, 1_000, repeats=5)
     assert ratio < BOUND, ratio
 
 
