@@ -20,7 +20,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, islice
-from operator import sub
 from pathlib import Path
 
 from .delaf import DictEntry, DictFile, RoleTag
@@ -91,14 +90,17 @@ def fold_key(text: str) -> str:
 
 class Lexicon:
     """Immutable compiled lexicon.  Build with :func:`compile_lexicon`, or
-    read one with :func:`load_lexicon`.
+    read one with :func:`load_lexicon`; either way it is read from a
+    ``.lex`` payload.
 
-    It holds the ``.lex`` payload's columns (docs/lexicon-binary.md) and
-    builds an analysis, a form's analysis ids or a compound's match
-    pattern only when a lookup reads it.
+    It holds the payload's columns (docs/lexicon-binary.md) and builds an
+    analysis, a form's analysis ids or a compound's match pattern only
+    when a lookup reads it.
     """
 
-    def __init__(self, states, strings, analyses, masks, forms, compounds, fold_extra, stats):
+    def __init__(
+        self, states, strings, analyses, masks, forms, compounds, fold_extra, stats, payload
+    ):
         # states[i] = (final, {char: (target, index_offset)})
         self._states = states
         self._strings = strings            # list[str], the string table
@@ -121,6 +123,7 @@ class Lexicon:
             first = _TOKEN_RE.match(form).group()
             self._compound_index.setdefault(fold_key(first), []).append(ci)
         self.stats = stats
+        self._payload = payload            # the compressed payload, as saved
 
     @cached_property
     def max_compound_tokens(self) -> int:
@@ -315,8 +318,16 @@ def compile_lexicon(dicts: list[DictFile]) -> Lexicon:
     Identical (form, analysis) pairs are deduplicated.  Entries carrying
     several ':'-groups are expanded into one analysis per inflectional
     reading.  Each file's entries are read once, so they may be an
-    iterator (:func:`lexcov.delaf.iter_dict_entries`).
+    iterator (:func:`lexcov.delaf.iter_dict_entries`).  The lexicon is
+    read from the payload it packs, as :func:`load_lexicon` reads a file,
+    so it passes every check a load makes.
     """
+    raw = _pack(dicts)
+    return _read_payload(raw, zlib.compress(raw, 6))
+
+
+def _pack(dicts) -> bytes:
+    """The uncompressed ``.lex`` payload of DictFiles (docs/lexicon-binary.md)."""
     analysis_ids = {}  # (lemma, gram_code, sem_traits, flex_codes) -> analysis id
     masks = []         # analysis id -> role bits
     simple = {}        # form -> analysis id, or a set of ids once it has two
@@ -352,68 +363,66 @@ def compile_lexicon(dicts: list[DictFile]) -> Lexicon:
         raise EmptyLexicon("no entries to compile")
 
     sorted_forms = sorted(simple)
-    forms = _ragged(
-        (held,) if type(held) is int else sorted(held)
-        for held in map(simple.__getitem__, sorted_forms)
-    )
-    states, n_transitions = _build_dafsa(sorted_forms)
+    # by rank, each form's analysis count, and its ids back to back
+    form_counts, form_ids = array(_U32), array(_U32)
+    for held in map(simple.__getitem__, sorted_forms):
+        if type(held) is int:
+            form_counts.append(1)
+            form_ids.append(held)
+        else:
+            form_counts.append(len(held))
+            form_ids.extend(sorted(held))
+    finals, edge_counts, chars, targets = _build_dafsa(sorted_forms)
     folded_count = _folded_count(
         chain(sorted_forms, compounds), lambda f: f in simple or f in compounds
     )
-
     fold_extra = {}
     for form in sorted_forms:
         key = fold_key(form)
         if key != form:
             fold_extra.setdefault(key, []).append(form)
-    fold_extra = {k: tuple(v) for k, v in fold_extra.items()}
+    fold_keys = sorted(fold_extra)
+    fold_forms = list(map(fold_extra.get, fold_keys))
 
-    # the string table, numbered in order of first use in the order
-    # save_lexicon writes the columns that hold string ids
+    # the string table, numbered in order of first use in column order
     strings = {}
 
     def string_ids(texts):
-        return array(_U32, [strings.setdefault(t, len(strings)) for t in texts])
+        return _column(_U32, (strings.setdefault(t, len(strings)) for t in texts))
 
-    analyses = (
+    sections = [
         string_ids(key[0] for key in analysis_ids),
         string_ids(key[1] for key in analysis_ids),
         string_ids("+".join(key[2]) for key in analysis_ids),
         string_ids(":".join(key[3]) for key in analysis_ids),
+        _column("B", masks),
+        _column("B", finals),
+        _column(_U32, edge_counts),
+        _column(_U32, chars),
+        _column(_U32, targets),
+        _column(_U32, form_counts),
+        _column(_U32, form_ids),
+        string_ids(compounds),
+        _column(_U32, map(len, compounds.values())),
+        _column(_U32, chain.from_iterable(compounds.values())),
+        string_ids(fold_keys),
+        _column(_U32, map(len, fold_forms)),
+        string_ids(chain.from_iterable(fold_forms)),
+    ]
+    text = "".join(strings).encode("utf-8")
+    header = _HEADER.pack(
+        entry_count,
+        len(sorted_forms),
+        folded_count,
+        len(finals),
+        len(targets),
+        len(masks),
+        len(compounds),
+        len(fold_keys),
+        len(strings),
+        len(text),
     )
-    fold_keys = sorted(fold_extra)
-    string_ids(chain(compounds, fold_keys, chain.from_iterable(map(fold_extra.get, fold_keys))))
-
-    stats = LexiconStats(
-        entry_count=entry_count,
-        unique_form_count=len(sorted_forms) + len(compounds),
-        unique_form_count_folded=folded_count,
-        state_count=len(states),
-        transition_count=n_transitions,
-        analysis_count=len(masks),
-        compound_count=len(compounds),
-    )
-    return Lexicon(
-        states,
-        list(strings),
-        analyses,
-        array("B", masks),
-        forms,
-        (list(compounds), *_ragged(compounds.values())),
-        fold_extra,
-        stats,
-    )
-
-
-def _ragged(lists):
-    """``(offsets, items)``: the lists' items back to back, and where each
-    list starts, so that list i is ``items[offsets[i] : offsets[i + 1]]``."""
-    items = array(_U32)
-    offsets = array(_U32, [0])
-    for ids in lists:
-        items.extend(ids)
-        offsets.append(len(items))
-    return offsets, items
+    return b"".join([header, _column(_U32, map(len, strings)), text, *sections])
 
 
 def _folded_count(forms, is_form) -> int:
@@ -435,9 +444,9 @@ def _folded_count(forms, is_form) -> int:
 def _build_dafsa(sorted_forms):
     """Minimal acyclic automaton over a sorted list of unique keys.
 
-    Returns (states, transition_count), the states as :func:`_states`
-    gives them: state 0 is the root, and summing the index offsets along
-    a word's path gives its rank in the sorted key set.
+    Returns its columns ``(finals, edge_counts, chars, targets)`` as
+    :func:`_states` reads them: state 0 is the root, and each state's
+    edges are in code-point order.
     """
     # A state is registered once no later word can change it: the register
     # maps its key, (final, ((char, state id), ...)), to its id.  ``path``
@@ -500,7 +509,7 @@ def _build_dafsa(sorted_forms):
         for ch, child in edges:
             chars.append(ord(ch))
             targets.append(number[child])
-    return _states(finals, edge_counts, chars, targets, len(sorted_forms)), len(targets)
+    return finals, edge_counts, chars, targets
 
 
 def _states(finals, edge_counts, chars, targets, n_forms):
@@ -569,72 +578,23 @@ _U32 = next(code for code in "IL" if array(code).itemsize == 4)
 _SWAP = sys.byteorder == "big"
 
 
-def _column(typecode, values) -> bytes:
-    col = array(typecode, values)
+def _column(typecode, values) -> array:
+    """The values as a little-endian column, ready to be joined; an array
+    of ``typecode`` is taken as it is, not copied."""
+    col = values if type(values) is array else array(typecode, values)
     if _SWAP:
         col.byteswap()
-    return col.tobytes()
+    return col
 
 
 def save_lexicon(lex: Lexicon, path) -> None:
-    """Write the versioned, checksummed binary form (docs/lexicon-binary.md)."""
-    strings = lex._strings
-    # compound forms and fold-extra strings are held as text; the table
-    # holds each string once
-    string_id = {text: i for i, text in enumerate(strings)}.__getitem__
-    sections = [
-        *(_column(_U32, ids) for ids in (lex._lemmas, lex._grams, lex._traits, lex._flexes)),
-        _column("B", lex._masks),
-    ]
-    finals, edge_counts, chars, targets = [], [], [], []
-    for final, edges in lex._states:
-        finals.append(final)
-        edge_counts.append(len(edges))
-        for ch in sorted(edges):
-            chars.append(ord(ch))
-            targets.append(edges[ch][0])
-    sections += [
-        _column("B", finals),
-        _column(_U32, edge_counts),
-        _column(_U32, chars),
-        _column(_U32, targets),
-    ]
-    form_offsets = lex._form_offsets
-    compound_offsets = lex._compound_offsets
-    fold_keys = sorted(lex._fold_extra)
-    fold_forms = [lex._fold_extra[key] for key in fold_keys]
-    sections += [
-        _column(_U32, map(sub, form_offsets[1:], form_offsets)),
-        _column(_U32, lex._form_ids),
-        _column(_U32, map(string_id, lex._compound_forms)),
-        _column(_U32, map(sub, compound_offsets[1:], compound_offsets)),
-        _column(_U32, lex._compound_ids),
-        _column(_U32, map(string_id, fold_keys)),
-        _column(_U32, map(len, fold_forms)),
-        _column(_U32, map(string_id, chain.from_iterable(fold_forms))),
-    ]
-    text = "".join(strings).encode("utf-8")
-    s = lex.stats
-    header = _HEADER.pack(
-        s.entry_count,
-        len(form_offsets) - 1,
-        s.unique_form_count_folded,
-        len(lex._states),
-        len(targets),
-        len(lex._masks),
-        len(lex._compound_forms),
-        len(fold_keys),
-        len(strings),
-        len(text),
-    )
-    raw = b"".join([header, _column(_U32, map(len, strings)), text, *sections])
-
-    payload = zlib.compress(raw, 6)
-    digest = hashlib.sha256(payload).digest()
+    """Write the versioned, checksummed binary form (docs/lexicon-binary.md)
+    around the payload the lexicon was read from."""
+    payload = lex._payload
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<HQ", _FORMAT_VERSION, len(payload)))
-        fh.write(digest)
+        fh.write(hashlib.sha256(payload).digest())
         fh.write(payload)
 
 
@@ -642,7 +602,7 @@ def load_lexicon(path) -> Lexicon:
     """Inverse of :func:`save_lexicon`.
 
     Raises CorruptFile for a file whose payload, checksum aside, is not
-    one :func:`save_lexicon` writes, so that no broken file fails later
+    one :func:`compile_lexicon` packs, so that no broken file fails later
     in a lookup; and FormatVersionMismatch for any other format version.
     """
     data = Path(path).read_bytes()
@@ -665,12 +625,14 @@ def load_lexicon(path) -> Lexicon:
     except zlib.error as exc:
         raise CorruptFile(f"{path}: {exc}") from None
     try:
-        return _read_payload(raw)
+        return _read_payload(raw, payload)
     except CorruptFile as exc:
         raise CorruptFile(f"{path}: {exc}") from None
 
 
-def _read_payload(raw) -> Lexicon:
+def _read_payload(raw, payload) -> Lexicon:
+    """The Lexicon read from ``raw``, an uncompressed payload; it keeps
+    ``payload``, the same payload compressed, for :func:`save_lexicon`."""
     if len(raw) < _HEADER.size:
         raise CorruptFile("unexpected end of payload")
     (
@@ -780,6 +742,7 @@ def _read_payload(raw) -> Lexicon:
         (compounds, _offsets(compound_counts), compound_ids),
         fold_extra,
         stats,
+        payload,
     )
 
 

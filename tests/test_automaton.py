@@ -359,6 +359,21 @@ class TestSaveLoad:
             save_lexicon(compile_lexicon(dicts), tmp_path / f"lex{i}.bin")
         assert (tmp_path / "lex1.bin").read_bytes() == (tmp_path / "lex2.bin").read_bytes()
 
+    @pytest.mark.parametrize("name", ["neymar", "compounds"])
+    def test_build_matches_golden_file(self, fixtures_dir, tmp_path, name):
+        # the committed .lex files pin format v4 byte for byte
+        from lexcov.delaf import load_dict_file
+
+        path = tmp_path / f"{name}.lex"
+        save_lexicon(compile_lexicon([load_dict_file(fixtures_dir / f"{name}.dic")]), path)
+        assert path.read_bytes() == (fixtures_dir / f"{name}.lex").read_bytes()
+
+    def test_broken_pack_fails_at_compile(self, monkeypatch):
+        pack = automaton._pack
+        monkeypatch.setattr(automaton, "_pack", lambda dicts: pack(dicts) + b"\0")
+        with pytest.raises(CorruptFile, match="1 unread bytes"):
+            lex_from_lines(["zê,.N"])
+
     def test_build_is_byte_identical_across_hash_seeds(self, fixtures_dir, tmp_path):
         # the string table's order must not follow set or hash order
         src = Path(automaton.__file__).parents[1]
@@ -476,16 +491,27 @@ def replace_once(old, new):
 Z_LABEL = struct.pack("<I", ord("z"))
 
 
+def put(raw, where, item):
+    """``raw`` with the bytes ``item`` written at byte ``where(header)``."""
+    at = where(automaton._HEADER.unpack_from(raw))
+    return raw[:at] + item + raw[at + len(item) :]
+
+
+def u32(value):
+    return struct.pack("<I", value)
+
+
 def set_u32(where, value):
     """Overwrite the u32 at byte ``where(header)`` of the payload."""
 
     def edit(raw):
-        at = where(automaton._HEADER.unpack_from(raw))
-        return raw[:at] + struct.pack("<I", value) + raw[at + 4 :]
+        return put(raw, where, u32(value))
 
     return edit
 
 
+# the header's state count is its fourth u64
+STATE_COUNT = lambda header: 24
 # the string table's length column follows the header; the first analysis's
 # lemma id follows the string table, whose count and byte size end the header
 FIRST_LENGTH = lambda header: automaton._HEADER.size
@@ -493,31 +519,34 @@ FIRST_LEMMA = lambda header: automaton._HEADER.size + 4 * header[-2] + header[-1
 # the traits and flex codes columns follow the A lemma and A code ids
 FIRST_TRAITS = lambda header: FIRST_LEMMA(header) + 8 * header[5]
 FIRST_FLEXES = lambda header: FIRST_LEMMA(header) + 12 * header[5]
+# the states' u8 final flags follow the analyses (A rows of 4 u32 and a u8)
+FIRST_FINAL = lambda header: FIRST_LEMMA(header) + 17 * header[5]
 # the root's first edge target opens the target column, which follows the
-# analyses (A rows of 4 u32 and a u8), the states' u8 final flags and u32 edge
-# counts (S each), and the T u32 code points
-ROOT_TARGET = lambda header: (
-    FIRST_LEMMA(header) + 17 * header[5] + 5 * header[3] + 4 * header[4]
-)
+# final flags and u32 edge counts (S each), and the T u32 code points
+ROOT_TARGET = lambda header: FIRST_FINAL(header) + 5 * header[3] + 4 * header[4]
+# the F u32 form counts follow the T targets, then the forms' analysis ids
+FIRST_FORM_ID = lambda header: ROOT_TARGET(header) + 4 * header[4] + 4 * header[1]
+# with one analysis per form, the F form ids end where the C compound form
+# ids start; the C compound counts follow, then the compounds' analysis ids
+FIRST_COMPOUND = lambda header: FIRST_FORM_ID(header) + 4 * header[1]
+FIRST_COMPOUND_ID = lambda header: FIRST_COMPOUND(header) + 8 * header[6]
 
 
 class TestBrokenPayload:
-    """Payloads that pass the checksum but that save_lexicon never writes."""
+    """Payloads that pass the checksum but that compile_lexicon never packs."""
 
     @pytest.fixture
     def saved(self, tmp_path):
-        def save(break_lexicon=lambda lex: None):
-            lex = lex_from_lines(["zê,.N", "zê ca,.ADV"])
-            break_lexicon(lex)
-            path = tmp_path / "broken.lex"
-            save_lexicon(lex, path)
-            return path
-
-        return save
+        # "zê" is state 0 -z-> state 1 -ê-> state 2; analyses 0 (N) and 1
+        # (ADV); strings "zê", "zê ca", "N", "ADV" and "" are ids 0 to 4
+        path = tmp_path / "broken.lex"
+        save_lexicon(lex_from_lines(["zê,.N", "zê ca,.ADV"]), path)
+        return path
 
     @pytest.mark.parametrize(
         "edit, message",
         [
+            # an edge whose target is not a state
             (set_u32(ROOT_TARGET, 999), "edge to state 999"),
             (replace_once(Z_LABEL, struct.pack("<I", 0x110000)), "code point 0x110000"),
             (replace_once(Z_LABEL, struct.pack("<I", 0xFFFFFFFF)), "code point 0xffffffff"),
@@ -538,33 +567,33 @@ class TestBrokenPayload:
         ],
     )
     def test_resigned_payload_is_corrupt(self, saved, edit, message):
-        path = saved()
+        self.check(saved, edit, message)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda raw: put(raw, STATE_COUNT, bytes(8)), "no root state"),
+            # the edge from state 1 now leads back to the root
+            (lambda raw: put(raw, lambda h: ROOT_TARGET(h) + 4, u32(0)), "cycle through state"),
+            # state 1 is now final: the automaton accepts "z" too
+            (
+                lambda raw: put(raw, lambda h: FIRST_FINAL(h) + 1, b"\1"),
+                "the automaton's form count is 2, the form table's 1",
+            ),
+            (lambda raw: put(raw, FIRST_FORM_ID, u32(7)), "analysis id 7, but there are 2"),
+            (lambda raw: put(raw, FIRST_COMPOUND_ID, u32(2)), "analysis id 2, but there are 2"),
+            # compounds are tokenized only when a match reaches them, but
+            # an empty form fails at load
+            (lambda raw: put(raw, FIRST_COMPOUND, u32(4)), "compound '' has no tokens"),
+        ],
+    )
+    def test_saved_broken_lexicon_is_corrupt(self, saved, edit, message):
+        # the automaton's and the analysis tables' checks
+        self.check(saved, edit, message)
+
+    @staticmethod
+    def check(path, edit, message):
         load_lexicon(path)
         resign(path, edit)
         with pytest.raises(CorruptFile, match=message):
             load_lexicon(path)
-
-    @pytest.mark.parametrize(
-        "break_lexicon, message",
-        [
-            (lambda lex: lex._states.clear(), "no root state"),
-            (lambda lex: lex._states[0][1].update(z=(999, 0)), "edge to state 999"),
-            # an edge from state 1 back to the root
-            (lambda lex: lex._states[1][1].update(x=(0, 1)), "cycle through state"),
-            (
-                lambda lex: (lex._form_ids.append(0), lex._form_offsets.append(len(lex._form_ids))),
-                "the automaton's form count is 1, the form table's 2",
-            ),
-            (lambda lex: lex._form_ids.__setitem__(0, 7), "analysis id 7, but there are 2"),
-            (
-                lambda lex: (lex._compound_ids.append(2), lex._compound_offsets.__setitem__(1, 2)),
-                "analysis id 2, but there are 2",
-            ),
-            # compounds are tokenized only when a match reaches them, but
-            # an empty form fails at load
-            (lambda lex: lex._compound_forms.__setitem__(0, ""), "compound '' has no tokens"),
-        ],
-    )
-    def test_saved_broken_lexicon_is_corrupt(self, saved, break_lexicon, message):
-        with pytest.raises(CorruptFile, match=message):
-            load_lexicon(saved(break_lexicon))

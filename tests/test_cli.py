@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from lexcov.automaton import CaseFoldPolicy, load_lexicon, save_lexicon
+from lexcov.automaton import CaseFoldPolicy, load_lexicon
 from lexcov.cli import main
 from lexcov.coverage import diff_dictionaries
 from lexcov.delaf import load_dict_file
@@ -21,6 +21,7 @@ from lexcov.dico import (
 from lexcov.preprocess import normalize_delimiters, segment_sentences, tokenize
 
 from oracles import oracle_annotations_tsv
+from test_automaton import ROOT_TARGET, resign, set_u32
 
 
 def run_cli(capsys, *argv):
@@ -453,27 +454,15 @@ class TestExitCodes:
             assert f"format version {version}, expected 4" in stderr
             assert "re-run `lexcov compile`" in stderr
 
-    @staticmethod
-    def apply_broken(neymar_bin, tmp_path, capsys, break_lexicon):
-        """Exit code and stderr of apply with a lexicon broken before it
-        is saved, so that its checksum is valid."""
-        lex = load_lexicon(neymar_bin)
-        break_lexicon(lex)
-        save_lexicon(lex, neymar_bin)
+    def test_resigned_broken_payload(self, neymar_bin, tmp_path, capsys):
+        # the root's first edge leads to a state that does not exist, and
+        # the file's checksum is valid
+        resign(neymar_bin, set_u32(ROOT_TARGET, 999))
         corpus = tmp_path / "c.txt"
         corpus.write_text("O time venceu.\n", encoding="utf-8")
-        return run_cli(
+        code, _, stderr = run_cli(
             capsys, "apply", str(corpus), "-l", str(neymar_bin), "-o", str(tmp_path / "run")
         )
-
-    def test_resigned_broken_payload(self, neymar_bin, tmp_path, capsys):
-        # the root's edge "a" (to state 6, offset 0) leads to a state that
-        # does not exist
-        def break_lexicon(lex):
-            assert lex._states[0][1]["a"] == (6, 0)
-            lex._states[0][1]["a"] = (999, 0)
-
-        code, _, stderr = self.apply_broken(neymar_bin, tmp_path, capsys, break_lexicon)
         assert code == 2
         assert "edge to state 999" in stderr
 
