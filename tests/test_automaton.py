@@ -573,6 +573,8 @@ class TestBrokenPayload:
         "edit, message",
         [
             (lambda raw: put(raw, STATE_COUNT, bytes(8)), "no root state"),
+            # the edge from state 1 now leads past the last state
+            (lambda raw: put(raw, lambda h: ROOT_TARGET(h) + 4, u32(999)), "edge to state 999"),
             # the edge from state 1 now leads back to the root
             (lambda raw: put(raw, lambda h: ROOT_TARGET(h) + 4, u32(0)), "cycle through state"),
             # state 1 is now final: the automaton accepts "z" too
