@@ -17,10 +17,8 @@ import sys
 import zlib
 from array import array
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, islice
-from pathlib import Path
 
 from .delaf import DictEntry, DictFile, RoleTag
 from .errors import CorruptFile, EmptyLexicon, FormatVersionMismatch
@@ -42,15 +40,16 @@ class Analysis(namedtuple("Analysis", "lemma gram_code sem_traits flex_codes")):
     __slots__ = ()
 
 
-@dataclass
-class LexiconStats:
-    entry_count: int
-    unique_form_count: int
-    unique_form_count_folded: int
-    state_count: int
-    transition_count: int
-    analysis_count: int
-    compound_count: int
+class LexiconStats(
+    namedtuple(
+        "LexiconStats",
+        "entry_count unique_form_count unique_form_count_folded state_count"
+        " transition_count analysis_count compound_count",
+    )
+):
+    """A lexicon's sizes, as :func:`compile_lexicon` reports them."""
+
+    __slots__ = ()
 
 
 _ROLE_BITS = {RoleTag.GENERAL: 1, RoleTag.ABBREVIATIONS_ACRONYMS: 2, RoleTag.USER: 4}
@@ -605,7 +604,8 @@ def load_lexicon(path) -> Lexicon:
     one :func:`compile_lexicon` packs, so that no broken file fails later
     in a lookup; and FormatVersionMismatch for any other format version.
     """
-    data = Path(path).read_bytes()
+    with open(path, "rb") as fh:
+        data = fh.read()
     if len(data) < 4 + 10 + 32 or data[:4] != _MAGIC:
         raise CorruptFile(f"{path}: not a lexicon file")
     version, payload_len = struct.unpack_from("<HQ", data, 4)

@@ -8,7 +8,7 @@ the winner can be audited; thresholds live in ClassifierConfig.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from collections import Counter, namedtuple
 
 from .automaton import Lexicon
 from .dico import DicoResult, TokenStatus
@@ -51,16 +51,18 @@ DEFAULT_FOREIGN_EXCEPTIONS = frozenset(
 )
 
 
-@dataclass
-class CasingProfile:
-    """How a form's occurrences were written in the source text."""
+class CasingProfile(
+    namedtuple(
+        "CasingProfile",
+        "all_lower capitalized all_upper mixed non_initial non_initial_cap",
+        defaults=(0,) * 6,
+    )
+):
+    """How a form's occurrences were written in the source text; of them,
+    ``non_initial`` were not sentence-initial, ``non_initial_cap`` of
+    those capitalized."""
 
-    all_lower: int = 0
-    capitalized: int = 0
-    all_upper: int = 0
-    mixed: int = 0
-    non_initial: int = 0       # occurrences not in sentence-initial position
-    non_initial_cap: int = 0   # of those, how many were capitalized
+    __slots__ = ()
 
     @property
     def total(self) -> int:
@@ -74,36 +76,59 @@ class CasingProfile:
         return self.non_initial_cap / self.non_initial if self.non_initial else 0.0
 
 
-@dataclass
-class UnknownRecord:
-    form: str                  # casefolded
-    frequency: int
-    profile: CasingProfile
-    category: Category | None = None
-    winning_rule: str | None = None
-    firing_rules: tuple[str, ...] = ()
-    evidence: list[tuple[str, str]] = field(default_factory=list)
+class UnknownRecord(
+    namedtuple(
+        "UnknownRecord",
+        "form frequency profile category winning_rule firing_rules evidence",
+        defaults=(None, None, (), None),
+    )
+):
+    """A casefolded unknown form, its frequency and CasingProfile;
+    :func:`classify` fills in the rest.  ``evidence``, a list of (rule,
+    detail) pairs, defaults to a new empty one."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        return self if self.evidence is not None else self._replace(evidence=[])
 
 
-@dataclass
-class ClassifierConfig:
-    precedence: tuple[str, ...] = DEFAULT_PRECEDENCE
-    acr_min_len: int = 2
-    acr_max_len: int = 6
-    upper_ratio: float = 0.9
-    prop_ratio: float = 0.9
-    typo_min_form_len: int = 5
-    typo_split_min_part: int = 2
-    noun_ratio: float = 0.9
-    noun_min_len: int = 4
-    acronyms: frozenset = frozenset()
-    foreign_bigrams: tuple[str, ...] = DEFAULT_FOREIGN_BIGRAMS
-    foreign_exceptions: frozenset = DEFAULT_FOREIGN_EXCEPTIONS
+# each setting of the classifier, with its default
+_CONFIG_DEFAULTS = {
+    "precedence": DEFAULT_PRECEDENCE,
+    "acr_min_len": 2,
+    "acr_max_len": 6,
+    "upper_ratio": 0.9,
+    "prop_ratio": 0.9,
+    "typo_min_form_len": 5,
+    "typo_split_min_part": 2,
+    "noun_ratio": 0.9,
+    "noun_min_len": 4,
+    "acronyms": frozenset(),
+    "foreign_bigrams": DEFAULT_FOREIGN_BIGRAMS,
+    "foreign_exceptions": DEFAULT_FOREIGN_EXCEPTIONS,
+}
 
-    def __post_init__(self):
+
+class ClassifierConfig(
+    namedtuple("ClassifierConfig", _CONFIG_DEFAULTS, defaults=_CONFIG_DEFAULTS.values())
+):
+    """The classifier's thresholds and word lists (docs/classifier.md);
+    an unknown rule id in ``precedence`` raises ConfigError."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for rule in self.precedence:
             if rule not in RULE_CATEGORY:
                 raise ConfigError(f"unknown rule id in precedence list: {rule!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def _casing_class(text: str) -> str:
@@ -118,20 +143,20 @@ def _casing_class(text: str) -> str:
 
 def build_unknown_records(dico: DicoResult) -> list[UnknownRecord]:
     """Group a run's unknown token occurrences into per-form records."""
-    profiles: dict[str, CasingProfile] = {}
+    counts: dict[str, Counter] = {}  # form -> its CasingProfile's fields
     for (text, status, initial), n in dico.word_counts.items():
         if status is not TokenStatus.UNKNOWN:
             continue
-        prof = profiles.setdefault(text.casefold(), CasingProfile())
-        cls = _casing_class(text)
-        setattr(prof, cls, getattr(prof, cls) + n)
+        fields = counts.setdefault(text.casefold(), Counter())
+        fields[_casing_class(text)] += n
         if not initial:
-            prof.non_initial += n
+            fields["non_initial"] += n
             if text[0].isupper():
-                prof.non_initial_cap += n
+                fields["non_initial_cap"] += n
+    profiles = ((form, CasingProfile(**fields)) for form, fields in sorted(counts.items()))
     return [
         UnknownRecord(form=form, frequency=prof.total, profile=prof)
-        for form, prof in sorted(profiles.items())
+        for form, prof in profiles
     ]
 
 
@@ -174,8 +199,7 @@ def classify(
             winner = None
             category = Category.OTHER
         out.append(
-            replace(
-                record,
+            record._replace(
                 category=category,
                 winning_rule=winner,
                 firing_rules=tuple(fired),

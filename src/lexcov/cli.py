@@ -7,13 +7,12 @@ Run manifests (run.json) honor SOURCE_DATE_EPOCH for reproducible trees.
 from __future__ import annotations
 
 import argparse
-import datetime
 import glob
 import hashlib
 import json
 import os
 import sys
-from pathlib import Path
+import time
 
 from . import __version__
 from .automaton import CaseFoldPolicy, compile_lexicon, load_lexicon, save_lexicon
@@ -57,17 +56,20 @@ _POLICIES = {p.value: p for p in CaseFoldPolicy}
 
 
 def _sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _timestamp() -> str:
+    """Now, or SOURCE_DATE_EPOCH when it is set, in ISO 8601 UTC."""
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    moment = (
-        datetime.datetime.fromtimestamp(int(epoch), datetime.timezone.utc)
-        if epoch
-        else datetime.datetime.now(datetime.timezone.utc)
-    )
-    return moment.strftime("%Y-%m-%dT%H:%M:%SZ")
+    try:
+        moment = time.gmtime(int(epoch) if epoch else None)
+    except (ValueError, OverflowError, OSError):
+        moment = None
+    if moment is None or not 1 <= moment.tm_year <= 9999:
+        raise LexcovError(f"SOURCE_DATE_EPOCH {epoch!r}: expected whole seconds since 1970")
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", moment)
 
 
 def _expand_corpus(patterns) -> list[str]:
@@ -79,7 +81,8 @@ def _expand_corpus(patterns) -> list[str]:
 
 
 def _preprocess_file(path, abbrevs, replacements, digests):
-    data = Path(path).read_bytes()
+    with open(path, "rb") as fh:
+        data = fh.read()
     digests[path] = hashlib.sha256(data).hexdigest()
     # normalizing turns \r\n and \r into \n, as reading in text mode would
     text = normalize_delimiters(data.decode("utf-8"))
@@ -131,21 +134,21 @@ def cmd_compile(args) -> int:
 
 def cmd_apply(args) -> int:
     policy = _POLICIES[args.case_policy]
-    outdir = Path(args.output)
+    created = _timestamp()  # checked before the run directory is made
     # annotations.tsv replaces an earlier run's only once the whole corpus
     # is applied
-    with open_annotations(outdir) as sink:
+    with open_annotations(args.output) as sink:
         inputs, result = _apply_corpus(
             args.corpus, args.lexicon, policy, args.abbrev, args.replacements, sink
         )
-        write_outputs(result, outdir)
+        write_outputs(result, args.output)
     counts = result.status_counts()
     manifest = {
         "tool": "lexcov",
         "version": __version__,
         "command": ["apply"] + args.corpus,
-        "created": _timestamp(),
-        "corpus_id": ",".join(Path(p).name for p, _ in inputs),
+        "created": created,
+        "corpus_id": ",".join(os.path.basename(p) for p, _ in inputs),
         "policy": policy.value,
         "inputs": [{"path": str(p), "sha256": digest} for p, digest in inputs],
         "lexicons": [{"path": str(p), "sha256": _sha256(p)} for p in args.lexicon],
@@ -159,10 +162,8 @@ def cmd_apply(args) -> int:
             "err_forms": len(result.err),
         },
     }
-    (outdir / "run.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    with open(os.path.join(args.output, "run.json"), "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
     return 0
 
 
@@ -176,18 +177,18 @@ def _required(mapping, key, where):
 
 
 def _report_from_run(run_dir, fold_mode):
-    run_dir = Path(run_dir)
-    manifest_path = run_dir / "run.json"
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest_path = os.path.join(run_dir, "run.json")
+    with open(manifest_path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
     policy = _required(manifest, "policy", manifest_path)
     if not isinstance(policy, str) or policy not in _POLICIES:
         raise MalformedManifest(
             f"{manifest_path}: key 'policy' holds an unknown case policy {policy!r}"
         )
-    word_counts = read_annotations(run_dir / "annotations.tsv")
+    word_counts = read_annotations(os.path.join(run_dir, "annotations.tsv"))
     dico = DicoResult(policy=_POLICIES[policy], word_counts=word_counts)
     dict_id = ",".join(
-        Path(_required(lex, "path", f"{manifest_path}, lexicons")).name
+        os.path.basename(_required(lex, "path", f"{manifest_path}, lexicons"))
         for lex in manifest.get("lexicons", [])
     )
     return coverage_from_dico(dico, fold_mode, manifest.get("corpus_id", ""), dict_id)
@@ -198,7 +199,8 @@ def cmd_coverage(args) -> int:
     reports = []
     deltas = []
     if args.counts:
-        rows = json.loads(Path(args.counts).read_text(encoding="utf-8"))
+        with open(args.counts, encoding="utf-8") as fh:
+            rows = json.load(fh)
         for number, row in enumerate(rows, 1):
             where = f"{args.counts}, row {number}"
             counts = [
@@ -221,8 +223,8 @@ def cmd_coverage(args) -> int:
             coverage_from_dico(
                 dico,
                 fold_mode,
-                corpus_id=",".join(Path(p).name for p, _ in inputs),
-                dict_id=",".join(Path(p).name for p in args.lexicon),
+                corpus_id=",".join(os.path.basename(p) for p, _ in inputs),
+                dict_id=",".join(os.path.basename(p) for p in args.lexicon),
             )
         )
 
@@ -253,15 +255,14 @@ def cmd_coverage(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    run_dir = Path(args.run_dir)
-    word_counts = read_annotations(run_dir / "annotations.tsv")
+    word_counts = read_annotations(os.path.join(args.run_dir, "annotations.tsv"))
     dico = DicoResult(policy=CaseFoldPolicy.UNITEX_LIKE, word_counts=word_counts)
     records = build_unknown_records(dico)
     lex_new = load_lexicon(args.lexicon)
     lex_old = load_lexicon(args.old) if args.old else None
     config = load_classifier_config(args.config) if args.config else ClassifierConfig()
     classified = classify(records, lex_new, lex_old, config)
-    out_path = Path(args.output) if args.output else run_dir / "classification.tsv"
+    out_path = args.output or os.path.join(args.run_dir, "classification.tsv")
     write_classification_tsv(classified, out_path)
     print(json.dumps(category_histogram(classified), indent=2, sort_keys=True))
     return 0

@@ -6,7 +6,7 @@ matching how the coverage tables are conventionally printed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import ROUND_HALF_UP, Decimal
 
 from .delaf import DictFile
@@ -23,14 +23,16 @@ def pct(part: int, total: int) -> Decimal:
     return (Decimal(part) * 100 / Decimal(total)).quantize(_TWO_PLACES, ROUND_HALF_UP)
 
 
-@dataclass
-class CoverageReport:
-    corpus_id: str
-    dict_id: str
-    types_total: int
-    types_unknown: int
-    tokens_total: int
-    tokens_unknown: int
+class CoverageReport(
+    namedtuple(
+        "CoverageReport",
+        "corpus_id dict_id types_total types_unknown tokens_total tokens_unknown",
+    )
+):
+    """The types and tokens of a corpus, and how many of each no
+    dictionary entry covers."""
+
+    __slots__ = ()
 
     @property
     def pct_types_unknown(self) -> Decimal:
@@ -87,14 +89,12 @@ def coverage_from_dico(
     )
 
 
-@dataclass
-class VersionDelta:
+class VersionDelta(namedtuple("VersionDelta", "corpus_id delta_types_pp delta_tokens_pp")):
     """Improvement from an old to a new dictionary version, in percentage
-    points of unknown types/tokens (positive means the new one covers more)."""
+    points of unknown types/tokens (positive means the new one covers more),
+    as Decimals."""
 
-    corpus_id: str
-    delta_types_pp: Decimal
-    delta_tokens_pp: Decimal
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -120,12 +120,11 @@ def mean_delta(deltas: list[Decimal]) -> Decimal:
     return (sum(deltas) / len(deltas)).quantize(_TWO_PLACES, ROUND_HALF_UP)
 
 
-@dataclass
-class DictDiff:
-    only_in_a: list[str]
-    only_in_b: list[str]
-    common: int
-    fold_mode: str
+class DictDiff(namedtuple("DictDiff", "only_in_a only_in_b common fold_mode")):
+    """The sorted forms only in version A and only in version B, and how
+    many both have, under a fold mode."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {

@@ -12,10 +12,9 @@ The normative format description lives in docs/delaf-format.md.
 from __future__ import annotations
 
 import enum
+import os
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
-from pathlib import Path
+from collections.abc import Iterator
 
 from .errors import MalformedEntry
 
@@ -56,16 +55,17 @@ class DictEntry(namedtuple("DictEntry", "surface_form lemma gram_code sem_traits
         return " " in self.surface_form
 
 
-@dataclass
-class DictFile:
+class DictFile(
+    namedtuple("DictFile", "entries role_tag path", defaults=(RoleTag.GENERAL, None))
+):
     """An ordered collection of entries loaded from one DELAF file.
 
-    :func:`load_dict_file` gives a list; a reader that needs one pass,
-    such as the compiler, may hold :func:`iter_dict_entries` instead."""
+    ``entries`` is an iterable of :class:`DictEntry`: :func:`load_dict_file`
+    gives a list; a reader that needs one pass, such as the compiler, may
+    hold :func:`iter_dict_entries` instead.  ``role_tag`` is a
+    :class:`RoleTag` and ``path`` the file's path, or None."""
 
-    entries: Iterable[DictEntry]
-    role_tag: RoleTag = RoleTag.GENERAL
-    path: str | None = None
+    __slots__ = ()
 
 
 def _escape(text: str) -> str:
@@ -149,7 +149,7 @@ def serialize_entry(entry: DictEntry) -> str:
     return line
 
 
-def iter_dict_entries(path: str | Path) -> Iterator[DictEntry]:
+def iter_dict_entries(path: str | os.PathLike) -> Iterator[DictEntry]:
     """The entries of a DELAF text file, read line by line, in file order.
 
     A leading BOM is dropped, lines end at ``\\n`` (a ``\\r`` before it is
@@ -163,15 +163,16 @@ def iter_dict_entries(path: str | Path) -> Iterator[DictEntry]:
                 yield parse_entry(line, line_number)
 
 
-def load_dict_file(path: str | Path, role_tag: RoleTag = RoleTag.GENERAL) -> DictFile:
+def load_dict_file(path: str | os.PathLike, role_tag: RoleTag = RoleTag.GENERAL) -> DictFile:
     """Load a DELAF text file into a DictFile whose entries are a list."""
     return DictFile(entries=list(iter_dict_entries(path)), role_tag=role_tag, path=str(path))
 
 
-def save_dict_file(dict_file: DictFile, path: str | Path) -> None:
+def save_dict_file(dict_file: DictFile, path: str | os.PathLike) -> None:
     """Write a DictFile in canonical form: serialized lines sorted by code point."""
     lines = sorted(serialize_entry(e) for e in dict_file.entries)
-    Path(path).write_text("\n".join(lines) + "\n" if lines else "", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n" if lines else "")
 
 
 def canonicalize_line(line: str) -> str:

@@ -3,13 +3,12 @@ words, compound matches, and unknown forms (the dlf/dlc/err outputs)."""
 
 from __future__ import annotations
 
+import os
 from collections import Counter, namedtuple
 from collections.abc import Callable, Iterable
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from contextlib import contextmanager, suppress
 from itertools import compress, count, repeat
 from operator import is_
-from pathlib import Path
 
 from .automaton import CaseFoldPolicy, Lexicon, fold_key
 from .delaf import DictEntry, serialize_entry
@@ -25,14 +24,17 @@ class TokenStatus(_StrEnum):
     UNKNOWN = "unknown"
 
 
-@dataclass
-class TokenAnnotation:
-    text: str
-    kind: TokenKind
-    sentence_index: int
-    sentence_initial: bool
-    status: TokenStatus | None          # None for number/punct/space tokens
-    analyses: tuple[DictEntry, ...] = ()
+class TokenAnnotation(
+    namedtuple(
+        "TokenAnnotation",
+        "text kind sentence_index sentence_initial status analyses",
+        defaults=((),),
+    )
+):
+    """A token's text, kind, sentence index and flag, its status (None
+    for a number, punct or space token) and its analyses."""
+
+    __slots__ = ()
 
 
 class AnnotatedStream(
@@ -77,17 +79,24 @@ def token_annotations(annotated: AnnotatedStream) -> list[TokenAnnotation]:
     return out
 
 
-@dataclass
-class DicoResult:
-    policy: CaseFoldPolicy
-    dlf: set[DictEntry] = field(default_factory=set)
-    dlc: dict[DictEntry, int] = field(default_factory=dict)
-    # word tokens counted by (text, status, sentence_initial): every
-    # per-type measure of a run is read from this one table
-    word_counts: Counter[tuple[str, TokenStatus, bool]] = field(default_factory=Counter)
-    # 1 + the largest sentence index applied (0 before any token): the
-    # offset the next stream's sentence indices start from
-    sentence_count: int = 0
+class DicoResult(namedtuple("DicoResult", "policy dlf dlc word_counts sentence_count")):
+    """The ``dlf`` entry set and ``dlc`` entry counts of a run, and its
+    ``word_counts``: word tokens counted by (text, status,
+    sentence_initial), the one table every per-type measure of a run is
+    read from.  ``sentence_count`` is 1 + the largest sentence index
+    applied (0 before any token).  The tables default to new empty ones."""
+
+    __slots__ = ()
+
+    def __new__(cls, policy, dlf=None, dlc=None, word_counts=None, sentence_count=0):
+        return super().__new__(
+            cls,
+            policy,
+            set() if dlf is None else dlf,
+            {} if dlc is None else dlc,
+            Counter() if word_counts is None else word_counts,
+            sentence_count,
+        )
 
     @property
     def err(self) -> set[str]:
@@ -119,9 +128,9 @@ def apply_dictionaries(
     longest first, left to right, within sentence bounds, no overlaps.
 
     ``streams`` is one TokenStream or an iterable of them, consumed once.
-    All streams fill one result, as if folded with :func:`merge_results`:
-    each stream's sentence indices are shifted by the result's
-    ``sentence_count`` so far, and an empty stream adds none.
+    All streams fill one result: each stream's sentence indices are
+    shifted by the ``sentence_count`` of the streams before it, and an
+    empty stream adds none.
 
     The result keeps word-token counts only.  ``sink``, when given, is
     called once per non-empty stream, in order, with its
@@ -135,7 +144,7 @@ def apply_dictionaries(
         lexicons = [lexicons]
     if isinstance(streams, TokenStream):
         streams = (streams,)
-    result = DicoResult(policy=policy)
+    dlf, dlc, sentence_count = set(), {}, 0
     # a lookup depends only on the text, the policy and the lexicons, all
     # fixed for this call: text -> sorted analyses, () when nothing matches
     analyses_by_text = {}
@@ -152,18 +161,18 @@ def apply_dictionaries(
         kinds, texts = stream.kinds, stream.texts
         if not texts:
             continue
-        offset = result.sentence_count
+        offset = sentence_count
         words = list(compress(texts, map(is_, kinds, repeat(TokenKind.WORD))))
         text_counts.update(words)
         distinct = set(words)
         for text in distinct.difference(analyses_by_text):
             analyses = _lookup_analyses(lexicons, text, policy)
             analyses_by_text[text] = analyses
-            result.dlf.update(analyses)
+            dlf.update(analyses)
         initial = [i for i in stream.initial_positions if kinds[i] is TokenKind.WORD]
         initial_counts.update(texts[i] for i in initial)
         covered = _compound_pass(
-            lexicons, stream, distinct, policy, result.dlc, compound_limit, starters_by_text
+            lexicons, stream, distinct, policy, dlc, compound_limit, starters_by_text
         )
         compound_only = [
             i for i in covered if kinds[i] is TokenKind.WORD and not analyses_by_text[texts[i]]
@@ -173,8 +182,8 @@ def apply_dictionaries(
             compound_only_counts.update((texts[i], i in firsts) for i in compound_only)
         if sink is not None:
             sink(AnnotatedStream(stream, offset, analyses_by_text, compound_only))
-        result.sentence_count = offset + 1 + max(stream.sentence_indices)
-    word_counts = result.word_counts
+        sentence_count = offset + 1 + max(stream.sentence_indices)
+    word_counts = Counter()
     for text, n in text_counts.items():
         known = bool(analyses_by_text[text])
         first = initial_counts.get(text, 0)
@@ -189,7 +198,7 @@ def apply_dictionaries(
                 word_counts[text, TokenStatus.IN_COMPOUND_ONLY, initial] = in_compound
             if m > in_compound:
                 word_counts[text, TokenStatus.UNKNOWN, initial] = m - in_compound
-    return result
+    return DicoResult(policy, dlf, dlc, word_counts, sentence_count)
 
 
 def _compound_pass(lexicons, stream, words, policy, dlc, limit, starters_by_text) -> list[int]:
@@ -257,17 +266,20 @@ def _entries(lex: Lexicon, form: str, ids) -> list[DictEntry]:
 
 def merge_results(a: DicoResult, b: DicoResult) -> DicoResult:
     """Combine results of two disjoint streams processed identically, ``b``
-    after ``a``: the tables add, and ``b``'s sentences follow ``a``'s."""
+    after ``a``: the tables add, and ``b``'s sentences follow ``a``'s.
+    Not exported: the multi-file path is :func:`apply_dictionaries`."""
     if a.policy is not b.policy:
         raise PolicyMismatch(f"{a.policy.value} vs {b.policy.value}")
-    merged = DicoResult(policy=a.policy)
-    merged.dlf = a.dlf | b.dlf
-    merged.dlc = dict(a.dlc)
-    for entry, count in b.dlc.items():
-        merged.dlc[entry] = merged.dlc.get(entry, 0) + count
-    merged.word_counts = a.word_counts + b.word_counts
-    merged.sentence_count = a.sentence_count + b.sentence_count
-    return merged
+    dlc = dict(a.dlc)
+    for entry, n in b.dlc.items():
+        dlc[entry] = dlc.get(entry, 0) + n
+    return DicoResult(
+        a.policy,
+        a.dlf | b.dlf,
+        dlc,
+        a.word_counts + b.word_counts,
+        a.sentence_count + b.sentence_count,
+    )
 
 
 def _analysis_label(entry: DictEntry) -> str:
@@ -283,15 +295,15 @@ def _analysis_label(entry: DictEntry) -> str:
 
 def write_outputs(result: DicoResult, outdir) -> None:
     """Write the dlf/dlc/err sub-dictionaries."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_lines(outdir / "dlf", sorted(serialize_entry(e) for e in result.dlf))
-    _write_lines(outdir / "dlc", sorted(serialize_entry(e) for e in result.dlc))
-    _write_lines(outdir / "err", sorted(result.err))
+    os.makedirs(outdir, exist_ok=True)
+    _write_lines(outdir, "dlf", sorted(serialize_entry(e) for e in result.dlf))
+    _write_lines(outdir, "dlc", sorted(serialize_entry(e) for e in result.dlc))
+    _write_lines(outdir, "err", sorted(result.err))
 
 
-def _write_lines(path, lines) -> None:
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+def _write_lines(outdir, name, lines) -> None:
+    with open(os.path.join(outdir, name), "w", encoding="utf-8") as fh:
+        fh.write("".join(line + "\n" for line in lines))
 
 
 @contextmanager
@@ -303,10 +315,9 @@ def open_annotations(outdir):
     when the block ends.  If the block raises, the temporary file is
     removed, and so is ``outdir`` if this call created it.
     """
-    outdir = Path(outdir)
-    created = not outdir.exists()
-    outdir.mkdir(parents=True, exist_ok=True)
-    partial = outdir / "annotations.tsv.partial"
+    created = not os.path.exists(outdir)
+    os.makedirs(outdir, exist_ok=True)
+    partial = os.path.join(outdir, "annotations.tsv.partial")
     rows = _Rows({})
     try:
         with open(partial, "w", encoding="utf-8") as fh:
@@ -326,11 +337,12 @@ def open_annotations(outdir):
                 fh.write("".join(map("\t".join, fields)))
 
             yield sink
-        partial.replace(outdir / "annotations.tsv")
+        os.replace(partial, os.path.join(outdir, "annotations.tsv"))
     except BaseException:
-        partial.unlink(missing_ok=True)
+        with suppress(FileNotFoundError):
+            os.remove(partial)
         if created:
-            outdir.rmdir()
+            os.rmdir(outdir)
         raise
 
 

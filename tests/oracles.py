@@ -13,8 +13,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from lexcov.delaf import DictEntry
-from lexcov.dico import TokenAnnotation, TokenStatus
-from lexcov.errors import MalformedEntry
+from lexcov.dico import DicoResult, TokenAnnotation, TokenStatus
+from lexcov.errors import MalformedEntry, PolicyMismatch
 from lexcov.preprocess import TokenKind
 
 
@@ -357,6 +357,21 @@ def oracle_annotate(lexicons, token_lists, policy):
             ))
         sentence_count += 1 + max(t.sentence_index for t in tokens)
     return annotations, (dlf, dlc, word_counts, sentence_count)
+
+
+def merge_results(a: DicoResult, b: DicoResult) -> DicoResult:
+    """The reference fold of the results of two disjoint streams applied
+    alike, ``b`` after ``a``: the tables add, and ``b``'s sentences follow
+    ``a``'s."""
+    if a.policy is not b.policy:
+        raise PolicyMismatch(f"{a.policy.value} vs {b.policy.value}")
+    return DicoResult(
+        a.policy,
+        a.dlf | b.dlf,
+        dict(Counter(a.dlc) + Counter(b.dlc)),
+        a.word_counts + b.word_counts,
+        a.sentence_count + b.sentence_count,
+    )
 
 
 def _oracle_label(entry: DictEntry) -> str:

@@ -1,7 +1,10 @@
 import itertools
 import json
+import os
 import shutil
-from dataclasses import replace
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,14 +16,13 @@ from lexcov.dico import (
     DicoResult,
     TokenStatus,
     apply_dictionaries,
-    merge_results,
     read_annotations,
     token_annotations,
     write_outputs,
 )
 from lexcov.preprocess import normalize_delimiters, segment_sentences, tokenize
 
-from oracles import oracle_annotations_tsv
+from oracles import merge_results, oracle_annotations_tsv
 from test_automaton import ROOT_TARGET, resign, set_u32
 
 
@@ -179,7 +181,7 @@ class TestApply:
                 apply_dictionaries(lex, stream, sink=lambda a: part.extend(token_annotations(a))),
             )
             offset = 1 + max((a.sentence_index for a in annotations), default=-1)
-            annotations += [replace(a, sentence_index=a.sentence_index + offset) for a in part]
+            annotations += [a._replace(sentence_index=a.sentence_index + offset) for a in part]
         statuses = {(a.text, a.status) for a in annotations}
         assert ("exemplo", TokenStatus.IN_COMPOUND_ONLY) in statuses
         assert ("exemplo", TokenStatus.UNKNOWN) in statuses
@@ -394,6 +396,23 @@ class TestReproducibility:
         manifest = json.loads((outdir / "run.json").read_text(encoding="utf-8"))
         assert manifest["created"] == "1970-01-01T00:00:00Z"
 
+    @pytest.mark.parametrize(
+        "epoch, created",
+        [("-1", "1969-12-31T23:59:59Z"), ("1700000000", "2023-11-14T22:13:20Z")],
+    )
+    def test_manifest_timestamp_of_epoch(
+        self, fixtures_dir, neymar_bin, tmp_path, capsys, monkeypatch, epoch, created
+    ):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        outdir = tmp_path / "run"
+        assert main([
+            "apply", str(fixtures_dir / "neymar.txt"),
+            "-l", str(neymar_bin), "-o", str(outdir),
+        ]) == 0
+        capsys.readouterr()
+        manifest = json.loads((outdir / "run.json").read_text(encoding="utf-8"))
+        assert manifest["created"] == created
+
     def test_compile_deterministic(self, fixtures_dir, tmp_path, capsys):
         a = tmp_path / "a.lex"
         b = tmp_path / "b.lex"
@@ -483,6 +502,22 @@ class TestExitCodes:
         assert code == 2
         assert f"{table}, line 3: expected a form and its replacement" in stderr
         assert {p.name: p.read_bytes() for p in outdir.iterdir()} == before
+
+    # not an integer, too large for the platform's time_t, and the first
+    # second of the year 10000
+    @pytest.mark.parametrize("epoch", ["abc", "1.5", "99999999999999999", "253402300800"])
+    def test_bad_source_date_epoch(
+        self, fixtures_dir, neymar_bin, tmp_path, capsys, monkeypatch, epoch
+    ):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        outdir = tmp_path / "run"
+        code, _, stderr = run_cli(
+            capsys, "apply", str(fixtures_dir / "neymar.txt"), "-l", str(neymar_bin),
+            "-o", str(outdir),
+        )
+        assert code == 2
+        assert stderr.startswith(f"lexcov: SOURCE_DATE_EPOCH {epoch!r}")
+        assert not outdir.exists()
 
     @pytest.mark.parametrize("command", ["coverage", "classify"])
     def test_annotation_row_with_a_sixth_field(self, neymar_bin, tmp_path, capsys, command):
@@ -576,3 +611,22 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+def test_cli_import_loads_no_heavy_module():
+    # every lexcov command imports lexcov.cli first; no command needs
+    # these modules, and each would add to its start-up time
+    heavy = ("dataclasses", "inspect", "ast", "pathlib", "datetime", "typing")
+    probe = (
+        "import sys, lexcov.cli; lexcov.cli.build_parser();"
+        f" print(*sorted(m for m in {heavy!r} if m in sys.modules))"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.split() == []

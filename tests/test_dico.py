@@ -11,7 +11,6 @@ from lexcov.dico import (
     DicoResult,
     TokenStatus,
     apply_dictionaries,
-    merge_results,
     open_annotations,
     read_annotations,
     token_annotations,
@@ -29,6 +28,7 @@ from lexcov.preprocess import (
 )
 
 from oracles import (
+    merge_results,
     oracle_annotate,
     oracle_annotations_tsv,
     oracle_err_and_known,
