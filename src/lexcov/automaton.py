@@ -88,32 +88,122 @@ def fold_key(text: str) -> str:
 
 
 class Lexicon:
-    """Immutable compiled lexicon.  Build with :func:`compile_lexicon`, or
-    read one with :func:`load_lexicon`; either way it is read from a
-    ``.lex`` payload.
+    """Immutable compiled lexicon, read from a ``.lex`` payload: build
+    one with :func:`compile_lexicon`, or read a file with
+    :func:`load_lexicon`.
 
     It holds the payload's columns (docs/lexicon-binary.md) and builds an
     analysis, a form's analysis ids or a compound's match pattern only
     when a lookup reads it.
     """
 
-    def __init__(
-        self, states, strings, analyses, masks, forms, compounds, fold_extra, stats, payload
-    ):
-        # states[i] = (final, {char: (target, index_offset)})
-        self._states = states
-        self._strings = strings            # list[str], the string table
+    def __init__(self, raw: bytes, payload: bytes):
+        """Read ``raw``, an uncompressed payload, and keep ``payload``,
+        the same payload compressed, for :func:`save_lexicon`.  Raises
+        CorruptFile for a payload that :func:`_pack` does not make, so
+        that no broken payload fails later in a lookup."""
+        if len(raw) < _HEADER.size:
+            raise CorruptFile("unexpected end of payload")
+        (
+            entry_count,
+            n_forms,
+            folded_count,
+            n_states,
+            n_transitions,
+            n_analyses,
+            n_compounds,
+            n_fold_extra,
+            n_strings,
+            text_size,
+        ) = _HEADER.unpack_from(raw)
+        if not n_states:
+            raise CorruptFile("no root state")
+        view = memoryview(raw)
+        pos = _HEADER.size
+
+        def read(size):
+            nonlocal pos
+            if pos + size > len(raw):
+                raise CorruptFile("unexpected end of payload")
+            pos += size
+            return view[pos - size : pos]
+
+        def column(typecode, count):
+            col = array(typecode)
+            col.frombytes(read(count * col.itemsize))
+            if _SWAP:
+                col.byteswap()
+            return col
+
+        lengths = column(_U32, n_strings)
+        text_at = pos
+        try:
+            text = str(read(text_size), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorruptFile(
+                f"string table at payload offset {text_at + exc.start}: {exc.reason}"
+            ) from None
         # by analysis id, the string ids of its lemma, its code, its
-        # '+'-joined traits and its ':'-joined flex codes
+        # '+'-joined traits and its ':'-joined flex codes, and its role bits
+        analyses = [column(_U32, n_analyses) for _ in range(4)]
         self._lemmas, self._grams, self._traits, self._flexes = analyses
-        self._masks = masks                # by analysis id, its role bits
+        self._masks = column("B", n_analyses)
+        finals = column("B", n_states)
+        edge_counts = column(_U32, n_states)
+        chars, targets = (column(_U32, n_transitions) for _ in range(2))
         # word index w has the analysis ids
         # form_ids[form_offsets[w]:form_offsets[w + 1]]
-        self._form_offsets, self._form_ids = forms
+        form_counts = column(_U32, n_forms)
+        self._form_ids = form_ids = column(_U32, sum(form_counts))
+        self._form_offsets = array(_U32, accumulate(form_counts, initial=0))
         # compound c, in file/entry order, is compound_forms[c] with the
         # analysis ids compound_ids[compound_offsets[c]:compound_offsets[c + 1]]
-        self._compound_forms, self._compound_offsets, self._compound_ids = compounds
-        self._fold_extra = fold_extra      # fold_key -> forms other than the key
+        compound_forms = column(_U32, n_compounds)
+        compound_counts = column(_U32, n_compounds)
+        self._compound_ids = compound_ids = column(_U32, sum(compound_counts))
+        self._compound_offsets = array(_U32, accumulate(compound_counts, initial=0))
+        fold_keys = column(_U32, n_fold_extra)
+        fold_counts = column(_U32, n_fold_extra)
+        fold_forms = column(_U32, sum(fold_counts))
+        if pos != len(raw):
+            raise CorruptFile(f"{len(raw) - pos} unread bytes after the last section")
+
+        ends = list(accumulate(lengths))
+        if (ends[-1] if ends else 0) != len(text):
+            raise CorruptFile(
+                f"string lengths add up to {ends[-1] if ends else 0} characters,"
+                f" but the string table holds {len(text)}"
+            )
+        string_columns = (*analyses, compound_forms, fold_keys, fold_forms)
+        top = max(map(max, filter(None, string_columns)), default=-1)
+        if top >= n_strings:
+            raise CorruptFile(f"string id {top}, but there are {n_strings} strings")
+        if sum(edge_counts) != n_transitions:
+            raise CorruptFile(
+                f"states have {sum(edge_counts)} edges, but the header counts {n_transitions}"
+            )
+        top = max(targets, default=0)
+        if top >= n_states:
+            raise CorruptFile(f"edge to state {top}, but there are {n_states} states")
+        # few distinct labels, so checking each once is cheap
+        invalid = [cp for cp in set(chars) if cp > 0x10FFFF or 0xD800 <= cp <= 0xDFFF]
+        if invalid:
+            raise CorruptFile(f"edge labelled with invalid code point {min(invalid):#x}")
+        top = max(max(form_ids, default=-1), max(compound_ids, default=-1))
+        if top >= n_analyses:
+            raise CorruptFile(f"analysis id {top}, but there are {n_analyses} analyses")
+        # states[i] = (final, {char: (target, index_offset)})
+        self._states = _states(finals, edge_counts, chars, targets, n_forms)
+
+        self._strings = strings = [text[a:b] for a, b in zip(chain((0,), ends), ends)]
+        self._compound_forms = list(map(strings.__getitem__, compound_forms))
+        # _TOKEN_RE matches every character, so only the empty form has no tokens
+        if not all(self._compound_forms):
+            raise CorruptFile("compound '' has no tokens")
+        forms = map(strings.__getitem__, fold_forms)
+        self._fold_extra = {  # fold_key -> forms other than the key
+            strings[k]: tuple(islice(forms, n)) for k, n in zip(fold_keys, fold_counts)
+        }
         self._trait_parts = {}             # traits string id -> its traits
         self._flex_parts = {}              # flex codes string id -> its codes
         self._patterns = {}                # compound -> its form's token columns
@@ -121,7 +211,15 @@ class Lexicon:
         for ci, form in enumerate(self._compound_forms):
             first = _TOKEN_RE.match(form).group()
             self._compound_index.setdefault(fold_key(first), []).append(ci)
-        self.stats = stats
+        self.stats = LexiconStats(
+            entry_count=entry_count,
+            unique_form_count=n_forms + n_compounds,
+            unique_form_count_folded=folded_count,
+            state_count=n_states,
+            transition_count=n_transitions,
+            analysis_count=n_analyses,
+            compound_count=n_compounds,
+        )
         self._payload = payload            # the compressed payload, as saved
 
     @cached_property
@@ -322,7 +420,7 @@ def compile_lexicon(dicts: list[DictFile]) -> Lexicon:
     so it passes every check a load makes.
     """
     raw = _pack(dicts)
-    return _read_payload(raw, zlib.compress(raw, 6))
+    return Lexicon(raw, zlib.compress(raw, 6))
 
 
 def _pack(dicts) -> bytes:
@@ -625,129 +723,7 @@ def load_lexicon(path) -> Lexicon:
     except zlib.error as exc:
         raise CorruptFile(f"{path}: {exc}") from None
     try:
-        return _read_payload(raw, payload)
+        return Lexicon(raw, payload)
     except CorruptFile as exc:
         raise CorruptFile(f"{path}: {exc}") from None
-
-
-def _read_payload(raw, payload) -> Lexicon:
-    """The Lexicon read from ``raw``, an uncompressed payload; it keeps
-    ``payload``, the same payload compressed, for :func:`save_lexicon`."""
-    if len(raw) < _HEADER.size:
-        raise CorruptFile("unexpected end of payload")
-    (
-        entry_count,
-        n_forms,
-        folded_count,
-        n_states,
-        n_transitions,
-        n_analyses,
-        n_compounds,
-        n_fold_extra,
-        n_strings,
-        text_size,
-    ) = _HEADER.unpack_from(raw)
-    if not n_states:
-        raise CorruptFile("no root state")
-    view = memoryview(raw)
-    pos = _HEADER.size
-
-    def read(size):
-        nonlocal pos
-        if pos + size > len(raw):
-            raise CorruptFile("unexpected end of payload")
-        pos += size
-        return view[pos - size : pos]
-
-    def column(typecode, count):
-        col = array(typecode)
-        col.frombytes(read(count * col.itemsize))
-        if _SWAP:
-            col.byteswap()
-        return col
-
-    lengths = column(_U32, n_strings)
-    text_at = pos
-    try:
-        text = str(read(text_size), "utf-8")
-    except UnicodeDecodeError as exc:
-        raise CorruptFile(
-            f"string table at payload offset {text_at + exc.start}: {exc.reason}"
-        ) from None
-    lemmas, grams, traits, flexes = (column(_U32, n_analyses) for _ in range(4))
-    masks = column("B", n_analyses)
-    finals = column("B", n_states)
-    edge_counts = column(_U32, n_states)
-    chars, targets = (column(_U32, n_transitions) for _ in range(2))
-    form_counts = column(_U32, n_forms)
-    form_ids = column(_U32, sum(form_counts))
-    compound_forms = column(_U32, n_compounds)
-    compound_counts = column(_U32, n_compounds)
-    compound_ids = column(_U32, sum(compound_counts))
-    fold_keys = column(_U32, n_fold_extra)
-    fold_counts = column(_U32, n_fold_extra)
-    fold_forms = column(_U32, sum(fold_counts))
-    if pos != len(raw):
-        raise CorruptFile(f"{len(raw) - pos} unread bytes after the last section")
-
-    ends = list(accumulate(lengths))
-    if (ends[-1] if ends else 0) != len(text):
-        raise CorruptFile(
-            f"string lengths add up to {ends[-1] if ends else 0} characters,"
-            f" but the string table holds {len(text)}"
-        )
-    string_columns = (lemmas, grams, traits, flexes, compound_forms, fold_keys, fold_forms)
-    top = max(map(max, filter(None, string_columns)), default=-1)
-    if top >= n_strings:
-        raise CorruptFile(f"string id {top}, but there are {n_strings} strings")
-    if sum(edge_counts) != n_transitions:
-        raise CorruptFile(
-            f"states have {sum(edge_counts)} edges, but the header counts {n_transitions}"
-        )
-    top = max(targets, default=0)
-    if top >= n_states:
-        raise CorruptFile(f"edge to state {top}, but there are {n_states} states")
-    # few distinct labels, so checking each once is cheap
-    invalid = [cp for cp in set(chars) if cp > 0x10FFFF or 0xD800 <= cp <= 0xDFFF]
-    if invalid:
-        raise CorruptFile(f"edge labelled with invalid code point {min(invalid):#x}")
-    top = max(max(form_ids, default=-1), max(compound_ids, default=-1))
-    if top >= n_analyses:
-        raise CorruptFile(f"analysis id {top}, but there are {n_analyses} analyses")
-    states = _states(finals, edge_counts, chars, targets, n_forms)
-
-    strings = [text[a:b] for a, b in zip(chain((0,), ends), ends)]
-    compounds = list(map(strings.__getitem__, compound_forms))
-    # _TOKEN_RE matches every character, so only the empty form has no tokens
-    if not all(compounds):
-        raise CorruptFile("compound '' has no tokens")
-    forms = map(strings.__getitem__, fold_forms)
-    fold_extra = {strings[k]: tuple(islice(forms, n)) for k, n in zip(fold_keys, fold_counts)}
-
-    stats = LexiconStats(
-        entry_count=entry_count,
-        unique_form_count=n_forms + n_compounds,
-        unique_form_count_folded=folded_count,
-        state_count=n_states,
-        transition_count=n_transitions,
-        analysis_count=n_analyses,
-        compound_count=n_compounds,
-    )
-    return Lexicon(
-        states,
-        strings,
-        (lemmas, grams, traits, flexes),
-        masks,
-        (_offsets(form_counts), form_ids),
-        (compounds, _offsets(compound_counts), compound_ids),
-        fold_extra,
-        stats,
-        payload,
-    )
-
-
-def _offsets(counts):
-    """Where each of the lists with these lengths starts, back to back,
-    and where the last one ends."""
-    return array(_U32, accumulate(counts, initial=0))
 

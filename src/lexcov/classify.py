@@ -30,17 +30,6 @@ class Category(enum.Enum):
     OTHER = "other"
 
 
-RULE_CATEGORY = {
-    "R-acr": Category.ABBREVIATION_ACRONYM,
-    "R-old": Category.OLD_SPELLING,
-    "R-prop": Category.PROPER_NAME,
-    "R-typo": Category.TYPING_ERROR,
-    "R-foreign": Category.FOREIGN_OR_SLANG,
-    "R-noun": Category.OTHER_NOUN,
-}
-
-DEFAULT_PRECEDENCE = ("R-acr", "R-old", "R-prop", "R-typo", "R-foreign", "R-noun")
-
 # bigrams essentially absent from Portuguese spelling; ^/$ anchor to the
 # word start/end
 DEFAULT_FOREIGN_BIGRAMS = ("th", "sh", "ck", "wh", "gh", "ed$", "^y")
@@ -92,43 +81,6 @@ class UnknownRecord(
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         return self if self.evidence is not None else self._replace(evidence=[])
-
-
-# each setting of the classifier, with its default
-_CONFIG_DEFAULTS = {
-    "precedence": DEFAULT_PRECEDENCE,
-    "acr_min_len": 2,
-    "acr_max_len": 6,
-    "upper_ratio": 0.9,
-    "prop_ratio": 0.9,
-    "typo_min_form_len": 5,
-    "typo_split_min_part": 2,
-    "noun_ratio": 0.9,
-    "noun_min_len": 4,
-    "acronyms": frozenset(),
-    "foreign_bigrams": DEFAULT_FOREIGN_BIGRAMS,
-    "foreign_exceptions": DEFAULT_FOREIGN_EXCEPTIONS,
-}
-
-
-class ClassifierConfig(
-    namedtuple("ClassifierConfig", _CONFIG_DEFAULTS, defaults=_CONFIG_DEFAULTS.values())
-):
-    """The classifier's thresholds and word lists (docs/classifier.md);
-    an unknown rule id in ``precedence`` raises ConfigError."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        for rule in self.precedence:
-            if rule not in RULE_CATEGORY:
-                raise ConfigError(f"unknown rule id in precedence list: {rule!r}")
-        return self
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
 
 def _casing_class(text: str) -> str:
@@ -189,7 +141,7 @@ def classify(
     for record in records:
         fired = {}
         for rule in config.precedence:
-            detail = _RULES[rule](record, lexicons, lex_new, config)
+            detail = _RULES[rule][1](record, lexicons, lex_new, config)
             if detail is not None:
                 fired[rule] = detail
         if fired:
@@ -278,14 +230,56 @@ def _rule_noun(record, lexicons, lex_new, config):
     return None
 
 
+# each rule in default precedence order, with the category it assigns
+# and its test, which returns the evidence when the rule fires
 _RULES = {
-    "R-acr": _rule_acr,
-    "R-old": _rule_old,
-    "R-prop": _rule_prop,
-    "R-typo": _rule_typo,
-    "R-foreign": _rule_foreign,
-    "R-noun": _rule_noun,
+    "R-acr": (Category.ABBREVIATION_ACRONYM, _rule_acr),
+    "R-old": (Category.OLD_SPELLING, _rule_old),
+    "R-prop": (Category.PROPER_NAME, _rule_prop),
+    "R-typo": (Category.TYPING_ERROR, _rule_typo),
+    "R-foreign": (Category.FOREIGN_OR_SLANG, _rule_foreign),
+    "R-noun": (Category.OTHER_NOUN, _rule_noun),
 }
+RULE_CATEGORY = {rule: category for rule, (category, _) in _RULES.items()}
+DEFAULT_PRECEDENCE = tuple(_RULES)
+
+
+# each setting of the classifier, with its default; a config file gives
+# a setting a value of its default's type
+_CONFIG_DEFAULTS = {
+    "precedence": DEFAULT_PRECEDENCE,
+    "acr_min_len": 2,
+    "acr_max_len": 6,
+    "upper_ratio": 0.9,
+    "prop_ratio": 0.9,
+    "typo_min_form_len": 5,
+    "typo_split_min_part": 2,
+    "noun_ratio": 0.9,
+    "noun_min_len": 4,
+    "acronyms": frozenset(),
+    "foreign_bigrams": DEFAULT_FOREIGN_BIGRAMS,
+    "foreign_exceptions": DEFAULT_FOREIGN_EXCEPTIONS,
+}
+
+
+class ClassifierConfig(
+    namedtuple("ClassifierConfig", _CONFIG_DEFAULTS, defaults=_CONFIG_DEFAULTS.values())
+):
+    """The classifier's thresholds and word lists (docs/classifier.md);
+    an unknown rule id in ``precedence`` raises ConfigError."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for rule in self.precedence:
+            if rule not in RULE_CATEGORY:
+                raise ConfigError(f"unknown rule id in precedence list: {rule!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def write_classification_tsv(records: list[UnknownRecord], path) -> None:
@@ -316,16 +310,12 @@ def category_histogram(records: list[UnknownRecord]) -> dict[str, int]:
 
 # -- config file ------------------------------------------------------------
 
-_INT_KEYS = {
-    "acr_min_len",
-    "acr_max_len",
-    "typo_min_form_len",
-    "typo_split_min_part",
-    "noun_min_len",
+# each word-list key, naming a file, and the setting it gives its words
+_WORD_LISTS = {
+    "acronym_list": "acronyms",
+    "bigram_list": "foreign_bigrams",
+    "exception_list": "foreign_exceptions",
 }
-_FLOAT_KEYS = {"upper_ratio", "prop_ratio", "noun_ratio"}
-_LIST_KEYS = {"precedence", "foreign_bigrams"}
-_PATH_KEYS = {"acronym_list", "bigram_list", "exception_list"}
 
 
 def load_classifier_config(path) -> ClassifierConfig:
@@ -342,25 +332,18 @@ def load_classifier_config(path) -> ClassifierConfig:
                 raise ConfigError(f"{path}:{line_number}: expected 'key = value'")
             key = key.strip()
             value = value.strip().strip('"')
+            kind = type(_CONFIG_DEFAULTS.get(key))
             try:
-                if key in _INT_KEYS:
-                    kwargs[key] = int(value)
-                elif key in _FLOAT_KEYS:
-                    kwargs[key] = float(value)
-                elif key in _LIST_KEYS:
+                if key in _WORD_LISTS:
+                    with open(value, encoding="utf-8-sig") as wf:
+                        words = {w.strip().casefold() for w in wf if w.strip()}
+                    name = _WORD_LISTS[key]
+                    kwargs[name] = type(_CONFIG_DEFAULTS[name])(sorted(words))
+                elif kind in (int, float):
+                    kwargs[key] = kind(value)
+                elif kind is tuple:
                     items = [v.strip().strip('"') for v in value.strip("[]").split(",")]
                     kwargs[key] = tuple(i for i in items if i)
-                elif key in _PATH_KEYS:
-                    with open(value, encoding="utf-8-sig") as wf:
-                        words = frozenset(
-                            w.strip().casefold() for w in wf if w.strip()
-                        )
-                    if key == "acronym_list":
-                        kwargs["acronyms"] = words
-                    elif key == "bigram_list":
-                        kwargs["foreign_bigrams"] = tuple(sorted(words))
-                    else:
-                        kwargs["foreign_exceptions"] = words
                 else:
                     raise ConfigError(f"{path}:{line_number}: unknown key {key!r}")
             except (ValueError, OSError) as exc:

@@ -29,6 +29,7 @@ from .coverage import (
     coverage_from_counts,
     coverage_from_dico,
     diff_dictionaries,
+    format_decimal,
     mean_delta,
     render_coverage_text,
     render_delta_text,
@@ -176,6 +177,43 @@ def _required(mapping, key, where):
     return mapping[key]
 
 
+def _checked(value, valid, where, key, expected):
+    """``value``, the value of ``key``, if it is ``valid``; otherwise
+    MalformedManifest naming ``where``, the key and what it should hold."""
+    if not valid:
+        raise MalformedManifest(f"{where}: key {key!r} holds {value!r}, expected {expected}")
+    return value
+
+
+def _corpus_id(mapping, where):
+    """``mapping``'s optional corpus id, the key that pairs reports."""
+    corpus_id = mapping.get("corpus_id", "")
+    return _checked(corpus_id, isinstance(corpus_id, str), where, "corpus_id", "a string")
+
+
+_COUNT_KEYS = ("types_total", "types_unknown", "tokens_total", "tokens_unknown")
+
+
+def _reports_from_counts(path):
+    """The reports of a ``--counts`` file: a JSON array of row objects,
+    each with its four counts as non-negative integers."""
+    with open(path, encoding="utf-8") as fh:
+        rows = json.load(fh)
+    if not isinstance(rows, list):
+        raise MalformedManifest(f"{path}: expected a JSON array of row objects")
+    reports = []
+    for number, row in enumerate(rows, 1):
+        where = f"{path}, row {number}"
+        counts = [_required(row, key, where) for key in _COUNT_KEYS]
+        for key, n in zip(_COUNT_KEYS, counts):
+            # bool is an int subclass, but true is no count
+            _checked(n, type(n) is int and n >= 0, where, key, "a non-negative integer")
+        reports.append(
+            coverage_from_counts(_corpus_id(row, where), row.get("dict_id", ""), *counts)
+        )
+    return reports
+
+
 def _report_from_run(run_dir, fold_mode):
     manifest_path = os.path.join(run_dir, "run.json")
     with open(manifest_path, encoding="utf-8") as fh:
@@ -185,13 +223,17 @@ def _report_from_run(run_dir, fold_mode):
         raise MalformedManifest(
             f"{manifest_path}: key 'policy' holds an unknown case policy {policy!r}"
         )
+    lexicons = manifest.get("lexicons", [])
+    _checked(lexicons, isinstance(lexicons, list), manifest_path, "lexicons", "a JSON array")
+    where = f"{manifest_path}, lexicons"
+    paths = [_required(lex, "path", where) for lex in lexicons]
+    for path in paths:
+        _checked(path, isinstance(path, str), where, "path", "a string")
+    corpus_id = _corpus_id(manifest, manifest_path)
     word_counts = read_annotations(os.path.join(run_dir, "annotations.tsv"))
     dico = DicoResult(policy=_POLICIES[policy], word_counts=word_counts)
-    dict_id = ",".join(
-        os.path.basename(_required(lex, "path", f"{manifest_path}, lexicons"))
-        for lex in manifest.get("lexicons", [])
-    )
-    return coverage_from_dico(dico, fold_mode, manifest.get("corpus_id", ""), dict_id)
+    dict_id = ",".join(map(os.path.basename, paths))
+    return coverage_from_dico(dico, fold_mode, corpus_id, dict_id)
 
 
 def cmd_coverage(args) -> int:
@@ -199,17 +241,7 @@ def cmd_coverage(args) -> int:
     reports = []
     deltas = []
     if args.counts:
-        with open(args.counts, encoding="utf-8") as fh:
-            rows = json.load(fh)
-        for number, row in enumerate(rows, 1):
-            where = f"{args.counts}, row {number}"
-            counts = [
-                _required(row, key, where)
-                for key in ("types_total", "types_unknown", "tokens_total", "tokens_unknown")
-            ]
-            reports.append(
-                coverage_from_counts(row.get("corpus_id", ""), row.get("dict_id", ""), *counts)
-            )
+        reports = _reports_from_counts(args.counts)
     elif args.run:
         for run_dir in args.run:
             reports.append(_report_from_run(run_dir, fold_mode))
@@ -248,8 +280,7 @@ def cmd_coverage(args) -> int:
         blocks.extend(render_delta_text(d, args.locale) for d in deltas)
         if deltas:
             mean = mean_delta([d.delta_types_pp for d in deltas])
-            text = f"{mean:.2f}".replace(".", ",") if args.locale == "pt-BR" else f"{mean:.2f}"
-            blocks.append(f"mean types delta: {text} pp")
+            blocks.append(f"mean types delta: {format_decimal(mean, args.locale)} pp")
         print("\n\n".join(blocks))
     return 0
 

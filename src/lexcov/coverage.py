@@ -127,12 +127,7 @@ class DictDiff(namedtuple("DictDiff", "only_in_a only_in_b common fold_mode")):
     __slots__ = ()
 
     def to_dict(self) -> dict:
-        return {
-            "only_in_a": self.only_in_a,
-            "only_in_b": self.only_in_b,
-            "common": self.common,
-            "fold_mode": self.fold_mode,
-        }
+        return self._asdict()
 
 
 def diff_dictionaries(
@@ -165,11 +160,14 @@ def format_int(value: int, locale: str = "plain") -> str:
     return str(value)
 
 
-def format_pct(value: Decimal, locale: str = "plain") -> str:
+def format_decimal(value: Decimal, locale: str = "plain") -> str:
+    """``value`` to two decimals, with a decimal comma under pt-BR."""
     text = f"{value:.2f}"
-    if locale == "pt-BR":
-        text = text.replace(".", ",")
-    return text + "%"
+    return text.replace(".", ",") if locale == "pt-BR" else text
+
+
+def format_pct(value: Decimal, locale: str = "plain") -> str:
+    return format_decimal(value, locale) + "%"
 
 
 def render_coverage_text(report: CoverageReport, locale: str = "plain") -> str:
@@ -187,15 +185,11 @@ def render_coverage_text(report: CoverageReport, locale: str = "plain") -> str:
 
 
 def render_delta_text(delta: VersionDelta, locale: str = "plain") -> str:
-    def pp(value):
-        text = f"{value:.2f}"
-        return text.replace(".", ",") if locale == "pt-BR" else text
-
     return "\n".join(
         [
             f"corpus:         {delta.corpus_id}",
-            f"types delta:    {pp(delta.delta_types_pp)} pp",
-            f"tokens delta:   {pp(delta.delta_tokens_pp)} pp",
+            f"types delta:    {format_decimal(delta.delta_types_pp, locale)} pp",
+            f"tokens delta:   {format_decimal(delta.delta_tokens_pp, locale)} pp",
         ]
     )
 

@@ -1,4 +1,6 @@
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -245,6 +247,25 @@ class TestBuildRecords:
         assert forms == sorted(forms)
 
 
+# each key docs/classifier.md names: a value for it ({words} is a word
+# list file), the ClassifierConfig field it sets and what it sets it to
+CONFIG_KEYS = {
+    "acr_min_len": ("3", "acr_min_len", 3),
+    "acr_max_len": ("8", "acr_max_len", 8),
+    "typo_min_form_len": ("6", "typo_min_form_len", 6),
+    "typo_split_min_part": ("3", "typo_split_min_part", 3),
+    "noun_min_len": ("5", "noun_min_len", 5),
+    "upper_ratio": ("0.75", "upper_ratio", 0.75),
+    "prop_ratio": ("0.5", "prop_ratio", 0.5),
+    "noun_ratio": ("0.8", "noun_ratio", 0.8),
+    "precedence": ('["R-noun", "R-acr"]', "precedence", ("R-noun", "R-acr")),
+    "foreign_bigrams": ("[th, ^y]", "foreign_bigrams", ("th", "^y")),
+    "acronym_list": ("{words}", "acronyms", {"puc", "ufrgs"}),
+    "bigram_list": ("{words}", "foreign_bigrams", ("puc", "ufrgs")),
+    "exception_list": ("{words}", "foreign_exceptions", {"puc", "ufrgs"}),
+}
+
+
 class TestConfig:
     def test_defaults_roundtrip(self, tmp_path):
         cfg_path = tmp_path / "cls.conf"
@@ -290,6 +311,36 @@ class TestConfig:
         cfg_path.write_text("frobnicate = 1\n", encoding="utf-8")
         with pytest.raises(ConfigError):
             load_classifier_config(cfg_path)
+
+    # a setting's own name is not a key when a word-list key sets it
+    @pytest.mark.parametrize("key", ["acronyms", "foreign_exceptions"])
+    def test_word_list_setting_is_not_a_key(self, tmp_path, key):
+        cfg_path = tmp_path / "cls.conf"
+        cfg_path.write_text(f"{key} = [puc, ufrgs]\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=f":1: unknown key '{key}'"):
+            load_classifier_config(cfg_path)
+
+    def test_docs_name_every_key(self):
+        doc = Path(__file__).resolve().parents[1] / "docs" / "classifier.md"
+        section = doc.read_text(encoding="utf-8").split("## Config file", 1)[1]
+        section = section.split("\n## ", 1)[0]
+        assert set(re.findall(r"`(\w+)`", section)) == set(CONFIG_KEYS)
+
+    @pytest.mark.parametrize("key", CONFIG_KEYS)
+    def test_key_loads_into_its_field(self, tmp_path, key):
+        value, field, expected = CONFIG_KEYS[key]
+        words = tmp_path / "words.txt"
+        words.write_text("ufrgs\nPUC\n\n", encoding="utf-8")
+        cfg_path = tmp_path / "cls.conf"
+        cfg_path.write_text(f"{key} = {value.format(words=words)}\n", encoding="utf-8")
+        cfg = load_classifier_config(cfg_path)
+        default = getattr(ClassifierConfig(), field)
+        assert getattr(cfg, field) == expected != default
+        assert type(getattr(cfg, field)) is type(default)
+        assert cfg._replace(**{field: default}) == ClassifierConfig()
+
+    def test_rule_table_order_is_the_default_precedence(self):
+        assert tuple(RULE_CATEGORY) == DEFAULT_PRECEDENCE
 
 
 class TestOutput:

@@ -593,6 +593,74 @@ class TestExitCodes:
         assert code == 2
         assert f"{counts}, row 2: missing key 'tokens_total'" in stderr
 
+    @pytest.mark.parametrize("top", ["5", '{"types_total": 10}', '"rows"'])
+    def test_counts_file_not_an_array(self, tmp_path, capsys, top):
+        counts = tmp_path / "counts.json"
+        counts.write_text(top, encoding="utf-8")
+        code, _, stderr = run_cli(capsys, "coverage", "--counts", str(counts))
+        assert code == 2
+        assert stderr == f"lexcov: {counts}: expected a JSON array of row objects\n"
+
+    @pytest.mark.parametrize(
+        "key, value, shown, expected",
+        [
+            ("types_total", "x", "'x'", "a non-negative integer"),
+            ("types_unknown", True, "True", "a non-negative integer"),
+            ("tokens_total", -1, "-1", "a non-negative integer"),
+            ("tokens_unknown", 1.5, "1.5", "a non-negative integer"),
+            ("tokens_total", None, "None", "a non-negative integer"),
+            ("corpus_id", [1], "[1]", "a string"),
+        ],
+    )
+    def test_counts_row_value_of_the_wrong_type(
+        self, tmp_path, capsys, key, value, shown, expected
+    ):
+        counts = tmp_path / "counts.json"
+        row = {"types_total": 10, "types_unknown": 2, "tokens_total": 30, "tokens_unknown": 4}
+        counts.write_text(json.dumps([row, {**row, key: value}]), encoding="utf-8")
+        code, _, stderr = run_cli(capsys, "coverage", "--counts", str(counts))
+        assert code == 2
+        message = f"{counts}, row 2: key {key!r} holds {shown}, expected {expected}"
+        assert stderr == f"lexcov: {message}\n"
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda m: m.update(lexicons=5),
+                "run.json: key 'lexicons' holds 5, expected a JSON array",
+            ),
+            (
+                lambda m: m["lexicons"][0].update(path=5),
+                "run.json, lexicons: key 'path' holds 5, expected a string",
+            ),
+            (
+                lambda m: m.update(corpus_id=[1]),
+                "run.json: key 'corpus_id' holds [1], expected a string",
+            ),
+        ],
+        ids=["lexicons", "lexicon_path", "corpus_id"],
+    )
+    def test_manifest_value_of_the_wrong_type(
+        self, neymar_bin, tmp_path, capsys, edit, message
+    ):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("O time venceu.\n", encoding="utf-8")
+        outdir = tmp_path / "run"
+        assert main(["apply", str(corpus), "-l", str(neymar_bin), "-o", str(outdir)]) == 0
+        capsys.readouterr()
+        manifest_path = outdir / "run.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        edit(manifest)
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        # a second, intact run of the same corpus makes a pair to group
+        other = tmp_path / "other"
+        assert main(["apply", str(corpus), "-l", str(neymar_bin), "-o", str(other)]) == 0
+        capsys.readouterr()
+        code, _, stderr = run_cli(capsys, "coverage", "--run", str(other), "--run", str(outdir))
+        assert code == 2
+        assert stderr == f"lexcov: {outdir / message}\n"
+
     def test_internal_key_error_is_not_invalid_input(
         self, fixtures_dir, neymar_bin, tmp_path, monkeypatch
     ):
