@@ -12,7 +12,7 @@ from collections import Counter, namedtuple
 
 from .automaton import Lexicon
 from .dico import DicoResult, TokenStatus
-from .errors import ConfigError
+from .errors import ConfigError, decoding
 from .preprocess import reform_normalize
 
 PORTUGUESE_ALPHABET = "abcdefghijklmnopqrstuvwxyzáàâãçéêíóôõúü"
@@ -322,7 +322,7 @@ def load_classifier_config(path) -> ClassifierConfig:
     """Key/value config: ``key = value`` lines, ``#`` comments, lists in
     ``[a, b]`` form, word-list values naming files (one word per line)."""
     kwargs = {}
-    with open(path, encoding="utf-8-sig") as fh:
+    with open(path, encoding="utf-8-sig") as fh, decoding(path):
         for line_number, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -335,7 +335,7 @@ def load_classifier_config(path) -> ClassifierConfig:
             kind = type(_CONFIG_DEFAULTS.get(key))
             try:
                 if key in _WORD_LISTS:
-                    with open(value, encoding="utf-8-sig") as wf:
+                    with open(value, encoding="utf-8-sig") as wf, decoding(value):
                         words = {w.strip().casefold() for w in wf if w.strip()}
                     name = _WORD_LISTS[key]
                     kwargs[name] = type(_CONFIG_DEFAULTS[name])(sorted(words))

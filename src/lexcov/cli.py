@@ -40,10 +40,10 @@ from .dico import (
     DicoResult,
     apply_dictionaries,
     open_annotations,
-    read_annotations,
+    read_types,
     write_outputs,
 )
-from .errors import LexcovError, MalformedEntry, MalformedManifest
+from .errors import LexcovError, MalformedEntry, MalformedManifest, decoding
 from .preprocess import (
     load_abbreviation_list,
     load_replacement_table,
@@ -86,7 +86,8 @@ def _preprocess_file(path, abbrevs, replacements, digests):
         data = fh.read()
     digests[path] = hashlib.sha256(data).hexdigest()
     # normalizing turns \r\n and \r into \n, as reading in text mode would
-    text = normalize_delimiters(data.decode("utf-8"))
+    with decoding(path):
+        text = normalize_delimiters(data.decode("utf-8"))
     stream = tokenize(text, source_id=str(path))
     if replacements:
         apply_replacements(stream, replacements)
@@ -185,19 +186,19 @@ def _checked(value, valid, where, key, expected):
     return value
 
 
-def _corpus_id(mapping, where):
-    """``mapping``'s optional corpus id, the key that pairs reports."""
-    corpus_id = mapping.get("corpus_id", "")
-    return _checked(corpus_id, isinstance(corpus_id, str), where, "corpus_id", "a string")
+def _string(mapping, key, where):
+    """``mapping``'s optional string ``key``, "" when it is absent."""
+    value = mapping.get(key, "")
+    return _checked(value, isinstance(value, str), where, key, "a string")
 
 
 _COUNT_KEYS = ("types_total", "types_unknown", "tokens_total", "tokens_unknown")
 
 
 def _reports_from_counts(path):
-    """The reports of a ``--counts`` file: a JSON array of row objects,
-    each with its four counts as non-negative integers."""
-    with open(path, encoding="utf-8") as fh:
+    """The reports of a ``--counts`` file: a JSON array of row objects, each
+    with four non-negative integer counts, no unknown count above its total."""
+    with open(path, encoding="utf-8") as fh, decoding(path):
         rows = json.load(fh)
     if not isinstance(rows, list):
         raise MalformedManifest(f"{path}: expected a JSON array of row objects")
@@ -208,15 +209,22 @@ def _reports_from_counts(path):
         for key, n in zip(_COUNT_KEYS, counts):
             # bool is an int subclass, but true is no count
             _checked(n, type(n) is int and n >= 0, where, key, "a non-negative integer")
-        reports.append(
-            coverage_from_counts(_corpus_id(row, where), row.get("dict_id", ""), *counts)
-        )
+        for total, part in ((0, 1), (2, 3)):
+            n, most = counts[part], counts[total]
+            _checked(n, n <= most, where, _COUNT_KEYS[part], f"at most {_COUNT_KEYS[total]}")
+        ids = _string(row, "corpus_id", where), _string(row, "dict_id", where)
+        reports.append(coverage_from_counts(*ids, *counts))
     return reports
 
 
-def _report_from_run(run_dir, fold_mode):
-    manifest_path = os.path.join(run_dir, "run.json")
-    with open(manifest_path, encoding="utf-8") as fh:
+def _read_run(run_dir):
+    """An apply run's DicoResult, read from types.tsv under the policy of its
+    run.json once that is checked, and the run's corpus and dictionary ids."""
+    manifest_path, types_path = (os.path.join(run_dir, n) for n in ("run.json", "types.tsv"))
+    for path in (manifest_path, types_path):
+        if not os.path.isfile(path):
+            raise LexcovError(f"{path}: no such file; re-run `lexcov apply` to write it")
+    with open(manifest_path, encoding="utf-8") as fh, decoding(manifest_path):
         manifest = json.load(fh)
     policy = _required(manifest, "policy", manifest_path)
     if not isinstance(policy, str) or policy not in _POLICIES:
@@ -229,11 +237,9 @@ def _report_from_run(run_dir, fold_mode):
     paths = [_required(lex, "path", where) for lex in lexicons]
     for path in paths:
         _checked(path, isinstance(path, str), where, "path", "a string")
-    corpus_id = _corpus_id(manifest, manifest_path)
-    word_counts = read_annotations(os.path.join(run_dir, "annotations.tsv"))
-    dico = DicoResult(policy=_POLICIES[policy], word_counts=word_counts)
-    dict_id = ",".join(map(os.path.basename, paths))
-    return coverage_from_dico(dico, fold_mode, corpus_id, dict_id)
+    corpus_id = _string(manifest, "corpus_id", manifest_path)
+    dico = DicoResult(_POLICIES[policy], word_counts=read_types(types_path))
+    return dico, corpus_id, ",".join(map(os.path.basename, paths))
 
 
 def cmd_coverage(args) -> int:
@@ -243,8 +249,8 @@ def cmd_coverage(args) -> int:
     if args.counts:
         reports = _reports_from_counts(args.counts)
     elif args.run:
-        for run_dir in args.run:
-            reports.append(_report_from_run(run_dir, fold_mode))
+        runs = map(_read_run, args.run)
+        reports = [coverage_from_dico(dico, fold_mode, *ids) for dico, *ids in runs]
     else:
         if not args.lexicon or not args.corpus:
             print("coverage: need --counts, --run, or --lexicon with corpus", file=sys.stderr)
@@ -286,9 +292,7 @@ def cmd_coverage(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    word_counts = read_annotations(os.path.join(args.run_dir, "annotations.tsv"))
-    dico = DicoResult(policy=CaseFoldPolicy.UNITEX_LIKE, word_counts=word_counts)
-    records = build_unknown_records(dico)
+    records = build_unknown_records(_read_run(args.run_dir)[0])
     lex_new = load_lexicon(args.lexicon)
     lex_old = load_lexicon(args.old) if args.old else None
     config = load_classifier_config(args.config) if args.config else ClassifierConfig()

@@ -16,7 +16,7 @@ import os
 from collections import namedtuple
 from collections.abc import Iterator
 
-from .errors import MalformedEntry
+from .errors import MalformedEntry, decoding
 
 
 class RoleTag(enum.Enum):
@@ -156,7 +156,7 @@ def iter_dict_entries(path: str | os.PathLike) -> Iterator[DictEntry]:
     dropped, a lone ``\\r`` is part of its line) and blank lines are
     skipped; line numbers in errors count every line.
     """
-    with open(path, encoding="utf-8-sig", newline="\n") as fh:
+    with open(path, encoding="utf-8-sig", newline="\n") as fh, decoding(path):
         for line_number, raw in enumerate(fh, start=1):
             line = raw.rstrip("\r\n")
             if line and not line.isspace():

@@ -12,7 +12,7 @@ from operator import is_
 
 from .automaton import CaseFoldPolicy, Lexicon, fold_key
 from .delaf import DictEntry, serialize_entry
-from .errors import MalformedAnnotations, PolicyMismatch
+from .errors import MalformedAnnotations, PolicyMismatch, decoding
 from .preprocess import _StrEnum, TokenKind, TokenStream
 
 
@@ -294,11 +294,13 @@ def _analysis_label(entry: DictEntry) -> str:
 
 
 def write_outputs(result: DicoResult, outdir) -> None:
-    """Write the dlf/dlc/err sub-dictionaries."""
+    """Write the dlf/dlc/err sub-dictionaries and the types.tsv table."""
     os.makedirs(outdir, exist_ok=True)
     _write_lines(outdir, "dlf", sorted(serialize_entry(e) for e in result.dlf))
     _write_lines(outdir, "dlc", sorted(serialize_entry(e) for e in result.dlc))
     _write_lines(outdir, "err", sorted(result.err))
+    rows = [f"{t}\t{s.value}\t{first:d}\t{n}" for (t, s, first), n in result.word_counts.items()]
+    _write_lines(outdir, "types.tsv", sorted(rows))
 
 
 def _write_lines(outdir, name, lines) -> None:
@@ -378,56 +380,38 @@ class _Rows(dict):
         return tail
 
 
-_KINDS = frozenset(kind.value for kind in TokenKind)
-# the (kind, status) columns of every valid row -> the row's status, None
-# for a row that is not a word's
-_ROW_STATUSES = {
-    **{(TokenKind.WORD.value, status.value): status for status in TokenStatus},
-    **{(kind.value, ""): None for kind in TokenKind if kind is not TokenKind.WORD},
-}
+# the status and sentence-initial flag columns of a types.tsv row -> their values
+_STATUSES = {status.value: status for status in TokenStatus}
+_FLAGS = {"0": False, "1": True}
 
 
-def read_annotations(path) -> Counter[tuple[str, TokenStatus, bool]]:
-    """Read annotations.tsv back into a ``word_counts`` table; sentence-initial
-    flags are recomputed (first word row of each sentence)."""
+def read_types(path) -> Counter[tuple[str, TokenStatus, bool]]:
+    """Read a run's types.tsv back into its ``word_counts`` table."""
     word_counts = Counter()
-    seen_sentences = set()
-    invalid = object()
-    # a sentence's rows are consecutive: its index is parsed at its first
-    last_index = None
-    with open(path, encoding="utf-8") as fh:
-        for line_number, raw in enumerate(fh, 1):
-            # the label column, last, is not split: a tab in it is a sixth field
-            row = raw.split("\t", 4)
-            if len(row) != 5 or "\t" in row[4]:
-                found = raw.count("\t") + 1
-                raise _malformed(
-                    path, line_number, f"expected 5 tab-separated fields, found {found}"
-                )
-            text, kind, sentence_index, status_column, _ = row
-            status = _ROW_STATUSES.get((kind, status_column), invalid)
-            if status is invalid:
-                if kind not in _KINDS:
-                    raise _malformed(path, line_number, f"unknown token kind {kind!r}")
-                # a word row has a status and no other row has one
-                raise _malformed(
-                    path, line_number, f"status {status_column!r} on a {kind} row"
-                )
-            if sentence_index != last_index:
-                try:
-                    number = int(sentence_index)
-                except ValueError:
-                    raise _malformed(
-                        path, line_number, f"sentence index {sentence_index!r} is not an integer"
-                    ) from None
-                last_index = sentence_index
-            if status is not None:
-                initial = number not in seen_sentences
-                if initial:
-                    seen_sentences.add(number)
-                word_counts[text, status, initial] += 1
+    with open(path, encoding="utf-8") as fh, decoding(path):
+        for line_number, line in enumerate(fh, 1):
+            row = line.rstrip("\n").split("\t")
+            if len(row) != 4:
+                found = f"expected 4 tab-separated fields, found {len(row)}"
+                raise MalformedAnnotations(f"{path}, line {line_number}: {found}")
+            text, status_column, flag, count = row
+            status, initial = _STATUSES.get(status_column), _FLAGS.get(flag)
+            try:
+                n = int(count) if count.isascii() and count.isdigit() else 0
+            except ValueError:  # more digits than int() converts
+                n = 0
+            if not text:
+                problem = "empty text"
+            elif status is None:
+                problem = f"unknown status {status_column!r}"
+            elif initial is None:
+                problem = f"sentence-initial flag {flag!r} is not 0 or 1"
+            elif n < 1:
+                problem = f"count {count!r} is not a positive integer"
+            elif (text, status, initial) in word_counts:
+                problem = f"repeats the key {text!r}, {status_column}, {flag} of an earlier row"
+            else:
+                word_counts[text, status, initial] = n
+                continue
+            raise MalformedAnnotations(f"{path}, line {line_number}: {problem}")
     return word_counts
-
-
-def _malformed(path, line_number, problem) -> MalformedAnnotations:
-    return MalformedAnnotations(f"{path}, line {line_number}: {problem}")

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class LexcovError(Exception):
     """Base class for all errors raised by this package."""
@@ -33,7 +35,7 @@ class CorruptFile(LexcovError):
 
 
 class MalformedAnnotations(LexcovError):
-    """A row of a run's annotations.tsv cannot be read back."""
+    """A row of a run's types.tsv cannot be read back."""
 
 
 class MalformedReplacements(LexcovError):
@@ -55,3 +57,12 @@ class MismatchedCorpus(LexcovError):
 
 class ConfigError(LexcovError):
     """A classifier configuration file is invalid."""
+
+
+@contextmanager
+def decoding(path):
+    """Re-raise a UnicodeDecodeError of the block as a LexcovError naming ``path``."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise LexcovError(f"{path}: {exc}") from None

@@ -21,7 +21,7 @@ from collections.abc import Sequence
 from itertools import accumulate, compress, count, repeat
 from operator import attrgetter
 
-from .errors import MalformedReplacements
+from .errors import MalformedReplacements, decoding
 
 _CRLF_RE = re.compile(r"\r\n?")
 # C0 and C1 controls other than \t and \n, and DEL
@@ -287,7 +287,7 @@ def _normalize_abbreviations(abbreviations) -> set[str]:
 
 def load_abbreviation_list(path) -> set[str]:
     """One abbreviation per line, trailing dot optional."""
-    with open(path, encoding="utf-8-sig") as fh:
+    with open(path, encoding="utf-8-sig") as fh, decoding(path):
         return _normalize_abbreviations(fh)
 
 
@@ -366,7 +366,7 @@ def load_replacement_table(path) -> dict[str, str]:
     into an empty token.
     """
     table = {}
-    with open(path, encoding="utf-8-sig") as fh:
+    with open(path, encoding="utf-8-sig") as fh, decoding(path):
         for line_number, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():

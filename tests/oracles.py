@@ -382,6 +382,21 @@ def _oracle_label(entry: DictEntry) -> str:
     return "".join(parts)
 
 
+def oracle_read_annotations(path) -> Counter:
+    """The ``word_counts`` table of an annotations.tsv, read without
+    checks: a word row is sentence-initial when it is the first word row
+    of its sentence index."""
+    word_counts = Counter()
+    seen = set()
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            text, kind, sentence, status, _ = line.rstrip("\n").split("\t")
+            if kind == TokenKind.WORD.value:
+                word_counts[text, TokenStatus(status), sentence not in seen] += 1
+                seen.add(sentence)
+    return word_counts
+
+
 def oracle_annotations_tsv(annotations) -> str:
     """The annotations.tsv text of these annotations: one row per
     non-space token."""

@@ -16,7 +16,7 @@ from lexcov.dico import (
     DicoResult,
     TokenStatus,
     apply_dictionaries,
-    read_annotations,
+    read_types,
     token_annotations,
     write_outputs,
 )
@@ -30,6 +30,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_reader(command, run_dir, lexicon):
+    """The argv of ``command``, coverage or classify, reading ``run_dir``."""
+    if command == "coverage":
+        return ["coverage", "--run", str(run_dir)]
+    return ["classify", str(run_dir), "-l", str(lexicon)]
 
 
 @pytest.fixture
@@ -93,7 +100,7 @@ class TestCompile:
         assert code == 0
         dlf = (run / "dlf").read_text(encoding="utf-8").splitlines()
         assert len(dlf) == 65536
-        words = read_annotations(run / "annotations.tsv")
+        words = read_types(run / "types.tsv")
         assert {(text, status) for text, status, _ in words} == {
             ("x", TokenStatus.KNOWN_SIMPLE),
             ("X", TokenStatus.KNOWN_SIMPLE),
@@ -433,7 +440,9 @@ class TestExitCodes:
             "apply", str(fixtures_dir / "neymar.txt"), "-l", str(neymar_bin), "-o", str(outdir)
         ]) == 0
         before = {p.name: p.read_bytes() for p in outdir.iterdir()}
-        assert sorted(before) == ["annotations.tsv", "dlc", "dlf", "err", "run.json"]
+        assert sorted(before) == [
+            "annotations.tsv", "dlc", "dlf", "err", "run.json", "types.tsv"
+        ]
         # the second file fails after the first has been applied
         corpus = tmp_path / "corpus"
         corpus.mkdir()
@@ -443,7 +452,7 @@ class TestExitCodes:
             capsys, "apply", str(corpus / "*.txt"), "-l", str(neymar_bin), "-o", str(outdir)
         )
         assert code == 2
-        assert "utf-8" in stderr
+        assert stderr.startswith(f"lexcov: {corpus / '2.txt'}: 'utf-8' codec")
         assert {p.name: p.read_bytes() for p in outdir.iterdir()} == before
 
     def test_corrupt_lexicon(self, neymar_bin, tmp_path, capsys):
@@ -526,18 +535,13 @@ class TestExitCodes:
         outdir = tmp_path / "run"
         assert main(["apply", str(corpus), "-l", str(neymar_bin), "-o", str(outdir)]) == 0
         capsys.readouterr()
-        table = outdir / "annotations.tsv"
+        table = outdir / "types.tsv"
         rows = table.read_text(encoding="utf-8").splitlines()
-        rows[1] += "\textra"
+        rows[1] += "\textra\textra"
         table.write_text("".join(r + "\n" for r in rows), encoding="utf-8")
-        argv = (
-            ["coverage", "--run", str(outdir)]
-            if command == "coverage"
-            else ["classify", str(outdir), "-l", str(neymar_bin)]
-        )
-        code, _, stderr = run_cli(capsys, *argv)
+        code, _, stderr = run_cli(capsys, *run_reader(command, outdir, neymar_bin))
         assert code == 2
-        assert "annotations.tsv, line 2: expected 5 tab-separated fields, found 6" in stderr
+        assert stderr == f"lexcov: {table}, line 2: expected 4 tab-separated fields, found 6\n"
 
     @pytest.mark.parametrize("command", ["coverage", "classify"])
     def test_cut_annotation_row(self, neymar_bin, tmp_path, capsys, command):
@@ -546,19 +550,74 @@ class TestExitCodes:
         outdir = tmp_path / "run"
         assert main(["apply", str(corpus), "-l", str(neymar_bin), "-o", str(outdir)]) == 0
         capsys.readouterr()
-        table = outdir / "annotations.tsv"
+        table = outdir / "types.tsv"
         rows = table.read_text(encoding="utf-8").splitlines()
         assert len(rows) == 10
         rows[3] = "\t".join(rows[3].split("\t")[:3])
         table.write_text("".join(r + "\n" for r in rows), encoding="utf-8")
-        argv = (
-            ["coverage", "--run", str(outdir)]
-            if command == "coverage"
-            else ["classify", str(outdir), "-l", str(neymar_bin)]
-        )
-        code, _, stderr = run_cli(capsys, *argv)
+        code, _, stderr = run_cli(capsys, *run_reader(command, outdir, neymar_bin))
         assert code == 2
-        assert "annotations.tsv, line 4" in stderr
+        assert stderr == f"lexcov: {table}, line 4: expected 4 tab-separated fields, found 3\n"
+
+    @pytest.mark.parametrize("missing", ["run.json", "types.tsv"])
+    @pytest.mark.parametrize("command", ["coverage", "classify"])
+    def test_run_without_a_file(self, neymar_bin, tmp_path, capsys, command, missing):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("O time venceu.\n", encoding="utf-8")
+        outdir = tmp_path / "run"
+        assert main(["apply", str(corpus), "-l", str(neymar_bin), "-o", str(outdir)]) == 0
+        capsys.readouterr()
+        (outdir / missing).unlink()
+        code, _, stderr = run_cli(capsys, *run_reader(command, outdir, neymar_bin))
+        assert code == 2
+        message = f"{outdir / missing}: no such file; re-run `lexcov apply` to write it"
+        assert stderr == f"lexcov: {message}\n"
+
+    @pytest.mark.parametrize(
+        "bad, argv",
+        [
+            ("abbrev.txt", "apply {corpus} -l {lex} -o {out} --abbrev {bad}"),
+            ("replacements.tsv", "apply {corpus} -l {lex} -o {out} --replacements {bad}"),
+            ("corpus.txt", "apply {bad} -l {lex} -o {out}"),
+            ("corpus.txt", "coverage {bad} -l {lex}"),
+            ("classifier.cfg", "classify {run} -l {lex} --config {bad}"),
+            ("acronyms.txt", "classify {run} -l {lex} --config {config}"),
+            ("delaf.dic", "compile {bad} -o {out}"),
+            ("delaf.dic", "diff -a {dic} -b {bad}"),
+            ("run/run.json", "coverage --run {run}"),
+            ("run/types.tsv", "coverage --run {run}"),
+            ("run/types.tsv", "classify {run} -l {lex}"),
+            ("counts.json", "coverage --counts {bad}"),
+        ],
+        ids=[
+            "abbrev", "replacements", "apply corpus", "coverage corpus", "classifier config",
+            "config word list", "compile", "diff", "run.json", "coverage types.tsv",
+            "classify types.tsv", "counts",
+        ],
+    )
+    def test_input_file_that_is_not_utf8(
+        self, fixtures_dir, neymar_bin, tmp_path, capsys, bad, argv
+    ):
+        paths = {
+            "corpus": tmp_path / "c.txt",
+            "lex": neymar_bin,
+            "out": tmp_path / "out",
+            "run": tmp_path / "run",
+            "dic": fixtures_dir / "neymar.dic",
+            "config": tmp_path / "config.cfg",
+            "bad": tmp_path / bad,
+        }
+        paths["corpus"].write_text("O time venceu.\n", encoding="utf-8")
+        word_list = tmp_path / "acronyms.txt"
+        paths["config"].write_text(f"acronym_list = {word_list}\n", encoding="utf-8")
+        apply = ["apply", paths["corpus"], "-l", neymar_bin, "-o", paths["run"]]
+        assert main(list(map(str, apply))) == 0
+        capsys.readouterr()
+        paths["bad"].write_bytes(b"time\t\xff\n")
+        code, _, stderr = run_cli(capsys, *(arg.format(**paths) for arg in argv.split()))
+        assert code == 2
+        assert stderr.startswith(f"lexcov: {paths['bad']}: 'utf-8' codec can't decode byte 0xff")
+        assert stderr.count("\n") == 1
 
     @pytest.mark.parametrize(
         "policy, message",
@@ -610,6 +669,9 @@ class TestExitCodes:
             ("tokens_unknown", 1.5, "1.5", "a non-negative integer"),
             ("tokens_total", None, "None", "a non-negative integer"),
             ("corpus_id", [1], "[1]", "a string"),
+            ("dict_id", 5, "5", "a string"),
+            ("types_unknown", 11, "11", "at most types_total"),
+            ("tokens_unknown", 31, "31", "at most tokens_total"),
         ],
     )
     def test_counts_row_value_of_the_wrong_type(

@@ -1,4 +1,5 @@
 import random
+import re
 import tempfile
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from lexcov.dico import (
     TokenStatus,
     apply_dictionaries,
     open_annotations,
-    read_annotations,
+    read_types,
     token_annotations,
     write_outputs,
 )
@@ -33,6 +34,7 @@ from oracles import (
     oracle_annotations_tsv,
     oracle_err_and_known,
     oracle_normalize,
+    oracle_read_annotations,
     oracle_segment,
     oracle_tokenize,
 )
@@ -224,16 +226,27 @@ class TestOutputs:
     def test_files_written_sorted(self, neymar_lexicon, tmp_path):
         write_run(NEYMAR_SENTENCE, neymar_lexicon, tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "annotations.tsv", "dlc", "dlf", "err"
+            "annotations.tsv", "dlc", "dlf", "err", "types.tsv"
         ]
         dlf_lines = (tmp_path / "dlf").read_text(encoding="utf-8").splitlines()
         assert dlf_lines == sorted(dlf_lines) and len(dlf_lines) == 12
         assert (tmp_path / "err").read_text(encoding="utf-8") == "Neymar\n"
+        # one row per (text, status, sentence-initial), sorted
+        assert (tmp_path / "types.tsv").read_text(encoding="utf-8") == (
+            "Neymar\tunknown\t0\t1\n"
+            "O\tknown_simple\t1\t1\n"
+            "atrás\tknown_simple\t0\t1\n"
+            "corria\tknown_simple\t0\t1\n"
+            "de\tknown_simple\t0\t1\n"
+            "do\tknown_simple\t0\t1\n"
+            "prejuízo\tknown_simple\t0\t1\n"
+            "time\tknown_simple\t0\t1\n"
+        )
 
     def test_outputs_deterministic(self, neymar_lexicon, tmp_path):
         for sub in ("one", "two"):
             write_run(NEYMAR_SENTENCE, neymar_lexicon, tmp_path / sub)
-        for name in ("dlf", "dlc", "err", "annotations.tsv"):
+        for name in ("dlf", "dlc", "err", "annotations.tsv", "types.tsv"):
             assert (tmp_path / "one" / name).read_bytes() == (
                 tmp_path / "two" / name
             ).read_bytes()
@@ -249,28 +262,44 @@ class TestOutputs:
         assert ("Zico", TokenStatus.UNKNOWN, True) in keys
         assert ("Zico", TokenStatus.UNKNOWN, False) in keys
         assert ("exemplo", TokenStatus.IN_COMPOUND_ONLY, False) in keys
-        assert read_annotations(tmp_path / "annotations.tsv") == result.word_counts
+        word_counts = read_types(tmp_path / "types.tsv")
+        assert word_counts == oracle_read_annotations(tmp_path / "annotations.tsv")
+        assert word_counts == result.word_counts
 
     @pytest.mark.parametrize(
         "row, problem",
         [
-            ("time\twrd\t0\tknown_simple\t.N", "unknown token kind 'wrd'"),
-            ("time\tword\t0\tknown\t.N", "status 'known' on a word row"),
-            ("time\tword\t0\t\t", "status '' on a word row"),
-            (".\tpunct\t0\tunknown\t", "status 'unknown' on a punct row"),
-            ("time\tword\tzero\tknown_simple\t.N", "sentence index 'zero' is not an integer"),
-            ("time\tword\t0\tknown_simple", "expected 5 tab-separated fields, found 4"),
-            # a tab in the last column, which a split at the first four
-            # tabs would keep in the label
-            ("time\tword\t0\tknown_simple\t.N\t.V", "expected 5 tab-separated fields, found 6"),
-            ("", "expected 5 tab-separated fields, found 1"),
+            ("time\tknown_simple\t0", "expected 4 tab-separated fields, found 3"),
+            ("time\tknown_simple\t0\t1\t.N", "expected 4 tab-separated fields, found 5"),
+            ("", "expected 4 tab-separated fields, found 1"),
+            ("\tknown_simple\t0\t1", "empty text"),
+            ("time\tknown\t0\t1", "unknown status 'known'"),
+            ("time\t\t0\t1", "unknown status ''"),
+            ("time\tknown_simple\t2\t1", "sentence-initial flag '2' is not 0 or 1"),
+            ("time\tknown_simple\tTrue\t1", "sentence-initial flag 'True' is not 0 or 1"),
+            ("time\tknown_simple\t0\t0", "count '0' is not a positive integer"),
+            ("time\tknown_simple\t0\t-1", "count '-1' is not a positive integer"),
+            ("time\tknown_simple\t0\t+1", r"count '\+1' is not a positive integer"),
+            ("time\tknown_simple\t0\t1.5", r"count '1\.5' is not a positive integer"),
+            ("time\tknown_simple\t0\t", "count '' is not a positive integer"),
+            # digits that int() reads but that are not ASCII
+            ("time\tknown_simple\t0\t\u0661", "count '\u0661' is not a positive integer"),
+            # more digits than int() converts
+            ("time\tknown_simple\t0\t" + "9" * 5000, "count '9{5000}' is not a positive integer"),
+            ("O\tknown_simple\t1\t2", "repeats the key 'O', known_simple, 1 of an earlier row"),
+        ],
+        ids=[
+            "3 fields", "5 fields", "blank line", "empty text", "unknown status",
+            "empty status", "flag 2", "flag True", "count 0", "count -1", "count +1",
+            "count 1.5", "empty count", "non-ASCII digit", "5000 digits", "repeated key",
         ],
     )
     def test_malformed_row(self, tmp_path, row, problem):
-        path = tmp_path / "annotations.tsv"
-        path.write_text(f"O\tword\t0\tknown_simple\t.DET\n{row}\n", encoding="utf-8")
-        with pytest.raises(MalformedAnnotations, match=f"line 2: {problem}"):
-            read_annotations(path)
+        path = tmp_path / "types.tsv"
+        path.write_text(f"O\tknown_simple\t1\t1\n{row}\n", encoding="utf-8")
+        where = re.escape(f"{path}, line 2: ")
+        with pytest.raises(MalformedAnnotations, match=f"^{where}{problem}$"):
+            read_types(path)
 
     def test_failed_block_leaves_no_trace(self, neymar_lexicon, tmp_path):
         outdir = tmp_path / "new"
@@ -328,6 +357,7 @@ class TestAgainstReferenceAnnotator:
                 for text in files
             )
             result = apply_dictionaries(lexicons, streams, policy, both)
+            write_outputs(result, outdir)
         return (outdir / "annotations.tsv").read_bytes(), annotations, result
 
     def reference_run(self, files, lexicons, policy):
@@ -346,7 +376,10 @@ class TestAgainstReferenceAnnotator:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "run"
             tsv, annotations, result = self.column_run(files, lexicons, policy, path)
-            assert read_annotations(path / "annotations.tsv") == result.word_counts
+            # the run's type table read back is the annotations read back
+            word_counts = read_types(path / "types.tsv")
+            assert word_counts == oracle_read_annotations(path / "annotations.tsv")
+            assert word_counts == result.word_counts
         want_tsv, want_annotations, (dlf, dlc, word_counts, sentence_count) = (
             self.reference_run(files, lexicons, policy)
         )
