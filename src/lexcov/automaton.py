@@ -5,7 +5,8 @@ sorted key set (Daciuk-style: states of the last word are merged into a
 register of canonical states as soon as they can no longer change).  Each
 accepted form gets a dense index via right-language counts on the edges,
 which addresses a per-form table of analysis references.  Multiword forms
-are kept out of the automaton and matched by a first-token index.
+are kept out of the automaton and matched through a token trie per first
+token, built on first use.
 """
 
 from __future__ import annotations
@@ -93,8 +94,9 @@ class Lexicon:
     :func:`load_lexicon`.
 
     It holds the payload's columns (docs/lexicon-binary.md) and builds an
-    analysis, a form's analysis ids or a compound's match pattern only
-    when a lookup reads it.
+    analysis, a form's analysis ids, a compound's match pattern or the
+    trie of the compounds sharing a first word only when a lookup reads
+    it.
     """
 
     def __init__(self, raw: bytes, payload: bytes):
@@ -208,6 +210,7 @@ class Lexicon:
         self._flex_parts = {}              # flex codes string id -> its codes
         self._patterns = {}                # compound -> its form's token columns
         self._compound_index = {}          # fold_key of the first token -> compounds
+        self._tries = {}                   # the same key -> the trie of their patterns
         for ci, form in enumerate(self._compound_forms):
             first = _TOKEN_RE.match(form).group()
             self._compound_index.setdefault(fold_key(first), []).append(ci)
@@ -350,21 +353,61 @@ class Lexicon:
         ``kinds`` and ``texts`` are the columns of a contiguous token
         window from one sentence (see :class:`TokenStream`).  Returns a
         list of (token_span, compound_form, analysis_ids).
+
+        The window is walked down the trie of the compounds whose first
+        token shares the anchor's :func:`fold_key` (:meth:`_trie`); only
+        the compounds whose pattern ends at a node reached get the exact
+        check of :meth:`_match_pattern`.
         """
         if not texts or kinds[0] is not TokenKind.WORD:
             return []
-        candidates = self._compound_index.get(fold_key(texts[0]), ())
+        key = fold_key(texts[0])
+        trie = self._tries.get(key)
+        if trie is None:
+            if key not in self._compound_index:
+                return []
+            trie = self._tries[key] = self._trie(self._compound_index[key])
+        edges, ends = trie
         matches = []
-        for ci in candidates:
-            span = self._match_pattern(self._pattern(ci), kinds, texts, policy)
-            if span is not None:
-                matches.append((span, ci))
+        node = 0  # the root
+        for kind, text in zip(kinds, texts):
+            # a window's space token has the pattern's space key only if it is " "
+            node = edges.get((node, kind, fold_key(text) if kind is TokenKind.WORD else text))
+            if node is None:
+                break
+            for ci in ends.get(node, ()):
+                span = self._match_pattern(self._pattern(ci), kinds, texts, policy)
+                if span is not None:
+                    matches.append((span, ci))
         matches.sort(key=lambda m: (-m[0], m[1]))  # longest first, then entry order
         offsets, ids = self._compound_offsets, self._compound_ids
         return [
             (span, self._compound_forms[ci], tuple(ids[offsets[ci] : offsets[ci + 1]]))
             for span, ci in matches
         ]
+
+    def _trie(self, compounds):
+        """The trie of these compounds' patterns, as two dicts: ``edges``
+        maps (node, token kind, token key) to the child node, and ``ends``
+        maps a node to the compounds whose pattern ends there, in entry
+        order.  Nodes are numbers, the root 0.
+
+        A word token's key is its :func:`fold_key`, which two texts share
+        whenever :func:`token_matches_form` holds; a space token's is " ",
+        as :meth:`_match_pattern` matches any pattern space to a single
+        space; any other token's key is its text.
+        """
+        edges, ends = {}, {}
+        for ci in compounds:
+            node = 0
+            for kind, text in zip(*self._pattern(ci)):
+                if kind is TokenKind.WORD:
+                    text = fold_key(text)
+                elif kind is TokenKind.SPACE:
+                    text = " "
+                node = edges.setdefault((node, kind, text), len(edges) + 1)
+            ends.setdefault(node, []).append(ci)
+        return edges, ends
 
     def _pattern(self, ci):
         """Compound ``ci``'s form as token columns, built on first use."""
@@ -425,7 +468,7 @@ def compile_lexicon(dicts: list[DictFile]) -> Lexicon:
 
 def _pack(dicts) -> bytes:
     """The uncompressed ``.lex`` payload of DictFiles (docs/lexicon-binary.md)."""
-    analysis_ids = {}  # (lemma, gram_code, sem_traits, flex_codes) -> analysis id
+    analysis_ids = {}  # (lemma, gram_code, sem_traits, flex code or "") -> analysis id
     masks = []         # analysis id -> role bits
     simple = {}        # form -> analysis id, or a set of ids once it has two
     compounds = {}     # form -> ordered dict of analysis ids (insertion order)
@@ -436,9 +479,8 @@ def _pack(dicts) -> bytes:
             entry_count += 1
             form = entry.surface_form
             multiword = entry.is_multiword()
-            flex_codes = entry.flex_codes
-            # zip gives each code as a 1-tuple
-            for flex in zip(flex_codes) if flex_codes else ((),):
+            # one analysis per flex code, keyed on the code itself
+            for flex in entry.flex_codes or ("",):
                 key = (entry.lemma, entry.gram_code, entry.sem_traits, flex)
                 aid = analysis_ids.get(key)
                 if aid is None:
@@ -491,7 +533,7 @@ def _pack(dicts) -> bytes:
         string_ids(key[0] for key in analysis_ids),
         string_ids(key[1] for key in analysis_ids),
         string_ids("+".join(key[2]) for key in analysis_ids),
-        string_ids(":".join(key[3]) for key in analysis_ids),
+        string_ids(key[3] for key in analysis_ids),
         _column("B", masks),
         _column("B", finals),
         _column(_U32, edge_counts),
@@ -546,27 +588,26 @@ def _build_dafsa(sorted_forms):
     edges are in code-point order.
     """
     # A state is registered once no later word can change it: the register
-    # maps its key, (final, ((char, state id), ...)), to its id.  ``path``
-    # holds the last word's states, which later words can still change,
-    # as [final, {char: state id}] lists, root first.  A path state's last
+    # maps its key, (final, char, state id, char, state id, ...), to its id.
+    # ``path`` holds the last word's states, which later words can still
+    # change, as lists of the same form, root first.  A path state's last
     # edge leads to the next path state and gets its target once that
     # state is registered.  Sorted input adds each state's edges in char
     # order, so states with equal right languages have equal keys.
     register = {}
     keys = []  # state id -> key
-    path = [[False, {}]]
+    path = [[False]]
 
     def register_down_to(depth):
         top = len(path) - 1
         while top > depth:
-            final, edges = path.pop()
-            key = (final, tuple(edges.items()))
+            key = tuple(path.pop())
             state = register.get(key)
             if state is None:
                 state = register[key] = len(keys)
                 keys.append(key)
             top -= 1
-            path[top][1][previous[top]] = state
+            path[top][-1] = state
 
     previous = ""
     for word in sorted_forms:
@@ -577,14 +618,14 @@ def _build_dafsa(sorted_forms):
         register_down_to(common)
         node = path[-1]
         for ch in word[common:]:
-            node[1][ch] = None
-            node = [False, {}]
+            node += (ch, None)
+            node = [False]
             path.append(node)
         node[0] = True
         previous = word
     register_down_to(0)
     root = len(keys)
-    keys.append((path[0][0], tuple(path[0][1].items())))
+    keys.append(tuple(path[0]))
 
     # number states (DFS preorder, sorted edges)
     number = [-1] * len(keys)
@@ -592,7 +633,7 @@ def _build_dafsa(sorted_forms):
     order = [root]
     stack = [root]
     while stack:
-        for _, child in reversed(keys[stack.pop()][1]):
+        for child in reversed(keys[stack.pop()][2::2]):
             if number[child] < 0:
                 number[child] = len(order)
                 order.append(child)
@@ -600,12 +641,11 @@ def _build_dafsa(sorted_forms):
 
     finals, edge_counts, chars, targets = [], [], [], []
     for state in order:
-        final, edges = keys[state]
-        finals.append(final)
-        edge_counts.append(len(edges))
-        for ch, child in edges:
-            chars.append(ord(ch))
-            targets.append(number[child])
+        key = keys[state]
+        finals.append(key[0])
+        edge_counts.append(len(key) >> 1)
+        chars += map(ord, key[1::2])
+        targets += map(number.__getitem__, key[2::2])
     return finals, edge_counts, chars, targets
 
 

@@ -195,11 +195,20 @@ def _string(mapping, key, where):
 _COUNT_KEYS = ("types_total", "types_unknown", "tokens_total", "tokens_unknown")
 
 
+def _load_json(path):
+    """The JSON value in the UTF-8 file ``path``; a LexcovError naming the
+    file when it is not UTF-8 or not JSON."""
+    with open(path, encoding="utf-8") as fh, decoding(path):
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise LexcovError(f"{path}: {exc}") from None
+
+
 def _reports_from_counts(path):
     """The reports of a ``--counts`` file: a JSON array of row objects, each
     with four non-negative integer counts, no unknown count above its total."""
-    with open(path, encoding="utf-8") as fh, decoding(path):
-        rows = json.load(fh)
+    rows = _load_json(path)
     if not isinstance(rows, list):
         raise MalformedManifest(f"{path}: expected a JSON array of row objects")
     reports = []
@@ -224,8 +233,7 @@ def _read_run(run_dir):
     for path in (manifest_path, types_path):
         if not os.path.isfile(path):
             raise LexcovError(f"{path}: no such file; re-run `lexcov apply` to write it")
-    with open(manifest_path, encoding="utf-8") as fh, decoding(manifest_path):
-        manifest = json.load(fh)
+    manifest = _load_json(manifest_path)
     policy = _required(manifest, "policy", manifest_path)
     if not isinstance(policy, str) or policy not in _POLICIES:
         raise MalformedManifest(
@@ -375,7 +383,7 @@ def main(argv=None) -> int:
     except MalformedEntry as exc:
         print(f"lexcov: malformed entry: {exc}", file=sys.stderr)
         return 2
-    except (LexcovError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (LexcovError, UnicodeDecodeError) as exc:
         print(f"lexcov: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

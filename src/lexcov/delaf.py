@@ -118,6 +118,14 @@ def parse_entry(line: str, line_number: int | None = None) -> DictEntry:
         if j >= len(line):
             raise MalformedEntry("missing '.' separator", line, len(line), line_number)
         codes = line[j + 1 :]
+    gram_code, sem_traits, flex_codes = _parse_codes(codes, line, line_number)
+    # what DictEntry's constructor checks holds already
+    return tuple.__new__(DictEntry, (form, lemma or form, gram_code, sem_traits, flex_codes))
+
+
+def _parse_codes(codes: str, line: str, line_number: int | None) -> tuple:
+    """The gram code, the traits and the flex codes of ``codes``, the text
+    after the ``.`` that ends ``line``'s lemma."""
     at = len(line) - len(codes)  # where the codes start
     code_part, colon, flex_part = codes.partition(":")
     if colon and not flex_part:
@@ -132,10 +140,7 @@ def parse_entry(line: str, line_number: int | None = None) -> DictEntry:
     flex_codes = flex_part.split(":") if flex_part else []
     if "" in flex_codes:
         raise MalformedEntry("empty inflectional code", line, at, line_number)
-    # what DictEntry's constructor checks holds already
-    return tuple.__new__(
-        DictEntry, (form, lemma or form, gram_code, tuple(sem_traits), tuple(flex_codes))
-    )
+    return gram_code, tuple(sem_traits), tuple(flex_codes)
 
 
 def serialize_entry(entry: DictEntry) -> str:
@@ -155,12 +160,27 @@ def iter_dict_entries(path: str | os.PathLike) -> Iterator[DictEntry]:
     A leading BOM is dropped, lines end at ``\\n`` (a ``\\r`` before it is
     dropped, a lone ``\\r`` is part of its line) and blank lines are
     skipped; line numbers in errors count every line.
+
+    The lines of a dictionary repeat a few codes texts (the text after the
+    lemma's ``.``), so each distinct one is parsed once; a line that needs
+    the scanner goes to :func:`parse_entry` whole.
     """
+    codes_of = {}  # codes text -> (gram code, traits, flex codes)
     with open(path, encoding="utf-8-sig", newline="\n") as fh, decoding(path):
         for line_number, raw in enumerate(fh, start=1):
             line = raw.rstrip("\r\n")
-            if line and not line.isspace():
+            if not line or line.isspace():
+                continue
+            form, _, rest = line.partition(",")
+            lemma, dot, codes = rest.partition(".")
+            if not (form and dot) or "\\" in line:
                 yield parse_entry(line, line_number)
+                continue
+            parsed = codes_of.get(codes)
+            if parsed is None:
+                parsed = codes_of[codes] = _parse_codes(codes, line, line_number)
+            gram_code, sem_traits, flex_codes = parsed
+            yield tuple.__new__(DictEntry, (form, lemma or form, gram_code, sem_traits, flex_codes))
 
 
 def load_dict_file(path: str | os.PathLike, role_tag: RoleTag = RoleTag.GENERAL) -> DictFile:

@@ -246,6 +246,34 @@ def oracle_tokenize(text: str) -> list[OracleToken]:
     return tokens
 
 
+def oracle_match_compounds(forms, kinds, texts, policy: str) -> list[tuple[int, str]]:
+    """(token span, form) of each compound form that a window anchored at a
+    word token starts with, longest first, then in the order of ``forms``:
+    every form is tokenized and compared token by token.  A word matches
+    by :func:`oracle_match`, a pattern space only a single space, any
+    other token only its own kind and text."""
+    window = list(zip(kinds, texts))
+    if not window or window[0][0] is not TokenKind.WORD:
+        return []
+    found = []
+    for order, form in enumerate(forms):
+        pattern = [(t.kind, t.text) for t in oracle_tokenize(form)]
+        if len(pattern) > len(window):
+            continue
+        for (kind, text), (token_kind, token) in zip(pattern, window):
+            if kind is not token_kind:
+                break
+            if kind is TokenKind.WORD and not oracle_match(token, text, policy):
+                break
+            if kind is TokenKind.SPACE and token != " ":
+                break
+            if kind not in (TokenKind.WORD, TokenKind.SPACE) and token != text:
+                break
+        else:
+            found.append((-len(pattern), order, form))
+    return [(-negative_span, form) for negative_span, _, form in sorted(found)]
+
+
 def oracle_segment(tokens, abbreviations=()):
     """Sentence indices and initial flags set token by token, in place."""
     abbrevs = {a.strip().rstrip(".").casefold() for a in abbreviations if a.strip()}

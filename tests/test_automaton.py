@@ -25,7 +25,13 @@ from lexcov.delaf import DictEntry, DictFile, RoleTag, parse_entry, serialize_en
 from lexcov.errors import CorruptFile, EmptyLexicon, FormatVersionMismatch
 from lexcov.preprocess import TokenKind, tokenize
 
-from oracles import minimal_state_count, oracle_lookup, oracle_match, right_language_classes
+from oracles import (
+    minimal_state_count,
+    oracle_lookup,
+    oracle_match,
+    oracle_match_compounds,
+    right_language_classes,
+)
 
 
 def lex_from_lines(lines, role=RoleTag.GENERAL):
@@ -212,6 +218,44 @@ def test_match_compounds_matches_oracle(words, other, policy):
         got = bool(lex.match_compounds(*columns(" ".join(token_words)), policy))
         want = all(oracle_match(t, w, policy.value) for t, w in zip(token_words, words))
         assert got == want, (token_words, policy)
+
+
+# compound forms crowd onto a few first words, in several cases, and hold
+# numbers, punctuation and double spaces; pieces join with no separator
+# too, so forms share prefixes inside words as well
+COMPOUND_FIRSTS = ["de", "De", "DE", "a", "A", "ß", "ı", "2", "-"]
+COMPOUND_PIECES = [
+    "de", "De", "DE", "a", "A", "casa", "Casa", "CASA", "ß", "SS", "ı", "I",
+    "fim", "2", "10", ",", "-", ".", " ", " ", " ", "  ",
+]
+COMPOUND_FORMS = st.builds(
+    lambda first, rest: first + " " + "".join(rest),
+    st.sampled_from(COMPOUND_FIRSTS),
+    st.lists(st.sampled_from(COMPOUND_PIECES), max_size=6),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    forms=st.lists(COMPOUND_FORMS, min_size=1, max_size=30),
+    grams=st.lists(st.sampled_from(["N", "ADV"]), min_size=1),
+    windows=st.lists(st.lists(st.sampled_from(COMPOUND_PIECES), max_size=8), max_size=5),
+)
+def test_match_compounds_equals_brute_force_oracle(forms, grams, windows):
+    entries = [DictEntry(f, f, grams[i % len(grams)]) for i, f in enumerate(forms)]
+    lex = compile_lexicon([DictFile(entries)])
+    distinct = list(dict.fromkeys(forms))
+    texts = [v for f in distinct for v in (f, f.upper(), f[0].upper() + f[1:], f + " casa")]
+    texts += ["".join(pieces) for pieces in windows]
+    for policy in CaseFoldPolicy:
+        for text in texts:
+            window = columns(text)
+            got = lex.match_compounds(*window, policy)
+            want = oracle_match_compounds(distinct, *window, policy.value)
+            assert [(span, form) for span, form, _ in got] == want, (text, policy)
+            for _, form, ids in got:
+                held = dict.fromkeys(e for e in entries if e.surface_form == form)
+                assert [lex.entry_for(form, i) for i in ids] == list(held)
 
 
 class TestMinimality:

@@ -661,6 +661,34 @@ class TestExitCodes:
         assert stderr == f"lexcov: {counts}: expected a JSON array of row objects\n"
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+            ("", "Expecting value: line 1 column 1 (char 0)"),
+            ("[1,]", "Expecting value: line 1 column 4 (char 3)"),
+        ],
+    )
+    def test_counts_file_that_is_not_json(self, tmp_path, capsys, text, message):
+        counts = tmp_path / "counts.json"
+        counts.write_text(text, encoding="utf-8")
+        code, _, stderr = run_cli(capsys, "coverage", "--counts", str(counts))
+        assert code == 2
+        assert stderr == f"lexcov: {counts}: {message}\n"
+
+    @pytest.mark.parametrize("command", ["coverage", "classify"])
+    def test_run_json_that_is_not_json(self, neymar_bin, tmp_path, capsys, command):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("O time venceu.\n", encoding="utf-8")
+        outdir = tmp_path / "run"
+        assert main(["apply", str(corpus), "-l", str(neymar_bin), "-o", str(outdir)]) == 0
+        capsys.readouterr()
+        (outdir / "run.json").write_text("[\n", encoding="utf-8")
+        code, _, stderr = run_cli(capsys, *run_reader(command, outdir, neymar_bin))
+        assert code == 2
+        message = "Expecting value: line 2 column 1 (char 2)"
+        assert stderr == f"lexcov: {outdir / 'run.json'}: {message}\n"
+
+    @pytest.mark.parametrize(
         "key, value, shown, expected",
         [
             ("types_total", "x", "'x'", "a non-negative integer"),

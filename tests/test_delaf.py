@@ -1,5 +1,8 @@
+import os
+import tempfile
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lexcov.delaf import (
     DictEntry,
@@ -104,6 +107,64 @@ class TestParseMatchesScanner:
     )
     def test_examples(self, line):
         assert outcome(parse_entry, line, 3) == outcome(oracle_parse_entry, line, 3)
+
+
+# well-formed lines repeat a few codes texts after plain and escaped forms
+# and lemmas; a few other lines, inserted among them, may hold malformed
+# codes, empty or escaped fields, or any text
+GOOD_CODES = ["N", "V:J3s", "V+Hum:ms:fs", "ADV", "A.B"]
+BAD_CODES = ["N+", "V:", "V::a", ":ms", "+a", ""]
+FORMS = ["casa", "ç", "de casa", "a\\,b", "x\\\\y"]
+GOOD_LINES = st.builds(
+    lambda form, lemma, codes: f"{form},{lemma}.{codes}",
+    st.sampled_from(FORMS),
+    st.sampled_from(["", *FORMS]),
+    st.sampled_from(GOOD_CODES),
+)
+OTHER_LINES = st.builds(
+    lambda form, lemma, codes: f"{form},{lemma}.{codes}",
+    st.sampled_from(["", "a.b", "a\\", *FORMS]),
+    st.sampled_from(["", "a.b", "a\\", *FORMS]),
+    st.sampled_from(GOOD_CODES + BAD_CODES),
+) | st.text(alphabet="aç,.+:\\ ", max_size=12)
+
+
+def read_until_error(entries):
+    """The entries an iterable yields before its first MalformedEntry, and
+    that error's message, line, column and line number (None if none)."""
+    read = []
+    try:
+        for entry in entries:
+            read.append(entry)
+    except MalformedEntry as exc:
+        return read, (str(exc), exc.line, exc.column, exc.line_number)
+    return read, None
+
+
+class TestStreamMatchesScanner:
+    """iter_dict_entries parses each distinct codes text once; read line by
+    line, the scanner-only oracle must give the same entries and the same
+    first error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lines=st.lists(GOOD_LINES, max_size=30),
+        others=st.lists(st.tuples(st.integers(0, 30), OTHER_LINES), max_size=3),
+    )
+    def test_file(self, lines, others):
+        for at, line in others:
+            lines.insert(at, line)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "d.dic")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("".join(line + "\n" for line in lines))
+            got = read_until_error(iter_dict_entries(path))
+        want = read_until_error(
+            oracle_parse_entry(line, number)
+            for number, line in enumerate(lines, start=1)
+            if line.strip()
+        )
+        assert got == want
 
 
 class TestSerializeEntry:

@@ -1,7 +1,8 @@
 """Growth checks: doubling the input of a linear stage about doubles its time.
 
 Each check times the stage at 2n and then at n, 3 times (5 for
-segmentation, compile and apply over files), with the collector off, in
+segmentation, compile, apply over files and compounds sharing a first
+word), with the collector off, in
 CPU time of this process so that load from other processes does not
 count, and bounds the median t(2n)/t(n) below 3.0.  A stage that is
 quadratic in its input reads about 4.
@@ -126,6 +127,32 @@ def test_compound_pass_is_linear_in_one_long_sentence():
         stream,
         lambda s: apply_dictionaries(lex, s, CaseFoldPolicy.UNITEX_LIKE),
         len(text) // 2,
+    )
+    assert ratio < BOUND, ratio
+
+
+def test_compound_pass_is_linear_in_compounds_sharing_a_first_word():
+    # n compounds "de <word>", and a corpus of 40n words from those words in
+    # which "de" is one token in ten: a pass that tried every compound
+    # starting with "de" at each "de" read about 4 when both double
+    rng = random.Random(7)
+    seconds = sorted(
+        {"".join(rng.choice("abcdefgilmnoprstuv") for _ in range(8)) for _ in range(600)}
+    )
+
+    def make_args(n):
+        entries = [parse_entry("de,.PREP")]
+        entries += [parse_entry(f"de {word},.N") for word in seconds[:n]]
+        lex = compile_lexicon([DictFile(entries)])
+        ws = [("de" if rng.random() < 0.1 else rng.choice(seconds[:n])) for _ in range(40 * n)]
+        text = " ".join(" ".join(ws[i : i + 12]) + "." for i in range(0, len(ws), 12))
+        return lex, segment_sentences(tokenize(text))
+
+    ratio = growth(
+        make_args,
+        lambda lex, s: apply_dictionaries(lex, s, CaseFoldPolicy.UNITEX_LIKE),
+        250,
+        repeats=5,
     )
     assert ratio < BOUND, ratio
 
