@@ -198,6 +198,22 @@ class Lexicon:
         self._states = _states(finals, edge_counts, chars, targets, n_forms)
 
         self._strings = strings = [text[a:b] for a, b in zip(chain((0,), ends), ends)]
+        # entry_for leaves out DictEntry's checks, so no lemma or code may
+        # be empty, and token_matches_form reads a form's first character;
+        # _pack writes each string once, so one id is searched
+        empty = _find_u32(lengths, 0)
+        if empty >= 0:
+            again = _find_u32(lengths, 0, empty + 1)
+            if again >= 0:
+                raise CorruptFile(f"strings {empty} and {again} are both empty")
+            for problem, col in (
+                ("analysis {} has an empty lemma", self._lemmas),
+                ("analysis {} has an empty grammatical code", self._grams),
+                ("fold-extra form {} is empty", fold_forms),
+            ):
+                at = _find_u32(col, empty)
+                if at >= 0:
+                    raise CorruptFile(problem.format(at))
         self._compound_forms = list(map(strings.__getitem__, compound_forms))
         # _TOKEN_RE matches every character, so only the empty form has no tokens
         if not all(self._compound_forms):
@@ -293,8 +309,11 @@ class Lexicon:
         return sorted(found)
 
     def analysis(self, analysis_id: int) -> Analysis:
+        return Analysis(*self._analysis_fields(analysis_id))
+
+    def _analysis_fields(self, analysis_id: int) -> tuple:
         strings = self._strings
-        return Analysis(
+        return (
             strings[self._lemmas[analysis_id]],
             strings[self._grams[analysis_id]],
             self._parts(self._trait_parts, self._traits[analysis_id], "+"),
@@ -313,7 +332,10 @@ class Lexicon:
         return _ROLE_SETS[self._masks[analysis_id] & _ROLE_MASK]
 
     def entry_for(self, form: str, analysis_id: int) -> DictEntry:
-        return DictEntry(form, *self.analysis(analysis_id))
+        """The entry of ``form``, a form this lexicon matched, with an
+        analysis of it.  Load refused every empty lemma and code, so the
+        entry is built without DictEntry's checks."""
+        return tuple.__new__(DictEntry, (form, *self._analysis_fields(analysis_id)))
 
     def lookup_forms(self, token_text: str, policy=CaseFoldPolicy.UNITEX_LIKE):
         """Map of matched lexicon form -> tuple of analysis ids."""
@@ -722,6 +744,16 @@ def _column(typecode, values) -> array:
     if _SWAP:
         col.byteswap()
     return col
+
+
+def _find_u32(col: array, value: int, start: int = 0) -> int:
+    """The first position at or after ``start`` that holds ``value`` in
+    the u32 column ``col``, or -1; a search of its bytes, at C speed."""
+    data, needle = col.tobytes(), array(_U32, (value,)).tobytes()
+    at = data.find(needle, 4 * start)
+    while at > 0 and at % 4:  # a match that straddles two items
+        at = data.find(needle, at + 1)
+    return at // 4
 
 
 def save_lexicon(lex: Lexicon, path) -> None:

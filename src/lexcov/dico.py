@@ -4,6 +4,7 @@ words, compound matches, and unknown forms (the dlf/dlc/err outputs)."""
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
 from collections import Counter, namedtuple
 from collections.abc import Callable, Iterable
 from contextlib import contextmanager, suppress
@@ -226,10 +227,9 @@ def _compound_pass(lexicons, stream, words, policy, dlc, limit, starters_by_text
     for i in compress(count(), map(starters_by_text.get, texts)):
         if i < resume or kinds[i] is not TokenKind.WORD:
             continue
-        stop = min(n, i + limit)
-        end = i + 1
-        while end < stop and sentences[end] == sentences[i]:
-            end += 1
+        # sentence indices ascend, so the anchor's sentence ends at the
+        # first position holding a greater one
+        end = bisect_right(sentences, sentences[i], i + 1, min(n, i + limit))
         window_kinds, window_texts = kinds[i:end], texts[i:end]
         best = None  # (span, lex_order, form, ids)
         for order in starters_by_text[texts[i]]:
@@ -334,7 +334,10 @@ def open_annotations(outdir):
                 tails = list(map(rows.__getitem__, zip(texts, kinds)))
                 for i in compound_only:
                     tails[i] = _COMPOUND_ONLY_TAIL
-                indices = map(str, map(offset.__add__, stream.sentence_indices))
+                # one index string per sentence, not one per token
+                sentences = stream.sentence_indices
+                labels = list(map(str, range(offset, offset + 1 + max(sentences))))
+                indices = map(labels.__getitem__, sentences)
                 fields = compress(zip(texts, kinds, indices, tails), tails)
                 fh.write("".join(map("\t".join, fields)))
 

@@ -19,7 +19,7 @@ import unicodedata
 from bisect import bisect_left
 from collections.abc import Sequence
 from itertools import accumulate, compress, count, repeat
-from operator import attrgetter
+from operator import itemgetter
 
 from .errors import MalformedReplacements, decoding
 
@@ -28,8 +28,11 @@ _CRLF_RE = re.compile(r"\r\n?")
 _CONTROL_RE = re.compile(r"[\x00-\x08\x0b-\x1f\x7f-\x9f]+")
 _HSPACE_RE = re.compile(r"[^\S\n]+")
 
-# word | number | whitespace | anything else (one char)
-_TOKEN_RE = re.compile(r"([^\W\d_]+)|(\d+)|(\s+)|(.)", re.DOTALL)
+# word | number | whitespace | anything else (one char); a token's first
+# character decides which alternative matches it
+_TOKEN_ALTERNATIVES = (r"[^\W\d_]+", r"\d+", r"\s+", r".")
+_TOKEN_RE = re.compile("|".join(_TOKEN_ALTERNATIVES), re.DOTALL)
+_GROUPED_TOKEN_RE = re.compile("|".join(f"({a})" for a in _TOKEN_ALTERNATIVES), re.DOTALL)
 
 _TERMINATORS = frozenset({".", "!", "?", "…"})
 
@@ -55,18 +58,28 @@ class TokenKind(_StrEnum):
     SPACE = "space"
 
 
-# a match's lastindex -> the kind of the group that matched
+# the kinds of _TOKEN_ALTERNATIVES, in order
 _KIND_OF_GROUP = (None, TokenKind.WORD, TokenKind.NUMBER, TokenKind.SPACE, TokenKind.PUNCT)
-_LASTINDEX = attrgetter("lastindex")
+
+
+class _KindOfFirst(dict):
+    """A token's first character -> the token's kind, found the first time
+    the character is seen by the grouped pattern, so that it agrees with
+    the pattern that split the text; one entry per distinct character."""
+
+    def __missing__(self, ch):
+        kind = self[ch] = _KIND_OF_GROUP[_GROUPED_TOKEN_RE.match(ch).lastindex]
+        return kind
+
+
+_KIND_OF_FIRST = _KindOfFirst()
+_FIRST = itemgetter(0)
 
 
 def token_columns(text: str) -> tuple[list[TokenKind], list[str]]:
     """The kinds and the texts of ``text``'s tokens, in order."""
-    matches = list(_TOKEN_RE.finditer(text))
-    return (
-        list(map(_KIND_OF_GROUP.__getitem__, map(_LASTINDEX, matches))),
-        list(map(re.Match.group, matches)),
-    )
+    texts = _TOKEN_RE.findall(text)
+    return list(map(_KIND_OF_FIRST.__getitem__, map(_FIRST, texts))), texts
 
 
 class TokenStream:
@@ -74,7 +87,7 @@ class TokenStream:
 
     - ``kinds``: the :class:`TokenKind` of each token;
     - ``texts``: each token's text;
-    - ``sentence_indices``: each token's sentence, 0 until
+    - ``sentence_indices``: each token's sentence, ascending, 0 until
       :func:`segment_sentences` fills it;
     - ``initial_positions``: the ascending positions of the
       sentence-initial word tokens.
@@ -131,7 +144,7 @@ class TokenStream:
         tokenized from; computed on the first call."""
         if self._byte_spans is None:
             # the source's own pieces: apply_replacements may have changed texts
-            pieces = map(re.Match.group, _TOKEN_RE.finditer(self._source))
+            pieces = _TOKEN_RE.findall(self._source)
             ends = list(accumulate(map(len, map(str.encode, pieces))))
             self._byte_spans = list(zip([0, *ends], ends))
         return self._byte_spans

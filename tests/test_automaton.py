@@ -560,7 +560,8 @@ STATE_COUNT = lambda header: 24
 # lemma id follows the string table, whose count and byte size end the header
 FIRST_LENGTH = lambda header: automaton._HEADER.size
 FIRST_LEMMA = lambda header: automaton._HEADER.size + 4 * header[-2] + header[-1]
-# the traits and flex codes columns follow the A lemma and A code ids
+# the code, traits and flex codes columns follow the A lemma ids, in turn
+FIRST_CODE = lambda header: FIRST_LEMMA(header) + 4 * header[5]
 FIRST_TRAITS = lambda header: FIRST_LEMMA(header) + 8 * header[5]
 FIRST_FLEXES = lambda header: FIRST_LEMMA(header) + 12 * header[5]
 # the states' u8 final flags follow the analyses (A rows of 4 u32 and a u8)
@@ -608,6 +609,20 @@ class TestBrokenPayload:
             # them, but their ids are checked at load
             (set_u32(FIRST_TRAITS, 6), "string id 6, but there are 5 strings"),
             (set_u32(FIRST_FLEXES, 7), "string id 7, but there are 5 strings"),
+            # string 4 is "": entries are built without DictEntry's checks
+            (set_u32(FIRST_LEMMA, 4), "analysis 0 has an empty lemma"),
+            (set_u32(FIRST_CODE, 4), "analysis 0 has an empty grammatical code"),
+            (
+                set_u32(lambda header: FIRST_CODE(header) + 4, 4),
+                "analysis 1 has an empty grammatical code",
+            ),
+            # "zê" is now empty and "zê ca" two characters longer: two empty strings
+            (
+                lambda raw: set_u32(FIRST_LENGTH, 0)(
+                    set_u32(lambda header: FIRST_LENGTH(header) + 4, 7)(raw)
+                ),
+                "strings 0 and 4 are both empty",
+            ),
         ],
     )
     def test_resigned_payload_is_corrupt(self, saved, edit, message):
@@ -636,6 +651,13 @@ class TestBrokenPayload:
     def test_saved_broken_lexicon_is_corrupt(self, saved, edit, message):
         # the automaton's and the analysis tables' checks
         self.check(saved, edit, message)
+
+    def test_empty_fold_extra_form_is_corrupt(self, tmp_path):
+        # "Ab" is the fold-extra form of "ab", the payload's last u32; string
+        # 2 is "", which a unitex_like lookup of "ab" would have indexed
+        path = tmp_path / "fold.lex"
+        save_lexicon(lex_from_lines(["Ab,.N"]), path)
+        self.check(path, lambda raw: raw[:-4] + u32(2), "fold-extra form 0 is empty")
 
     @staticmethod
     def check(path, edit, message):

@@ -401,6 +401,21 @@ class TestAgainstReferenceAnnotator:
             for names in (["a"], ["a", "b"], ["b", "a"]):
                 self.check(files, names, policy)
 
+    def test_sentence_offsets_past_ten(self):
+        # five, four and six sentences: two-digit indices, each file's
+        # shifted by the sentences of the files before it
+        files = [
+            "O time venceu. Por exemplo, a casa! Sr. Silva venceu? Casa de casa. A fim",
+            "Time de casa em casa venceu… O time. Zico venceu qq. Xx I LARGA",
+            "A fim de casa. O time! Venceu. Por exemplo venceu. Casa em casa? Anos 70 casa.",
+        ]
+        for policy in CaseFoldPolicy:
+            self.check(files, ["a", "b"], policy)
+        assert apply_dictionaries(
+            self.LEXICONS["a"],
+            (segment_sentences(tokenize(text), self.ABBREVIATIONS) for text in files),
+        ).sentence_count == 15
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_matches_reference(self, data):

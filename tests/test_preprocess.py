@@ -15,7 +15,7 @@ from lexcov.preprocess import (
     tokenize,
 )
 
-from oracles import oracle_normalize
+from oracles import oracle_normalize, oracle_tokenize
 
 
 def words_of(text):
@@ -102,6 +102,22 @@ class TestTokenize:
     @given(st.text(max_size=300))
     def test_lossless_on_arbitrary_text(self, text):
         assert "".join(t.text for t in tokenize(text).tokens) == text
+
+    # Latin letters and a combining acute; Greek and CJK letters; decimal
+    # digits, ASCII and not; a superscript two and a Roman numeral, letters
+    # to the word pattern but no decimal digits; "_"; ASCII and Unicode
+    # spaces; punctuation; an astral symbol
+    TOKEN_CHARS = "aZçÉ\u0301αΩ中文09\u0663\uff11²Ⅻ_ \t\n\xa0\u2028\u3000.,-…!?'\U0001f600"
+
+    @settings(max_examples=300)
+    @given(st.text(alphabet=TOKEN_CHARS, max_size=60) | st.text(max_size=60))
+    def test_matches_reference(self, text):
+        # each token's kind follows from its first character
+        stream = tokenize(text)
+        want = oracle_tokenize(text)
+        assert stream.kinds == [t.kind for t in want]
+        assert stream.texts == [t.text for t in want]
+        assert stream.byte_spans() == [t.byte_span for t in want]
 
 
 class TestTokenStream:
