@@ -18,7 +18,6 @@ import sys
 import zlib
 from array import array
 from collections import namedtuple
-from functools import cached_property
 from itertools import accumulate, chain, islice
 
 from .delaf import DictEntry, DictFile, RoleTag
@@ -94,9 +93,8 @@ class Lexicon:
     :func:`load_lexicon`.
 
     It holds the payload's columns (docs/lexicon-binary.md) and builds an
-    analysis, a form's analysis ids, a compound's match pattern or the
-    trie of the compounds sharing a first word only when a lookup reads
-    it.
+    analysis, a form's analysis ids or the trie of the compounds sharing a
+    first word only when a lookup reads it.
     """
 
     def __init__(self, raw: bytes, payload: bytes):
@@ -224,9 +222,8 @@ class Lexicon:
         }
         self._trait_parts = {}             # traits string id -> its traits
         self._flex_parts = {}              # flex codes string id -> its codes
-        self._patterns = {}                # compound -> its form's token columns
         self._compound_index = {}          # fold_key of the first token -> compounds
-        self._tries = {}                   # the same key -> the trie of their patterns
+        self._tries = {}                   # the same key -> the trie of their tokens
         for ci, form in enumerate(self._compound_forms):
             first = _TOKEN_RE.match(form).group()
             self._compound_index.setdefault(fold_key(first), []).append(ci)
@@ -240,13 +237,6 @@ class Lexicon:
             compound_count=n_compounds,
         )
         self._payload = payload            # the compressed payload, as saved
-
-    @cached_property
-    def max_compound_tokens(self) -> int:
-        """No :meth:`match_compounds` window needs more tokens than this;
-        0 when the lexicon has no compounds."""
-        count = _TOKEN_RE.subn  # a form's tokens are the pattern's matches
-        return max((count("", form)[1] for form in self._compound_forms), default=0)
 
     # -- simple-form lookup ------------------------------------------------
 
@@ -369,21 +359,27 @@ class Lexicon:
         token with that key."""
         return key in self._compound_index
 
-    def match_compounds(self, kinds, texts, policy=CaseFoldPolicy.UNITEX_LIKE):
-        """All multiword matches anchored at the first token, longest first.
+    def match_compounds(
+        self, kinds, texts, policy=CaseFoldPolicy.UNITEX_LIKE, start=0, stop=None
+    ):
+        """All multiword matches anchored at token ``start``, longest first.
 
-        ``kinds`` and ``texts`` are the columns of a contiguous token
-        window from one sentence (see :class:`TokenStream`).  Returns a
-        list of (token_span, compound_form, analysis_ids).
+        ``kinds`` and ``texts`` are token columns (see :class:`TokenStream`);
+        ``texts[start:stop]`` must lie in one sentence, and ``stop``
+        defaults to the columns' end.  Returns a list of (token_span,
+        compound_form, analysis_ids).
 
-        The window is walked down the trie of the compounds whose first
-        token shares the anchor's :func:`fold_key` (:meth:`_trie`); only
-        the compounds whose pattern ends at a node reached get the exact
-        check of :meth:`_match_pattern`.
+        The columns are walked from ``start`` down the trie of the
+        compounds whose first token shares the anchor's :func:`fold_key`
+        (:meth:`_trie`).  The walk decides every token but a word's case:
+        a compound ending at a node reached matches when each of its words
+        passes :func:`token_matches_form`.
         """
-        if not texts or kinds[0] is not TokenKind.WORD:
+        if stop is None:
+            stop = len(texts)
+        if start >= stop or kinds[start] is not TokenKind.WORD:
             return []
-        key = fold_key(texts[0])
+        key = fold_key(texts[start])
         trie = self._tries.get(key)
         if trie is None:
             if key not in self._compound_index:
@@ -392,15 +388,15 @@ class Lexicon:
         edges, ends = trie
         matches = []
         node = 0  # the root
-        for kind, text in zip(kinds, texts):
-            # a window's space token has the pattern's space key only if it is " "
+        for i in range(start, stop):
+            kind, text = kinds[i], texts[i]
+            # a space token takes a form's space edge only if it is " "
             node = edges.get((node, kind, fold_key(text) if kind is TokenKind.WORD else text))
             if node is None:
                 break
-            for ci in ends.get(node, ()):
-                span = self._match_pattern(self._pattern(ci), kinds, texts, policy)
-                if span is not None:
-                    matches.append((span, ci))
+            for ci, words in ends.get(node, ()):
+                if all(token_matches_form(texts[start + p], w, policy) for p, w in words):
+                    matches.append((i + 1 - start, ci))
         matches.sort(key=lambda m: (-m[0], m[1]))  # longest first, then entry order
         offsets, ids = self._compound_offsets, self._compound_ids
         return [
@@ -409,54 +405,31 @@ class Lexicon:
         ]
 
     def _trie(self, compounds):
-        """The trie of these compounds' patterns, as two dicts: ``edges``
-        maps (node, token kind, token key) to the child node, and ``ends``
-        maps a node to the compounds whose pattern ends there, in entry
-        order.  Nodes are numbers, the root 0.
+        """The trie of these compounds' forms, as two dicts: ``edges`` maps
+        (node, token kind, token key) to the child node, and ``ends`` maps
+        a node to the compounds whose form ends there, in entry order, as
+        (compound, its words as (token position, text) pairs).  Nodes are
+        numbers, the root 0.
 
         A word token's key is its :func:`fold_key`, which two texts share
         whenever :func:`token_matches_form` holds; a space token's is " ",
-        as :meth:`_match_pattern` matches any pattern space to a single
-        space; any other token's key is its text.
+        so that a form's space matches a single space; any other token's
+        key is its text.  So a path decides every token of a match but a
+        word's case, which the pairs are kept for.
         """
         edges, ends = {}, {}
         for ci in compounds:
             node = 0
-            for kind, text in zip(*self._pattern(ci)):
+            words = []
+            for p, (kind, text) in enumerate(zip(*token_columns(self._compound_forms[ci]))):
                 if kind is TokenKind.WORD:
+                    words.append((p, text))
                     text = fold_key(text)
                 elif kind is TokenKind.SPACE:
                     text = " "
                 node = edges.setdefault((node, kind, text), len(edges) + 1)
-            ends.setdefault(node, []).append(ci)
+            ends.setdefault(node, []).append((ci, words))
         return edges, ends
-
-    def _pattern(self, ci):
-        """Compound ``ci``'s form as token columns, built on first use."""
-        pattern = self._patterns.get(ci)
-        if pattern is None:
-            pattern = self._patterns[ci] = token_columns(self._compound_forms[ci])
-        return pattern
-
-    @staticmethod
-    def _match_pattern(pattern, kinds, texts, policy):
-        pattern_kinds, pattern_texts = pattern
-        if len(pattern_texts) > len(texts):
-            return None
-        for pattern_kind, pattern_text, kind, text in zip(
-            pattern_kinds, pattern_texts, kinds, texts
-        ):
-            if pattern_kind is TokenKind.WORD:
-                if kind is not TokenKind.WORD or not token_matches_form(
-                    text, pattern_text, policy
-                ):
-                    return None
-            elif pattern_kind is TokenKind.SPACE:
-                if kind is not TokenKind.SPACE or text != " ":
-                    return None
-            elif kind is not pattern_kind or text != pattern_text:
-                return None
-        return len(pattern_texts)
 
     def iter_forms(self):
         """All simple forms in sorted order."""
@@ -680,9 +653,10 @@ def _states(finals, edge_counts, chars, targets, n_forms):
     below the state's earlier edges (Lucchesi & Kowaltowski 1993), so the
     offsets summed along a form's path give its rank in code-point order.
     One depth-first pass counts each state's forms bottom-up and writes
-    the offsets.  Raises CorruptFile if the pass meets a cycle or the root
-    does not accept ``n_forms`` forms; otherwise every rank a lookup sums
-    lies below ``n_forms``.
+    the offsets.  Raises CorruptFile if the pass meets a cycle, a state
+    whose edge labels do not strictly ascend, or a root that does not
+    accept ``n_forms`` forms; otherwise every rank a lookup sums lies
+    below ``n_forms``, and it is the rank of the form read.
     """
     first = [0, *accumulate(edge_counts)]  # state s's edges: first[s]..first[s+1]
     counts = [-1] * len(finals)            # -1 until the state is counted
@@ -694,14 +668,25 @@ def _states(finals, edge_counts, chars, targets, n_forms):
         if counts[start] >= 0:
             continue
         on_path[start] = 1
-        stack = [(start, first[start], 1 if finals[start] else 0)]
+        # (state, its next edge, the forms below its earlier edges, the
+        # label of its last edge counted or -1)
+        stack = [(start, first[start], 1 if finals[start] else 0, -1)]
         while stack:
-            state, edge, acc = stack.pop()
+            state, edge, acc, label = stack.pop()
             end = first[state + 1]
             while edge < end:
                 count = counts[targets[edge]]
                 if count < 0:
                     break
+                char = chars[edge]
+                if char <= label:
+                    raise CorruptFile(
+                        f"state {state} has two edges labelled {chr(char)!r}"
+                        if char == label
+                        else f"state {state}'s edges {chr(label)!r} and {chr(char)!r}"
+                        " are out of code-point order"
+                    )
+                label = char
                 offsets[edge] = acc
                 acc += count
                 edge += 1
@@ -713,8 +698,8 @@ def _states(finals, edge_counts, chars, targets, n_forms):
             if on_path[target]:
                 raise CorruptFile(f"the automaton has a cycle through state {target}")
             on_path[target] = 1
-            stack.append((state, edge, acc))
-            stack.append((target, first[target], 1 if finals[target] else 0))
+            stack.append((state, edge, acc, label))
+            stack.append((target, first[target], 1 if finals[target] else 0, -1))
     if counts[0] != n_forms:
         raise CorruptFile(
             f"the automaton's form count is {counts[0]}, the form table's {n_forms}"

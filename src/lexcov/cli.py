@@ -381,7 +381,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except MalformedEntry as exc:
-        print(f"lexcov: malformed entry: {exc}", file=sys.stderr)
+        where = "" if exc.path is None else f"{exc.path}: "
+        print(f"lexcov: {where}malformed entry: {exc}", file=sys.stderr)
         return 2
     except (LexcovError, UnicodeDecodeError) as exc:
         print(f"lexcov: {exc}", file=sys.stderr)

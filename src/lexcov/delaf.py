@@ -167,20 +167,25 @@ def iter_dict_entries(path: str | os.PathLike) -> Iterator[DictEntry]:
     """
     codes_of = {}  # codes text -> (gram code, traits, flex codes)
     with open(path, encoding="utf-8-sig", newline="\n") as fh, decoding(path):
-        for line_number, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n")
-            if not line or line.isspace():
-                continue
-            form, _, rest = line.partition(",")
-            lemma, dot, codes = rest.partition(".")
-            if not (form and dot) or "\\" in line:
-                yield parse_entry(line, line_number)
-                continue
-            parsed = codes_of.get(codes)
-            if parsed is None:
-                parsed = codes_of[codes] = _parse_codes(codes, line, line_number)
-            gram_code, sem_traits, flex_codes = parsed
-            yield tuple.__new__(DictEntry, (form, lemma or form, gram_code, sem_traits, flex_codes))
+        try:
+            for line_number, raw in enumerate(fh, start=1):
+                line = raw.rstrip("\r\n")
+                if not line or line.isspace():
+                    continue
+                form, _, rest = line.partition(",")
+                lemma, dot, codes = rest.partition(".")
+                if not (form and dot) or "\\" in line:
+                    yield parse_entry(line, line_number)
+                    continue
+                parsed = codes_of.get(codes)
+                if parsed is None:
+                    parsed = codes_of[codes] = _parse_codes(codes, line, line_number)
+                gram_code, sem_traits, flex_codes = parsed
+                entry = (form, lemma or form, gram_code, sem_traits, flex_codes)
+                yield tuple.__new__(DictEntry, entry)
+        except MalformedEntry as exc:
+            exc.path = path
+            raise
 
 
 def load_dict_file(path: str | os.PathLike, role_tag: RoleTag = RoleTag.GENERAL) -> DictFile:

@@ -151,7 +151,6 @@ def apply_dictionaries(
     analyses_by_text = {}
     # text -> orders of the lexicons with a compound starting with it
     starters_by_text = {}
-    compound_limit = max((lex.max_compound_tokens for lex in lexicons), default=0)
     # word tokens by text, the sentence-initial ones by text, and the
     # compound-only ones by (text, sentence_initial): the per-type table is
     # made from these three once every stream is applied
@@ -172,9 +171,7 @@ def apply_dictionaries(
             dlf.update(analyses)
         initial = [i for i in stream.initial_positions if kinds[i] is TokenKind.WORD]
         initial_counts.update(texts[i] for i in initial)
-        covered = _compound_pass(
-            lexicons, stream, distinct, policy, dlc, compound_limit, starters_by_text
-        )
+        covered = _compound_pass(lexicons, stream, distinct, policy, dlc, starters_by_text)
         compound_only = [
             i for i in covered if kinds[i] is TokenKind.WORD and not analyses_by_text[texts[i]]
         ]
@@ -202,17 +199,17 @@ def apply_dictionaries(
     return DicoResult(policy, dlf, dlc, word_counts, sentence_count)
 
 
-def _compound_pass(lexicons, stream, words, policy, dlc, limit, starters_by_text) -> list[int]:
+def _compound_pass(lexicons, stream, words, policy, dlc, starters_by_text) -> list[int]:
     """Count compound matches into ``dlc``; return the positions they
     cover, ascending.
 
-    Greedy longest match, anchored left to right.  A window is capped at
-    ``limit`` tokens, the longest compound pattern, and at the anchor's
-    sentence, so the pass is linear.  Only lexicons with a compound
-    starting with the token are asked; ``starters_by_text`` caches which
-    for each of the stream's distinct ``words``.
+    Greedy longest match, anchored left to right.  Each anchor's walk
+    stops at its sentence's end, or sooner where no compound continues,
+    so the pass is linear.  Only lexicons with a compound starting with
+    the token are asked; ``starters_by_text`` caches which for each of the
+    stream's distinct ``words``.
     """
-    if not limit:
+    if not any(lex.stats.compound_count for lex in lexicons):
         return []
     for text in words.difference(starters_by_text):
         key = fold_key(text)
@@ -223,18 +220,19 @@ def _compound_pass(lexicons, stream, words, policy, dlc, limit, starters_by_text
     n = len(texts)
     covered = []
     resume = 0  # the first position after the last match
+    end = 0  # the end of the anchor's sentence
     # the positions whose text starts a compound in some lexicon
     for i in compress(count(), map(starters_by_text.get, texts)):
         if i < resume or kinds[i] is not TokenKind.WORD:
             continue
-        # sentence indices ascend, so the anchor's sentence ends at the
-        # first position holding a greater one
-        end = bisect_right(sentences, sentences[i], i + 1, min(n, i + limit))
-        window_kinds, window_texts = kinds[i:end], texts[i:end]
+        if i >= end:
+            # sentence indices ascend, so the anchor's sentence ends at the
+            # first position holding a greater one
+            end = bisect_right(sentences, sentences[i], i + 1, n)
         best = None  # (span, lex_order, form, ids)
         for order in starters_by_text[texts[i]]:
             for span, form, ids in lexicons[order].match_compounds(
-                window_kinds, window_texts, policy
+                kinds, texts, policy, i, end
             ):
                 if span > 1 and (best is None or span > best[0]):
                     best = (span, order, form, ids)

@@ -11,13 +11,15 @@ class MalformedEntry(LexcovError):
     """A DELAF line does not match the entry grammar.
 
     Carries the offending line, the column where parsing failed, and
-    (when known) the 1-based line number in the source file.
+    (when known) the 1-based line number in the source file and its
+    ``path``, which the message leaves out.
     """
 
     def __init__(self, message, line, column, line_number=None):
         self.line = line
         self.column = column
         self.line_number = line_number
+        self.path = None
         where = f"line {line_number}, " if line_number is not None else ""
         super().__init__(f"{where}col {column}: {message}: {line!r}")
 

@@ -240,13 +240,20 @@ COMPOUND_FORMS = st.builds(
     forms=st.lists(COMPOUND_FORMS, min_size=1, max_size=30),
     grams=st.lists(st.sampled_from(["N", "ADV"]), min_size=1),
     windows=st.lists(st.lists(st.sampled_from(COMPOUND_PIECES), max_size=8), max_size=5),
+    cuts=st.lists(st.tuples(st.integers(0, 999), st.integers(0, 999)), max_size=8),
 )
-def test_match_compounds_equals_brute_force_oracle(forms, grams, windows):
+def test_match_compounds_equals_brute_force_oracle(forms, grams, windows, cuts):
     entries = [DictEntry(f, f, grams[i % len(grams)]) for i, f in enumerate(forms)]
     lex = compile_lexicon([DictFile(entries)])
     distinct = list(dict.fromkeys(forms))
     texts = [v for f in distinct for v in (f, f.upper(), f[0].upper() + f[1:], f + " casa")]
     texts += ["".join(pieces) for pieces in windows]
+    # windows that start and stop cut out of one longer stream, in place
+    kinds, stream = columns(" ".join(texts))
+    bounds = []
+    for a, b in cuts:
+        start = a % len(stream)
+        bounds.append((start, start + b % (len(stream) + 1 - start)))
     for policy in CaseFoldPolicy:
         for text in texts:
             window = columns(text)
@@ -256,6 +263,12 @@ def test_match_compounds_equals_brute_force_oracle(forms, grams, windows):
             for _, form, ids in got:
                 held = dict.fromkeys(e for e in entries if e.surface_form == form)
                 assert [lex.entry_for(form, i) for i in ids] == list(held)
+        for start, stop in bounds:
+            got = lex.match_compounds(kinds, stream, policy, start, stop)
+            want = oracle_match_compounds(
+                distinct, kinds[start:stop], stream[start:stop], policy.value
+            )
+            assert [(span, form) for span, form, _ in got] == want, (start, stop, policy)
 
 
 class TestMinimality:
@@ -473,7 +486,6 @@ def test_save_load_round_trip(files):
         save_lexicon(loaded, again)
         assert again.read_bytes() == path.read_bytes()
     assert loaded.stats == lex.stats
-    assert loaded.max_compound_tokens == lex.max_compound_tokens
     # the loaded lexicon holds each input entry, one analysis per flex
     # code, with the roles of every file that has the analysis
     expected, roles = {}, {}
@@ -566,15 +578,29 @@ FIRST_TRAITS = lambda header: FIRST_LEMMA(header) + 8 * header[5]
 FIRST_FLEXES = lambda header: FIRST_LEMMA(header) + 12 * header[5]
 # the states' u8 final flags follow the analyses (A rows of 4 u32 and a u8)
 FIRST_FINAL = lambda header: FIRST_LEMMA(header) + 17 * header[5]
-# the root's first edge target opens the target column, which follows the
-# final flags and u32 edge counts (S each), and the T u32 code points
-ROOT_TARGET = lambda header: FIRST_FINAL(header) + 5 * header[3] + 4 * header[4]
+# the S u32 edge counts follow the final flags, then the T u32 code points
+# that label the edges, the root's first
+EDGE_COUNTS = lambda header: FIRST_FINAL(header) + header[3]
+FIRST_LABEL = lambda header: EDGE_COUNTS(header) + 4 * header[3]
+# the root's first edge target opens the target column, which follows the labels
+ROOT_TARGET = lambda header: FIRST_LABEL(header) + 4 * header[4]
 # the F u32 form counts follow the T targets, then the forms' analysis ids
 FIRST_FORM_ID = lambda header: ROOT_TARGET(header) + 4 * header[4] + 4 * header[1]
 # with one analysis per form, the F form ids end where the C compound form
 # ids start; the C compound counts follow, then the compounds' analysis ids
 FIRST_COMPOUND = lambda header: FIRST_FORM_ID(header) + 4 * header[1]
 FIRST_COMPOUND_ID = lambda header: FIRST_COMPOUND(header) + 8 * header[6]
+
+
+def root_edges(*labels):
+    """Give the root of "zê" both edges, to states 1 and 2, with these
+    labels, and state 1 none; in code-point order, the payload loads."""
+
+    def edit(raw):
+        raw = put(raw, EDGE_COUNTS, u32(2) + u32(0))
+        return put(raw, FIRST_LABEL, b"".join(u32(ord(label)) for label in labels))
+
+    return edit
 
 
 class TestBrokenPayload:
@@ -596,6 +622,9 @@ class TestBrokenPayload:
             (replace_once(Z_LABEL, struct.pack("<I", 0x110000)), "code point 0x110000"),
             (replace_once(Z_LABEL, struct.pack("<I", 0xFFFFFFFF)), "code point 0xffffffff"),
             (replace_once(Z_LABEL, struct.pack("<I", 0xD800)), "code point 0xd800"),
+            # the root's two edges out of code-point order, or with one label
+            (root_edges("z", "a"), "state 0's edges 'z' and 'a' are out of code-point order"),
+            (root_edges("z", "z"), "state 0 has two edges labelled 'z'"),
             (lambda raw: raw.replace("zê".encode(), b"z\xc3(", 1), "invalid continuation byte"),
             (lambda raw: raw + b"\0", "1 unread bytes"),
             (lambda raw: raw[:-1], "unexpected end of payload"),

@@ -494,6 +494,21 @@ class TestExitCodes:
         assert code == 2
         assert "edge to state 999" in stderr
 
+    @pytest.mark.parametrize(
+        "argv", ["compile {dic} {bad} -o {out}", "diff -a {dic} -b {bad}"], ids=["compile", "diff"]
+    )
+    def test_malformed_delaf_line_names_its_file(self, fixtures_dir, tmp_path, capsys, argv):
+        paths = {
+            "dic": fixtures_dir / "neymar.dic", "bad": tmp_path / "bad.dic", "out": tmp_path / "out"
+        }
+        paths["bad"].write_text("a,.N\nxx,yy\n", encoding="utf-8")
+        code, _, stderr = run_cli(capsys, *(arg.format(**paths) for arg in argv.split()))
+        assert code == 2
+        assert stderr == (
+            f"lexcov: {paths['bad']}: malformed entry: line 2, col 5: missing '.' separator:"
+            " 'xx,yy'\n"
+        )
+
     @pytest.mark.parametrize("row", ["time\tbom\ttime", "time", "\tbom", "time\t"])
     def test_malformed_replacement_row(self, fixtures_dir, neymar_bin, tmp_path, capsys, row):
         outdir = tmp_path / "run"
