@@ -1,12 +1,12 @@
 """Compilation of DELAF files into an immutable minimal acyclic automaton.
 
-Single-token surface forms live in a DAFSA built incrementally from the
-sorted key set (Daciuk-style: states of the last word are merged into a
-register of canonical states as soon as they can no longer change).  Each
-accepted form gets a dense index via right-language counts on the edges,
-which addresses a per-form table of analysis references.  Multiword forms
-are kept out of the automaton and matched through a token trie per first
-token, built on first use.
+Single-token surface forms live in a DAFSA built bottom-up from the
+sorted key set: the forms sharing a prefix are a range of it, split at
+its branch depth, and each state is merged into a register of canonical
+states once its children are.  Each accepted form gets a dense index via
+right-language counts on the edges, which addresses a per-form table of
+analysis references.  Multiword forms are kept out of the automaton and
+matched through a token trie per first token, built on first use.
 """
 
 from __future__ import annotations
@@ -17,8 +17,11 @@ import struct
 import sys
 import zlib
 from array import array
+from bisect import bisect_left
 from collections import namedtuple
+from functools import cached_property
 from itertools import accumulate, chain, islice
+from operator import itemgetter
 
 from .delaf import DictEntry, DictFile, RoleTag
 from .errors import CorruptFile, EmptyLexicon, FormatVersionMismatch
@@ -92,9 +95,11 @@ class Lexicon:
     one with :func:`compile_lexicon`, or read a file with
     :func:`load_lexicon`.
 
-    It holds the payload's columns (docs/lexicon-binary.md) and builds an
-    analysis, a form's analysis ids or the trie of the compounds sharing a
-    first word only when a lookup reads it.
+    It holds the payload's columns (docs/lexicon-binary.md), checked when
+    it is made, and builds a lookup table (the states' edge dicts, the
+    strings, the compound index, the fold-extra map), an analysis, a
+    form's analysis ids or the trie of the compounds sharing a first word
+    only when a lookup first reads it.
     """
 
     def __init__(self, raw: bytes, payload: bytes):
@@ -168,10 +173,10 @@ class Lexicon:
         if pos != len(raw):
             raise CorruptFile(f"{len(raw) - pos} unread bytes after the last section")
 
-        ends = list(accumulate(lengths))
-        if (ends[-1] if ends else 0) != len(text):
+        total = sum(lengths)
+        if total != len(text):
             raise CorruptFile(
-                f"string lengths add up to {ends[-1] if ends else 0} characters,"
+                f"string lengths add up to {total} characters,"
                 f" but the string table holds {len(text)}"
             )
         string_columns = (*analyses, compound_forms, fold_keys, fold_forms)
@@ -192,10 +197,11 @@ class Lexicon:
         top = max(max(form_ids, default=-1), max(compound_ids, default=-1))
         if top >= n_analyses:
             raise CorruptFile(f"analysis id {top}, but there are {n_analyses} analyses")
-        # states[i] = (final, {char: (target, index_offset)})
-        self._states = _states(finals, edge_counts, chars, targets, n_forms)
+        self._offsets = _rank_offsets(finals, edge_counts, chars, targets, n_forms)
+        self._finals, self._edge_counts, self._chars, self._targets = (
+            finals, edge_counts, chars, targets
+        )
 
-        self._strings = strings = [text[a:b] for a, b in zip(chain((0,), ends), ends)]
         # entry_for leaves out DictEntry's checks, so no lemma or code may
         # be empty, and token_matches_form reads a form's first character;
         # _pack writes each string once, so one id is searched
@@ -207,26 +213,19 @@ class Lexicon:
             for problem, col in (
                 ("analysis {} has an empty lemma", self._lemmas),
                 ("analysis {} has an empty grammatical code", self._grams),
+                # _TOKEN_RE matches every character, so only the empty form has no tokens
+                ("compound '' has no tokens", compound_forms),
                 ("fold-extra form {} is empty", fold_forms),
             ):
                 at = _find_u32(col, empty)
                 if at >= 0:
                     raise CorruptFile(problem.format(at))
-        self._compound_forms = list(map(strings.__getitem__, compound_forms))
-        # _TOKEN_RE matches every character, so only the empty form has no tokens
-        if not all(self._compound_forms):
-            raise CorruptFile("compound '' has no tokens")
-        forms = map(strings.__getitem__, fold_forms)
-        self._fold_extra = {  # fold_key -> forms other than the key
-            strings[k]: tuple(islice(forms, n)) for k, n in zip(fold_keys, fold_counts)
-        }
+        self._text, self._lengths = text, lengths
+        self._compound_form_ids = compound_forms
+        self._fold_keys, self._fold_counts, self._fold_forms = fold_keys, fold_counts, fold_forms
         self._trait_parts = {}             # traits string id -> its traits
         self._flex_parts = {}              # flex codes string id -> its codes
-        self._compound_index = {}          # fold_key of the first token -> compounds
-        self._tries = {}                   # the same key -> the trie of their tokens
-        for ci, form in enumerate(self._compound_forms):
-            first = _TOKEN_RE.match(form).group()
-            self._compound_index.setdefault(fold_key(first), []).append(ci)
+        self._tries = {}                   # a compound_index key -> the trie of its compounds
         self.stats = LexiconStats(
             entry_count=entry_count,
             unique_form_count=n_forms + n_compounds,
@@ -237,6 +236,41 @@ class Lexicon:
             compound_count=n_compounds,
         )
         self._payload = payload            # the compressed payload, as saved
+
+    # -- tables built from the checked columns when first read --------------
+
+    @cached_property
+    def _states(self) -> list:
+        """states[i] = (final, {char: (target, index_offset)})"""
+        hops = zip(map(chr, self._chars), zip(self._targets, self._offsets))
+        return [(bool(f), dict(islice(hops, n))) for f, n in zip(self._finals, self._edge_counts)]
+
+    @cached_property
+    def _strings(self) -> list[str]:
+        text, ends = self._text, list(accumulate(self._lengths))
+        return [text[a:b] for a, b in zip(chain((0,), ends), ends)]
+
+    @cached_property
+    def _compound_forms(self) -> list[str]:
+        return list(map(self._strings.__getitem__, self._compound_form_ids))
+
+    @cached_property
+    def _compound_index(self) -> dict:
+        """The fold_key of the first token -> the compounds it starts."""
+        index = {}
+        for ci, form in enumerate(self._compound_forms):
+            index.setdefault(fold_key(_TOKEN_RE.match(form).group()), []).append(ci)
+        return index
+
+    @cached_property
+    def _fold_extra(self) -> dict:
+        """fold_key -> the forms other than the key that have it"""
+        strings = self._strings
+        forms = map(strings.__getitem__, self._fold_forms)
+        return {
+            strings[k]: tuple(islice(forms, n))
+            for k, n in zip(self._fold_keys, self._fold_counts)
+        }
 
     # -- simple-form lookup ------------------------------------------------
 
@@ -470,13 +504,12 @@ def _pack(dicts) -> bytes:
     entry_count = 0
     for dfile in dicts or []:
         bit = _ROLE_BITS[dfile.role_tag]
-        for entry in dfile.entries:
+        for form, lemma, gram_code, sem_traits, flex_codes in dfile.entries:
             entry_count += 1
-            form = entry.surface_form
-            multiword = entry.is_multiword()
+            multiword = " " in form  # DictEntry.is_multiword
             # one analysis per flex code, keyed on the code itself
-            for flex in entry.flex_codes or ("",):
-                key = (entry.lemma, entry.gram_code, entry.sem_traits, flex)
+            for flex in flex_codes or ("",):
+                key = (lemma, gram_code, sem_traits, flex)
                 aid = analysis_ids.get(key)
                 if aid is None:
                     aid = analysis_ids[key] = len(masks)
@@ -511,24 +544,34 @@ def _pack(dicts) -> bytes:
         chain(sorted_forms, compounds), lambda f: f in simple or f in compounds
     )
     fold_extra = {}
-    for form in sorted_forms:
-        key = fold_key(form)
+    # fold_key of each form, streamed at C speed
+    for key, form in zip(map(str.casefold, map(str.upper, sorted_forms)), sorted_forms):
         if key != form:
             fold_extra.setdefault(key, []).append(form)
     fold_keys = sorted(fold_extra)
     fold_forms = list(map(fold_extra.get, fold_keys))
 
-    # the string table, numbered in order of first use in column order
-    strings = {}
-
-    def string_ids(texts):
-        return _column(_U32, (strings.setdefault(t, len(strings)) for t in texts))
-
+    # the string columns, in column order; the string table numbers each
+    # string in order of its first use there
+    string_columns = [
+        list(map(itemgetter(0), analysis_ids)),
+        list(map(itemgetter(1), analysis_ids)),
+        list(map("+".join, map(itemgetter(2), analysis_ids))),
+        list(map(itemgetter(3), analysis_ids)),
+        list(compounds),
+        fold_keys,
+        list(chain.from_iterable(fold_forms)),
+    ]
+    first_use = dict.fromkeys(chain.from_iterable(string_columns))
+    strings = dict(zip(first_use, range(len(first_use))))  # string -> its id
+    lemmas, grams, traits, flexes, compound_forms, key_ids, fold_form_ids = (
+        _column(_U32, map(strings.__getitem__, col)) for col in string_columns
+    )
     sections = [
-        string_ids(key[0] for key in analysis_ids),
-        string_ids(key[1] for key in analysis_ids),
-        string_ids("+".join(key[2]) for key in analysis_ids),
-        string_ids(key[3] for key in analysis_ids),
+        lemmas,
+        grams,
+        traits,
+        flexes,
         _column("B", masks),
         _column("B", finals),
         _column(_U32, edge_counts),
@@ -536,12 +579,12 @@ def _pack(dicts) -> bytes:
         _column(_U32, targets),
         _column(_U32, form_counts),
         _column(_U32, form_ids),
-        string_ids(compounds),
+        compound_forms,
         _column(_U32, map(len, compounds.values())),
         _column(_U32, chain.from_iterable(compounds.values())),
-        string_ids(fold_keys),
+        key_ids,
         _column(_U32, map(len, fold_forms)),
-        string_ids(chain.from_iterable(fold_forms)),
+        fold_form_ids,
     ]
     text = "".join(strings).encode("utf-8")
     header = _HEADER.pack(
@@ -579,48 +622,87 @@ def _build_dafsa(sorted_forms):
     """Minimal acyclic automaton over a sorted list of unique keys.
 
     Returns its columns ``(finals, edge_counts, chars, targets)`` as
-    :func:`_states` reads them: state 0 is the root, and each state's
+    :func:`_rank_offsets` reads them: state 0 is the root, and each state's
     edges are in code-point order.
     """
-    # A state is registered once no later word can change it: the register
-    # maps its key, (final, char, state id, char, state id, ...), to its id.
-    # ``path`` holds the last word's states, which later words can still
-    # change, as lists of the same form, root first.  A path state's last
-    # edge leads to the next path state and gets its target once that
-    # state is registered.  Sorted input adds each state's edges in char
-    # order, so states with equal right languages have equal keys.
+    # The forms that share a prefix are a range of the sorted list, and
+    # the state that prefix reaches accepts their rest.  A range of two
+    # or more forms is read down to its branch depth, the common prefix of
+    # its first and last form; there, each label's forms are the sub-range
+    # up to the first form at or after ``prefix + next label``, and each
+    # sub-range's state is built before the branch state.  A range of one
+    # form is a chain of states for its rest (its tail), kept per tail.
+    # A state is registered under its key, (final, char, state id, char,
+    # state id, ...), its edges in code-point order, so states with equal
+    # right languages are one state.  Work is done per branch point and
+    # per character of a new tail or of a chain above a branch point.
+    forms = sorted_forms
+    if not forms:  # a lexicon of compounds alone: a root that accepts none
+        return [False], [0], [], []
     register = {}
     keys = []  # state id -> key
-    path = [[False]]
+    tails = {}  # the tail of a one-form range -> its state
 
-    def register_down_to(depth):
-        top = len(path) - 1
-        while top > depth:
-            key = tuple(path.pop())
-            state = register.get(key)
-            if state is None:
-                state = register[key] = len(keys)
-                keys.append(key)
-            top -= 1
-            path[top][-1] = state
+    def add(key):
+        state = register.get(key)
+        if state is None:
+            state = register[key] = len(keys)
+            keys.append(key)
+        return state
 
-    previous = ""
-    for word in sorted_forms:
-        common = 0
-        limit = min(len(word), len(previous))
-        while common < limit and word[common] == previous[common]:
-            common += 1
-        register_down_to(common)
-        node = path[-1]
-        for ch in word[common:]:
-            node += (ch, None)
-            node = [False]
-            path.append(node)
-        node[0] = True
-        previous = word
-    register_down_to(0)
-    root = len(keys)
-    keys.append(tuple(path[0]))
+    def tail_state(tail):
+        state = tails.get(tail)
+        if state is None:
+            state = add((True,))
+            for ch in reversed(tail):
+                state = add((False, ch, state))
+            tails[tail] = state
+        return state
+
+    root = [None]
+    # a task builds the state of forms[lo:hi] past their first ``depth``
+    # characters into out[at]; a task whose lo is None registers a branch
+    # state from its key, whose children are built by then, and the chain
+    # of characters above it
+    tasks = [(0, len(forms), 0, root, 0)]
+    while tasks:
+        lo, hi, depth, out, at = tasks.pop()
+        if lo is None:
+            state = add(tuple(hi))
+            for ch in reversed(depth):
+                state = add((False, ch, state))
+            out[at] = state
+            continue
+        first = forms[lo]
+        if hi - lo == 1:
+            out[at] = tail_state(first[depth:])
+            continue
+        last = forms[hi - 1]
+        # no form is a prefix of first but first itself, so first ends at
+        # the branch depth or passes it
+        branch, end = depth, len(first)
+        while branch < end and first[branch] == last[branch]:
+            branch += 1
+        key = [branch == end]
+        tasks.append((None, key, first[depth:branch], out, at))
+        if key[0]:
+            lo += 1
+        prefix = first[:branch]
+        while lo < hi:
+            label = forms[lo][branch]
+            # the last form ends every range its label starts, which is
+            # how the top code point's range ends too
+            if hi - lo == 1 or last[branch] == label:
+                stop = hi
+            else:
+                stop = bisect_left(forms, prefix + chr(ord(label) + 1), lo + 1, hi)
+            if stop - lo == 1:
+                key += (label, tail_state(forms[lo][branch + 1 :]))
+            else:
+                key += (label, None)
+                tasks.append((lo, stop, branch + 1, key, len(key) - 1))
+            lo = stop
+    root = root[0]
 
     # number states (DFS preorder, sorted edges)
     number = [-1] * len(keys)
@@ -644,23 +726,24 @@ def _build_dafsa(sorted_forms):
     return finals, edge_counts, chars, targets
 
 
-def _states(finals, edge_counts, chars, targets, n_forms):
-    """The automaton's states as (final, {char: (target, index_offset)}),
-    from its columns: state s is final if ``finals[s]`` and has the next
-    ``edge_counts[s]`` edges, each a code point and a target state.
+def _rank_offsets(finals, edge_counts, chars, targets, n_forms) -> array:
+    """The offset of each edge of the automaton whose columns these are:
+    state s is final if ``finals[s]`` and has the next ``edge_counts[s]``
+    edges, each a code point and a target state.
 
     An edge's offset is 1 if its state is final, plus the forms accepted
     below the state's earlier edges (Lucchesi & Kowaltowski 1993), so the
     offsets summed along a form's path give its rank in code-point order.
     One depth-first pass counts each state's forms bottom-up and writes
     the offsets.  Raises CorruptFile if the pass meets a cycle, a state
-    whose edge labels do not strictly ascend, or a root that does not
-    accept ``n_forms`` forms; otherwise every rank a lookup sums lies
-    below ``n_forms``, and it is the rank of the form read.
+    whose edge labels do not strictly ascend, a state other than the root
+    that accepts no form, or a root that does not accept ``n_forms``
+    forms; otherwise every rank a lookup sums lies below ``n_forms``, and
+    it is the rank of the form read.
     """
     first = [0, *accumulate(edge_counts)]  # state s's edges: first[s]..first[s+1]
     counts = [-1] * len(finals)            # -1 until the state is counted
-    offsets = [0] * len(targets)
+    offsets = array(_U32, bytes(4 * len(targets)))
     on_path = bytearray(len(finals))
     # a state's targets mostly have higher numbers, so most are counted
     # before it is reached and the stack stays short
@@ -704,8 +787,11 @@ def _states(finals, edge_counts, chars, targets, n_forms):
         raise CorruptFile(
             f"the automaton's form count is {counts[0]}, the form table's {n_forms}"
         )
-    hops = zip(map(chr, chars), zip(targets, offsets))
-    return [(bool(f), dict(islice(hops, n))) for f, n in zip(finals, edge_counts)]
+    # compile keeps no state that leads to no form; only the root of a
+    # lexicon of compounds alone accepts none
+    if 0 in islice(counts, 1, None):
+        raise CorruptFile(f"state {counts.index(0, 1)} accepts no form")
+    return offsets
 
 
 # -- binary format ----------------------------------------------------------

@@ -116,6 +116,61 @@ def right_language_classes(words) -> int:
     )
 
 
+def oracle_build_dafsa(sorted_forms):
+    """The columns ``(finals, edge_counts, chars, targets)`` of the minimal
+    automaton of ``sorted_forms``, as ``automaton._build_dafsa`` returns
+    them, by the sorted incremental construction of Daciuk et al. (2000):
+    one character at a time, the last word's states are registered once
+    the next word leaves them.  States are numbered in depth-first
+    preorder, edges in code-point order."""
+    register = {}  # (final, ((char, state id), ...)) -> state id
+    keys = []      # state id -> its key
+    path = [[False, {}]]  # the last word's states, root first
+
+    def register_down_to(depth):
+        while len(path) > depth + 1:
+            final, edges = path.pop()
+            key = (final, tuple(edges.items()))
+            if key not in register:
+                register[key] = len(keys)
+                keys.append(key)
+            parent_edges = path[-1][1]
+            parent_edges[next(reversed(parent_edges))] = register[key]
+
+    previous = ""
+    for word in sorted_forms:
+        common = 0
+        while common < min(len(word), len(previous)) and word[common] == previous[common]:
+            common += 1
+        register_down_to(common)
+        for ch in word[common:]:
+            path[-1][1][ch] = None
+            path.append([False, {}])
+        path[-1][0] = True
+        previous = word
+    register_down_to(0)
+    root = len(keys)
+    keys.append((path[0][0], tuple(path[0][1].items())))
+
+    number = {root: 0}
+    order = [root]
+    stack = [root]
+    while stack:
+        for _, child in reversed(keys[stack.pop()][1]):
+            if child not in number:
+                number[child] = len(order)
+                order.append(child)
+                stack.append(child)
+    finals, edge_counts, chars, targets = [], [], [], []
+    for state in order:
+        final, edges = keys[state]
+        finals.append(final)
+        edge_counts.append(len(edges))
+        chars.extend(ord(ch) for ch, _ in edges)
+        targets.extend(number[child] for _, child in edges)
+    return finals, edge_counts, chars, targets
+
+
 def _oracle_scan_field(line, start, terminators, line_number):
     out = []
     i = start

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import os
@@ -21,12 +22,21 @@ from lexcov.automaton import (
     save_lexicon,
     token_matches_form,
 )
-from lexcov.delaf import DictEntry, DictFile, RoleTag, parse_entry, serialize_entry
+from lexcov.classify import PORTUGUESE_ALPHABET
+from lexcov.delaf import (
+    DictEntry,
+    DictFile,
+    RoleTag,
+    load_dict_file,
+    parse_entry,
+    serialize_entry,
+)
 from lexcov.errors import CorruptFile, EmptyLexicon, FormatVersionMismatch
 from lexcov.preprocess import TokenKind, tokenize
 
 from oracles import (
     minimal_state_count,
+    oracle_build_dafsa,
     oracle_lookup,
     oracle_match,
     oracle_match_compounds,
@@ -319,6 +329,79 @@ class TestMinimality:
         for copy in (lex, load_lexicon(tmp_path / "lex.bin")):
             assert [copy.word_index(f) for f in forms] == list(range(len(forms)))
             assert copy.iter_forms() == forms
+
+
+# labels whose case maps are not one-to-one, one outside the BMP, and the
+# top code point, after which no label follows
+DAFSA_LABELS = "abßı\U0001F600\U0010FFFF"
+
+
+@st.composite
+def sorted_form_sets(draw):
+    words = draw(st.sets(st.text(alphabet=DAFSA_LABELS, min_size=1, max_size=6), max_size=40))
+    # some words bring every prefix: chains of forms, each a prefix of the next
+    chained = draw(st.sets(st.sampled_from(sorted(words)))) if words else set()
+    return sorted(words | {w[:i] for w in chained for i in range(1, len(w))})
+
+
+class TestBuild:
+    @given(forms=sorted_form_sets())
+    def test_build_dafsa_matches_oracle(self, forms):
+        # the four columns, numbering included, are the per-character
+        # construction's, so the .lex bytes are too
+        assert [list(col) for col in automaton._build_dafsa(forms)] == [*oracle_build_dafsa(forms)]
+
+    def test_prefix_chain_of_3000_forms(self):
+        # each form's range holds the next: 3000 nested ranges
+        forms = ["a" * n for n in range(1, 3001)]
+        lex = lex_from_forms(forms)
+        assert lex.stats.state_count == 3001
+        assert [lex.word_index(f) for f in forms] == list(range(3000))
+        assert "a" * 3001 not in lex
+
+    def test_compile_and_save_build_no_lookup_table(self, fixtures_dir, tmp_path):
+        tables = {
+            name
+            for name, attr in vars(automaton.Lexicon).items()
+            if isinstance(attr, functools.cached_property)
+        }
+        assert tables == {"_states", "_strings", "_compound_forms", "_compound_index", "_fold_extra"}
+        lex = compile_lexicon([load_dict_file(fixtures_dir / "compounds.dic")])
+        save_lexicon(lex, tmp_path / "compounds.lex")
+        assert tables.isdisjoint(vars(lex))
+        assert tables.isdisjoint(vars(load_lexicon(tmp_path / "compounds.lex")))
+        # a lookup builds what it reads
+        assert lex.word_index("por") is not None and "_states" in vars(lex)
+
+    def test_loaded_lexicon_answers_like_compiled(self, fixtures_dir, tmp_path):
+        dicts = [
+            DictFile(load_dict_file(fixtures_dir / f"{name}.dic").entries, role)
+            for name, role in [
+                ("neymar", RoleTag.GENERAL),
+                ("compounds", RoleTag.GENERAL),
+                ("classifier", RoleTag.USER),
+            ]
+        ]
+        lex = compile_lexicon(dicts)
+        save_lexicon(lex, tmp_path / "all.lex")
+        loaded = load_lexicon(tmp_path / "all.lex")
+        forms = lex.iter_forms()
+        assert loaded.iter_forms() == forms
+        texts = {
+            variant
+            for form in forms + list(lex._compound_forms)
+            for variant in (form, form.upper(), form.capitalize(), form[1:], form + "s")
+        }
+        for text in sorted(texts):
+            assert loaded.word_index(text) == lex.word_index(text), text
+            edits = lex.within_one_edit(text, PORTUGUESE_ALPHABET)
+            assert loaded.within_one_edit(text, PORTUGUESE_ALPHABET) == edits, text
+            for policy in CaseFoldPolicy:
+                assert loaded.lookup_forms(text, policy) == lex.lookup_forms(text, policy)
+                window = columns(f"{text} de mais")
+                for start in range(len(window[1])):
+                    matches = lex.match_compounds(*window, policy, start)
+                    assert loaded.match_compounds(*window, policy, start) == matches
 
 
 class TestCompounds:
@@ -625,6 +708,9 @@ class TestBrokenPayload:
             # the root's two edges out of code-point order, or with one label
             (root_edges("z", "a"), "state 0's edges 'z' and 'a' are out of code-point order"),
             (root_edges("z", "z"), "state 0 has two edges labelled 'z'"),
+            # in order, but state 1, with no edge and not final, accepts no
+            # form, and "ê" would read the analyses of "zê"
+            (root_edges("z", "ê"), "state 1 accepts no form"),
             (lambda raw: raw.replace("zê".encode(), b"z\xc3(", 1), "invalid continuation byte"),
             (lambda raw: raw + b"\0", "1 unread bytes"),
             (lambda raw: raw[:-1], "unexpected end of payload"),
