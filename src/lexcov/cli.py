@@ -7,7 +7,6 @@ Run manifests (run.json) honor SOURCE_DATE_EPOCH for reproducible trees.
 from __future__ import annotations
 
 import argparse
-import glob
 import hashlib
 import json
 import os
@@ -74,6 +73,8 @@ def _timestamp() -> str:
 
 
 def _expand_corpus(patterns) -> list[str]:
+    import glob  # imported here: only apply and coverage of a corpus expand globs
+
     paths = []
     for pattern in patterns:
         hits = sorted(glob.glob(pattern))
@@ -252,6 +253,16 @@ def _read_run(run_dir):
 
 def cmd_coverage(args) -> int:
     fold_mode = "cased" if args.cased else "folded"
+    sources = {
+        "--counts": args.counts,
+        "--run": args.run,
+        "-l/--lexicon": args.lexicon,
+        "CORPUS": args.corpus,
+    }
+    # in their order of precedence; --counts and --run each take no other input
+    given = [name for name, value in sources.items() if value]
+    if len(given) > 1 and given[0] in ("--counts", "--run"):
+        raise LexcovError(f"coverage: {given[0]} cannot be combined with {', '.join(given[1:])}")
     reports = []
     deltas = []
     if args.counts:
@@ -261,8 +272,7 @@ def cmd_coverage(args) -> int:
         reports = [coverage_from_dico(dico, fold_mode, *ids) for dico, *ids in runs]
     else:
         if not args.lexicon or not args.corpus:
-            print("coverage: need --counts, --run, or --lexicon with corpus", file=sys.stderr)
-            return 2
+            raise LexcovError("coverage: need --counts, --run, or --lexicon with corpus")
         # an in-memory apply, so this equals `coverage --run` of such a run
         inputs, dico = _apply_corpus(args.corpus, args.lexicon, _POLICIES[args.case_policy])
         reports.append(
@@ -323,22 +333,51 @@ def cmd_diff(args) -> int:
 
 # -- argument parsing -------------------------------------------------------
 
+def _terminal_columns() -> int:
+    """The columns ``shutil.get_terminal_size()`` reports: $COLUMNS when it
+    is a positive integer, else the width of the terminal on the original
+    stdout, else 80."""
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns <= 0:
+        try:
+            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+        except (AttributeError, ValueError, OSError):
+            columns = 0
+    return columns or 80
+
+
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's formatter, given the width it would compute itself, so
+    that no command imports shutil (and through it bz2 and lzma): argparse
+    makes a formatter on every add_argument."""
+
+    def __init__(self, prog, **kwargs):
+        super().__init__(prog, width=_terminal_columns() - 2, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lexcov",
         description="DELAF dictionary compiler and lexical-coverage toolkit",
+        formatter_class=_HelpFormatter,
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compile", help="compile DELAF files into a lexicon binary")
+    def command(name, summary):
+        return sub.add_parser(name, help=summary, formatter_class=_HelpFormatter)
+
+    p = command("compile", "compile DELAF files into a lexicon binary")
     p.add_argument("dicts", nargs="+", metavar="DICT")
     p.add_argument("--role", choices=[r.value for r in RoleTag], default="general")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--json", action="store_true", help="print stats to stdout as JSON")
     p.set_defaults(func=cmd_compile)
 
-    p = sub.add_parser("apply", help="apply compiled lexicons to a corpus")
+    p = command("apply", "apply compiled lexicons to a corpus")
     p.add_argument("corpus", nargs="+", metavar="CORPUS", help="files or globs")
     p.add_argument("-l", "--lexicon", action="append", required=True)
     p.add_argument("-o", "--output", required=True, help="run output directory")
@@ -347,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replacements", help="two-column TSV replacement table")
     p.set_defaults(func=cmd_apply)
 
-    p = sub.add_parser("coverage", help="coverage report / version delta")
+    p = command("coverage", "coverage report / version delta")
     p.add_argument("corpus", nargs="*", metavar="CORPUS")
     p.add_argument("--counts", help="JSON counts file (replay mode)")
     p.add_argument("--run", action="append", help="completed apply run directory")
@@ -358,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--locale", choices=["plain", "pt-BR"], default="plain")
     p.set_defaults(func=cmd_coverage)
 
-    p = sub.add_parser("classify", help="categorize a run's unknown forms")
+    p = command("classify", "categorize a run's unknown forms")
     p.add_argument("run_dir", metavar="RUN_DIR")
     p.add_argument("-l", "--lexicon", required=True, help="new-version lexicon")
     p.add_argument("--old", help="old-version lexicon")
@@ -366,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="classification TSV path")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("diff", help="diff the form sets of two dictionary versions")
+    p = command("diff", "diff the form sets of two dictionary versions")
     p.add_argument("-a", nargs="+", required=True, metavar="DICT_A")
     p.add_argument("-b", nargs="+", required=True, metavar="DICT_B")
     p.add_argument("--cased", action="store_true")

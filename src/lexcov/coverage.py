@@ -1,26 +1,27 @@
 """Coverage percentages, version deltas, dictionary diffs.
 
 Percentages are computed exactly and rounded half-up to two decimals,
-matching how the coverage tables are conventionally printed.
+matching how the coverage tables are conventionally printed.  ``decimal``
+is imported in :func:`pct` and :func:`mean_delta`, which make every Decimal
+here, so that the commands that print no percentage do not load it.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from decimal import ROUND_HALF_UP, Decimal
 
 from .delaf import DictFile
 from .dico import DicoResult, TokenStatus
 from .errors import MismatchedCorpus
 
-_TWO_PLACES = Decimal("0.01")
-
 
 def pct(part: int, total: int) -> Decimal:
     """100*part/total rounded half-up to two decimals (0.00 if total is 0)."""
+    from decimal import ROUND_HALF_UP, Decimal
+
     if total == 0:
         return Decimal("0.00")
-    return (Decimal(part) * 100 / Decimal(total)).quantize(_TWO_PLACES, ROUND_HALF_UP)
+    return (Decimal(part) * 100 / Decimal(total)).quantize(Decimal("0.01"), ROUND_HALF_UP)
 
 
 class CoverageReport(
@@ -115,9 +116,11 @@ def compare_versions(r_old: CoverageReport, r_new: CoverageReport) -> VersionDel
 
 
 def mean_delta(deltas: list[Decimal]) -> Decimal:
+    from decimal import ROUND_HALF_UP, Decimal
+
     if not deltas:
         return Decimal("0.00")
-    return (sum(deltas) / len(deltas)).quantize(_TWO_PLACES, ROUND_HALF_UP)
+    return (sum(deltas) / len(deltas)).quantize(Decimal("0.01"), ROUND_HALF_UP)
 
 
 class DictDiff(namedtuple("DictDiff", "only_in_a only_in_b common fold_mode")):

@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import json
 import os
@@ -785,21 +786,125 @@ class TestExitCodes:
             main(["--version"])
         assert exc.value.code == 0
 
+    @pytest.mark.parametrize(
+        "argv, conflict",
+        [
+            ("--counts {counts} --run {run}", "--counts cannot be combined with --run"),
+            (
+                "--counts {counts} {corpus} -l {lex}",
+                "--counts cannot be combined with -l/--lexicon, CORPUS",
+            ),
+            ("--run {run} {corpus}", "--run cannot be combined with CORPUS"),
+            ("--run {run} -l {lex}", "--run cannot be combined with -l/--lexicon"),
+        ],
+        ids=["counts-run", "counts-corpus", "run-corpus", "run-lexicon"],
+    )
+    def test_coverage_refuses_mixed_modes(
+        self, fixtures_dir, neymar_bin, tmp_path, capsys, argv, conflict
+    ):
+        # each input is valid on its own, so no mode can be dropped unseen
+        paths = {
+            "counts": tmp_path / "counts.json", "run": tmp_path / "run",
+            "corpus": fixtures_dir / "neymar.txt", "lex": neymar_bin,
+        }
+        paths["counts"].write_text(json.dumps([
+            {"types_total": 4, "types_unknown": 1, "tokens_total": 9, "tokens_unknown": 2}
+        ]), encoding="utf-8")
+        assert main([
+            "apply", str(paths["corpus"]), "-l", str(neymar_bin), "-o", str(paths["run"])
+        ]) == 0
+        capsys.readouterr()
+        code, stdout, stderr = run_cli(
+            capsys, "coverage", *(arg.format(**paths) for arg in argv.split())
+        )
+        assert code == 2
+        assert stdout == ""
+        assert stderr == f"lexcov: coverage: {conflict}\n"
 
-def test_cli_import_loads_no_heavy_module():
-    # every lexcov command imports lexcov.cli first; no command needs
-    # these modules, and each would add to its start-up time
-    heavy = ("dataclasses", "inspect", "ast", "pathlib", "datetime", "typing")
+    @pytest.mark.parametrize(
+        "argv", ["", "-l {lex}", "{corpus}"], ids=["none", "lexicon", "corpus"]
+    )
+    def test_coverage_without_input(self, fixtures_dir, neymar_bin, capsys, argv):
+        paths = {"corpus": fixtures_dir / "neymar.txt", "lex": neymar_bin}
+        code, stdout, stderr = run_cli(
+            capsys, "coverage", *(arg.format(**paths) for arg in argv.split())
+        )
+        assert code == 2
+        assert stdout == ""
+        assert stderr == "lexcov: coverage: need --counts, --run, or --lexicon with corpus\n"
+
+
+# every lexcov command imports lexcov.cli first; no command needs these
+# modules, and each would add to its start-up time (shutil, which argparse's
+# help formatter imports for the terminal width, brings bz2 and lzma)
+HEAVY_MODULES = (
+    "dataclasses", "inspect", "ast", "pathlib", "datetime", "typing",
+    "shutil", "bz2", "lzma", "decimal", "glob",
+)
+
+
+def _heavy_modules_after(call):
+    """The HEAVY_MODULES loaded once a fresh ``python -S`` child has run
+    ``import lexcov.cli`` and then ``call``."""
     probe = (
-        "import sys, lexcov.cli; lexcov.cli.build_parser();"
-        f" print(*sorted(m for m in {heavy!r} if m in sys.modules))"
+        f"import sys, lexcov.cli; {call};"
+        f" print(*sorted(m for m in {HEAVY_MODULES!r} if m in sys.modules), file=sys.stderr)"
     )
     src = Path(__file__).resolve().parents[1] / "src"
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-S", "-c", probe],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
         check=True,
-    ).stdout
-    assert out.split() == []
+    ).stderr.split()
+
+
+def test_cli_import_loads_no_heavy_module():
+    assert _heavy_modules_after("lexcov.cli.build_parser()") == []
+
+
+def test_diff_loads_no_heavy_module(fixtures_dir):
+    argv = ["diff", "-a", str(fixtures_dir / "neymar.dic"), "-b", str(fixtures_dir / "sample.dic")]
+    assert _heavy_modules_after(f"assert lexcov.cli.main({argv!r}) == 0") == []
+
+
+# the top parser and each subcommand, with arguments that make it print a
+# usage error
+USAGE_ERRORS = [
+    [], ["compile"], ["apply"], ["coverage", "--format"], ["classify"], ["diff"]
+]
+
+
+def _help_and_usage_texts(capsys):
+    """The help text of the top parser and of each subcommand, and the usage
+    error each prints."""
+    texts = []
+    for argv in USAGE_ERRORS:
+        for args, code in ((argv[:1] + ["--help"], 0), (argv, 2)):
+            with pytest.raises(SystemExit) as exc:
+                main(args)
+            assert exc.value.code == code
+            texts.append(capsys.readouterr())
+    return texts
+
+
+@pytest.mark.parametrize("terminal", [None, 0, 70], ids=["no-tty", "tty-0", "tty-70"])
+@pytest.mark.parametrize("columns", [None, "0", "abc", "40", "57", "200"])
+def test_help_matches_argparse_formatter(monkeypatch, capsys, columns, terminal):
+    # the width lexcov's formatter computes is the one argparse's own
+    # formatter gets from shutil.get_terminal_size
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+
+    def terminal_size(fd):
+        if terminal is None:
+            raise OSError("not a terminal")
+        return os.terminal_size((terminal, 24))
+
+    monkeypatch.setattr(os, "get_terminal_size", terminal_size)
+    texts = _help_and_usage_texts(capsys)
+    monkeypatch.setattr("lexcov.cli._HelpFormatter", argparse.HelpFormatter)
+    assert _help_and_usage_texts(capsys) == texts
