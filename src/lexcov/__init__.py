@@ -12,7 +12,7 @@ from .delaf import (
     parse_entry,
     serialize_entry,
 )
-from .dico import DicoResult, apply_dictionaries, token_annotations
+from .dico import DicoResult, apply_dictionaries
 from .preprocess import normalize_delimiters, reform_normalize, segment_sentences, tokenize
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "serialize_entry",
     "DicoResult",
     "apply_dictionaries",
-    "token_annotations",
     "normalize_delimiters",
     "reform_normalize",
     "segment_sentences",

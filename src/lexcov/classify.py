@@ -112,12 +112,6 @@ def build_unknown_records(dico: DicoResult) -> list[UnknownRecord]:
     ]
 
 
-def edit_distance_1_candidates(form: str, lex: Lexicon, alphabet=PORTUGUESE_ALPHABET):
-    """Lexicon forms at Levenshtein distance exactly 1, sorted; inserted and
-    substituted characters come from ``alphabet``."""
-    return lex.within_one_edit(form, alphabet)
-
-
 def _split_candidates(form, lexicons, min_part):
     for i in range(min_part, len(form) - min_part + 1):
         left, right = form[:i], form[i:]
@@ -196,7 +190,7 @@ def _rule_prop(record, lexicons, lex_new, config):
 def _rule_typo(record, lexicons, lex_new, config):
     form = record.form
     for lex in lexicons:
-        for cand in edit_distance_1_candidates(form, lex):
+        for cand in lex.within_one_edit(form, PORTUGUESE_ALPHABET):
             if len(cand) >= config.typo_min_form_len:
                 return f"edit distance 1 to {cand!r}"
     for left, right in _split_candidates(form, lexicons, config.typo_split_min_part):

@@ -24,8 +24,8 @@ from .classify import (
     write_classification_tsv,
 )
 from .coverage import (
+    CoverageReport,
     compare_versions,
-    coverage_from_counts,
     coverage_from_dico,
     diff_dictionaries,
     format_decimal,
@@ -95,10 +95,12 @@ def _preprocess_file(path, abbrevs, replacements, digests):
     return segment_sentences(stream, abbrevs)
 
 
-def _apply_corpus(patterns, lexicon_paths, policy, abbrev=None, replacements=None, sink=None):
+def _apply_corpus(
+    patterns, lexicon_paths, policy, abbrev=None, replacements=None, annotations=None
+):
     """Apply the lexicons to the expanded corpus; the sorted file list
     with the sha256 of each file as it was read, and the one DicoResult
-    over all of it.  ``sink`` gets each annotated stream, as for
+    over all of it.  The rows go to ``annotations``, as for
     :func:`apply_dictionaries`."""
     lexicons = [load_lexicon(p) for p in lexicon_paths]
     corpus = _expand_corpus(patterns)
@@ -107,7 +109,7 @@ def _apply_corpus(patterns, lexicon_paths, policy, abbrev=None, replacements=Non
     digests = {}
     # one file's tokens at a time, in sorted corpus order
     streams = (_preprocess_file(path, abbrevs, table, digests) for path in corpus)
-    result = apply_dictionaries(lexicons, streams, policy, sink)
+    result = apply_dictionaries(lexicons, streams, policy, annotations)
     return [(path, digests[path]) for path in corpus], result
 
 
@@ -140,9 +142,9 @@ def cmd_apply(args) -> int:
     created = _timestamp()  # checked before the run directory is made
     # annotations.tsv replaces an earlier run's only once the whole corpus
     # is applied
-    with open_annotations(args.output) as sink:
+    with open_annotations(args.output) as annotations:
         inputs, result = _apply_corpus(
-            args.corpus, args.lexicon, policy, args.abbrev, args.replacements, sink
+            args.corpus, args.lexicon, policy, args.abbrev, args.replacements, annotations
         )
         write_outputs(result, args.output)
     counts = result.status_counts()
@@ -223,7 +225,7 @@ def _reports_from_counts(path):
             n, most = counts[part], counts[total]
             _checked(n, n <= most, where, _COUNT_KEYS[part], f"at most {_COUNT_KEYS[total]}")
         ids = _string(row, "corpus_id", where), _string(row, "dict_id", where)
-        reports.append(coverage_from_counts(*ids, *counts))
+        reports.append(CoverageReport(*ids, *counts))
     return reports
 
 
@@ -258,11 +260,18 @@ def cmd_coverage(args) -> int:
         "--run": args.run,
         "-l/--lexicon": args.lexicon,
         "CORPUS": args.corpus,
+        "--cased": args.cased,
+        "--case-policy": args.case_policy,
     }
-    # in their order of precedence; --counts and --run each take no other input
+    # the inputs in their order of precedence, then the options; --counts
+    # takes neither another input nor an option, --run only --cased (its
+    # policy is the run's)
     given = [name for name, value in sources.items() if value]
-    if len(given) > 1 and given[0] in ("--counts", "--run"):
-        raise LexcovError(f"coverage: {given[0]} cannot be combined with {', '.join(given[1:])}")
+    takes = {"--counts": (), "--run": ("--cased",)}
+    if given and given[0] in takes:
+        extra = [name for name in given[1:] if name not in takes[given[0]]]
+        if extra:
+            raise LexcovError(f"coverage: {given[0]} cannot be combined with {', '.join(extra)}")
     reports = []
     deltas = []
     if args.counts:
@@ -274,7 +283,8 @@ def cmd_coverage(args) -> int:
         if not args.lexicon or not args.corpus:
             raise LexcovError("coverage: need --counts, --run, or --lexicon with corpus")
         # an in-memory apply, so this equals `coverage --run` of such a run
-        inputs, dico = _apply_corpus(args.corpus, args.lexicon, _POLICIES[args.case_policy])
+        policy = _POLICIES[args.case_policy or CaseFoldPolicy.UNITEX_LIKE.value]
+        inputs, dico = _apply_corpus(args.corpus, args.lexicon, policy)
         reports.append(
             coverage_from_dico(
                 dico,
@@ -391,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counts", help="JSON counts file (replay mode)")
     p.add_argument("--run", action="append", help="completed apply run directory")
     p.add_argument("-l", "--lexicon", action="append")
-    p.add_argument("--case-policy", choices=sorted(_POLICIES), default="unitex_like")
+    p.add_argument("--case-policy", choices=sorted(_POLICIES))
     p.add_argument("--cased", action="store_true", help="keep case when counting types")
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.add_argument("--locale", choices=["plain", "pt-BR"], default="plain")

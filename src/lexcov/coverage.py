@@ -56,15 +56,6 @@ class CoverageReport(
         }
 
 
-def coverage_from_counts(
-    corpus_id, dict_id, types_total, types_unknown, tokens_total, tokens_unknown
-) -> CoverageReport:
-    """Replay mode: build a report from externally obtained counts."""
-    return CoverageReport(
-        corpus_id, dict_id, types_total, types_unknown, tokens_total, tokens_unknown
-    )
-
-
 def coverage_from_dico(
     dico: DicoResult, fold_mode: str = "folded", corpus_id: str = "", dict_id: str = ""
 ) -> CoverageReport:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import os
 from bisect import bisect_right
 from collections import Counter, namedtuple
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from contextlib import contextmanager, suppress
 from itertools import compress, count, repeat
 from operator import is_
@@ -23,61 +23,6 @@ class TokenStatus(_StrEnum):
     KNOWN_SIMPLE = "known_simple"
     IN_COMPOUND_ONLY = "in_compound_only"
     UNKNOWN = "unknown"
-
-
-class TokenAnnotation(
-    namedtuple(
-        "TokenAnnotation",
-        "text kind sentence_index sentence_initial status analyses",
-        defaults=((),),
-    )
-):
-    """A token's text, kind, sentence index and flag, its status (None
-    for a number, punct or space token) and its analyses."""
-
-    __slots__ = ()
-
-
-class AnnotatedStream(
-    namedtuple("AnnotatedStream", "stream sentence_offset analyses compound_only")
-):
-    """One stream as :func:`apply_dictionaries` annotated it, passed to
-    its ``sink`` once the stream is applied.  :func:`token_annotations`
-    gives one :class:`TokenAnnotation` per token of it.
-
-    - ``stream``: the :class:`TokenStream`;
-    - ``sentence_offset``: added to the stream's sentence indices, to give
-      the run's;
-    - ``analyses``: word text -> its sorted analyses, () when nothing
-      matches; one table for every stream of the call;
-    - ``compound_only``: the ascending positions of the word tokens
-      without analyses that a compound match covers.  The other word
-      tokens without analyses are unknown.
-    """
-
-    __slots__ = ()
-
-
-def token_annotations(annotated: AnnotatedStream) -> list[TokenAnnotation]:
-    """One :class:`TokenAnnotation` per token of ``annotated``, in order."""
-    stream, offset, analyses_by_text, compound_only = annotated
-    compound_only = set(compound_only)
-    initial = set(stream.initial_positions)
-    out = []
-    for i, (kind, text, index) in enumerate(
-        zip(stream.kinds, stream.texts, stream.sentence_indices)
-    ):
-        status, analyses = None, ()
-        if kind is TokenKind.WORD:
-            analyses = analyses_by_text[text]
-            if analyses:
-                status = TokenStatus.KNOWN_SIMPLE
-            elif i in compound_only:
-                status = TokenStatus.IN_COMPOUND_ONLY
-            else:
-                status = TokenStatus.UNKNOWN
-        out.append(TokenAnnotation(text, kind, index + offset, i in initial, status, analyses))
-    return out
 
 
 class DicoResult(namedtuple("DicoResult", "policy dlf dlc word_counts sentence_count")):
@@ -120,7 +65,7 @@ def apply_dictionaries(
     lexicons,
     streams: TokenStream | Iterable[TokenStream],
     policy: CaseFoldPolicy = CaseFoldPolicy.UNITEX_LIKE,
-    sink: Callable[[AnnotatedStream], object] | None = None,
+    annotations=None,
 ) -> DicoResult:
     """Annotate every word token of one stream, or of several in order.
 
@@ -133,9 +78,9 @@ def apply_dictionaries(
     shifted by the ``sentence_count`` of the streams before it, and an
     empty stream adds none.
 
-    The result keeps word-token counts only.  ``sink``, when given, is
-    called once per non-empty stream, in order, with its
-    :class:`AnnotatedStream`.
+    The result keeps word-token counts only.  ``annotations``, when
+    given, is an open text file: each non-empty stream's annotations.tsv
+    rows, one per non-space token, are written to it in order.
 
     Each distinct text is looked up once per call, and tokens are counted
     by text at C speed; a token's status depends on its position only
@@ -157,6 +102,7 @@ def apply_dictionaries(
     text_counts = Counter()
     initial_counts = Counter()
     compound_only_counts = Counter()
+    rows = _Rows(analyses_by_text)
     for stream in streams:
         kinds, texts = stream.kinds, stream.texts
         if not texts:
@@ -178,8 +124,8 @@ def apply_dictionaries(
         if compound_only:
             firsts = set(initial)
             compound_only_counts.update((texts[i], i in firsts) for i in compound_only)
-        if sink is not None:
-            sink(AnnotatedStream(stream, offset, analyses_by_text, compound_only))
+        if annotations is not None:
+            _write_rows(annotations, rows, stream, offset, compound_only)
         sentence_count = offset + 1 + max(stream.sentence_indices)
     word_counts = Counter()
     for text, n in text_counts.items():
@@ -308,38 +254,19 @@ def _write_lines(outdir, name, lines) -> None:
 
 @contextmanager
 def open_annotations(outdir):
-    """Yield a sink for :func:`apply_dictionaries` that writes the
-    annotations.tsv rows of each stream's non-space tokens.
+    """Yield a text file for the ``annotations`` of
+    :func:`apply_dictionaries`.
 
-    Rows go to a temporary file in ``outdir``, renamed to annotations.tsv
-    when the block ends.  If the block raises, the temporary file is
-    removed, and so is ``outdir`` if this call created it.
+    It is a temporary file in ``outdir``, renamed to annotations.tsv when
+    the block ends.  If the block raises, the temporary file is removed,
+    and so is ``outdir`` if this call created it.
     """
     created = not os.path.exists(outdir)
     os.makedirs(outdir, exist_ok=True)
     partial = os.path.join(outdir, "annotations.tsv.partial")
-    rows = _Rows({})
     try:
         with open(partial, "w", encoding="utf-8") as fh:
-
-            def sink(annotated: AnnotatedStream) -> None:
-                nonlocal rows
-                stream, offset, analyses_by_text, compound_only = annotated
-                if rows.analyses is not analyses_by_text:
-                    rows = _Rows(analyses_by_text)
-                texts, kinds = stream.texts, stream.kinds
-                # each token's status and label columns, None for a space
-                tails = list(map(rows.__getitem__, zip(texts, kinds)))
-                for i in compound_only:
-                    tails[i] = _COMPOUND_ONLY_TAIL
-                # one index string per sentence, not one per token
-                sentences = stream.sentence_indices
-                labels = list(map(str, range(offset, offset + 1 + max(sentences))))
-                indices = map(labels.__getitem__, sentences)
-                fields = compress(zip(texts, kinds, indices, tails), tails)
-                fh.write("".join(map("\t".join, fields)))
-
-            yield sink
+            yield fh
         os.replace(partial, os.path.join(outdir, "annotations.tsv"))
     except BaseException:
         with suppress(FileNotFoundError):
@@ -347,6 +274,24 @@ def open_annotations(outdir):
         if created:
             os.rmdir(outdir)
         raise
+
+
+def _write_rows(fh, rows, stream, offset, compound_only) -> None:
+    """Write the annotations.tsv rows of ``stream``'s non-space tokens:
+    text, kind, sentence index + ``offset``, status and analyses.
+    ``compound_only`` holds the positions of the word tokens without
+    analyses that a compound covers."""
+    texts, kinds = stream.texts, stream.kinds
+    # each token's status and label columns, None for a space
+    tails = list(map(rows.__getitem__, zip(texts, kinds)))
+    for i in compound_only:
+        tails[i] = _COMPOUND_ONLY_TAIL
+    # one index string per sentence, not one per token
+    sentences = stream.sentence_indices
+    labels = list(map(str, range(offset, offset + 1 + max(sentences))))
+    indices = map(labels.__getitem__, sentences)
+    fields = compress(zip(texts, kinds, indices, tails), tails)
+    fh.write("".join(map("\t".join, fields)))
 
 
 # the status and label columns of a row, and its newline

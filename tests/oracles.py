@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from lexcov.delaf import DictEntry
-from lexcov.dico import DicoResult, TokenAnnotation, TokenStatus
+from lexcov.dico import DicoResult, TokenStatus
 from lexcov.errors import MalformedEntry, PolicyMismatch
 from lexcov.preprocess import TokenKind
 
@@ -248,7 +248,7 @@ def oracle_edit_1(probe: str, forms, alphabet) -> list[str]:
     return sorted(out)
 
 
-# -- the reference annotator: one Token object and one TokenAnnotation per
+# -- the reference annotator: one Token object and one OracleAnnotation per
 # token, as apply worked before it counted by type.  It uses the lexicons'
 # public lookup methods, and its own tokenizer, segmenter and row format.
 
@@ -280,6 +280,19 @@ class OracleToken:
     byte_span: tuple[int, int]
     sentence_index: int = 0
     sentence_initial: bool = False
+
+
+@dataclass(frozen=True)
+class OracleAnnotation:
+    """A token's text, kind, sentence index and flag, its status (None for
+    a number, punct or space token) and its analyses."""
+
+    text: str
+    kind: TokenKind
+    sentence_index: int
+    sentence_initial: bool
+    status: TokenStatus | None
+    analyses: tuple[DictEntry, ...]
 
 
 def oracle_tokenize(text: str) -> list[OracleToken]:
@@ -408,7 +421,7 @@ def _oracle_compounds(lexicons, tokens, policy, dlc):
 
 
 def oracle_annotate(lexicons, token_lists, policy):
-    """One TokenAnnotation per token of each list, in order, with the
+    """One OracleAnnotation per token of each list, in order, with the
     sentence indices of each list shifted past the ones before it; and the
     (dlf, dlc, word_counts, sentence_count) of the run."""
     annotations = []
@@ -434,7 +447,7 @@ def oracle_annotate(lexicons, token_lists, policy):
                 else:
                     status = TokenStatus.UNKNOWN
                 word_counts[tok.text, status, tok.sentence_initial] += 1
-            annotations.append(TokenAnnotation(
+            annotations.append(OracleAnnotation(
                 tok.text, tok.kind, tok.sentence_index + sentence_count,
                 tok.sentence_initial, status, analyses,
             ))

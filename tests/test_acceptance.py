@@ -14,9 +14,9 @@ import pytest
 from lexcov.automaton import CaseFoldPolicy, compile_lexicon, load_lexicon, save_lexicon
 from lexcov.classify import Category, build_unknown_records, classify
 from lexcov.cli import main
-from lexcov.coverage import compare_versions, coverage_from_counts, mean_delta
+from lexcov.coverage import CoverageReport, compare_versions, mean_delta
 from lexcov.delaf import DictFile, load_dict_file, parse_entry
-from lexcov.dico import TokenStatus, apply_dictionaries, token_annotations
+from lexcov.dico import TokenStatus, apply_dictionaries
 from lexcov.preprocess import (
     normalize_delimiters,
     reform_normalize,
@@ -45,7 +45,7 @@ def test_criterion_1_coverage_replay():
     ]
     reports = {}
     for corpus, vers, tt, tu, kt, ku, p_types, p_tokens in rows:
-        r = coverage_from_counts(corpus, vers, tt, tu, kt, ku)
+        r = CoverageReport(corpus, vers, tt, tu, kt, ku)
         assert r.pct_types_unknown == Decimal(p_types)
         assert r.pct_tokens_unknown == Decimal(p_tokens)
         reports[corpus, vers] = r
@@ -106,10 +106,7 @@ def test_criterion_3_oracle_equivalence():
         lex = compile_lexicon([DictFile([parse_entry(f"{f},.N") for f in forms])])
         tokens = [word() for _ in range(rng.randint(1, 10_000))]
         stream = segment_sentences(tokenize(" ".join(tokens)))
-        annotations = []
-        result = apply_dictionaries(
-            lex, stream, policy, sink=lambda a: annotations.extend(token_annotations(a))
-        )
+        result = apply_dictionaries(lex, stream, policy)
         want_err = {
             t for t in tokens if not hash_oracle_known(t, form_set, policy.value)
         }
@@ -117,9 +114,9 @@ def test_criterion_3_oracle_equivalence():
             t for t in tokens if hash_oracle_known(t, form_set, policy.value)
         }
         got_known = {
-            a.text
-            for a in annotations
-            if a.status is TokenStatus.KNOWN_SIMPLE
+            text
+            for text, status, _ in result.word_counts
+            if status is TokenStatus.KNOWN_SIMPLE
         }
         assert result.err == want_err
         assert got_known == want_known

@@ -17,7 +17,6 @@ from lexcov.classify import (
     build_unknown_records,
     category_histogram,
     classify,
-    edit_distance_1_candidates,
     load_classifier_config,
     write_classification_tsv,
 )
@@ -141,13 +140,13 @@ class TestInvariants:
 
 class TestEditDistance:
     def test_abdomem(self, classifier_lexicon):
-        assert edit_distance_1_candidates("abdômem", classifier_lexicon) == ["abdômen"]
+        assert classifier_lexicon.within_one_edit("abdômem", PORTUGUESE_ALPHABET) == ["abdômen"]
 
     def test_no_candidates(self, classifier_lexicon):
-        assert edit_distance_1_candidates("xqzj", classifier_lexicon) == []
+        assert classifier_lexicon.within_one_edit("xqzj", PORTUGUESE_ALPHABET) == []
 
     def test_never_returns_input(self, classifier_lexicon):
-        assert "casa" not in edit_distance_1_candidates("casa", classifier_lexicon)
+        assert "casa" not in classifier_lexicon.within_one_edit("casa", PORTUGUESE_ALPHABET)
 
     def test_against_levenshtein_oracle(self):
         rng = random.Random(71)
@@ -166,7 +165,7 @@ class TestEditDistance:
             expected = sorted(
                 f for f in forms if f != probe and levenshtein(probe, f) == 1
             )
-            assert edit_distance_1_candidates(probe, lex) == expected
+            assert lex.within_one_edit(probe, PORTUGUESE_ALPHABET) == expected
 
     # forms and probes with characters outside PORTUGUESE_ALPHABET
     WIDE = "abcáçXYñ-1"
@@ -185,31 +184,31 @@ class TestEditDistance:
                    for _ in range(300)]
         for probe in probes:
             for alphabet in (PORTUGUESE_ALPHABET, "aX-"):
-                assert edit_distance_1_candidates(probe, lex, alphabet) == oracle_edit_1(
+                assert lex.within_one_edit(probe, alphabet) == oracle_edit_1(
                     probe, forms, alphabet
                 ), (probe, alphabet)
 
     def test_alphabet_limits_insertion_and_substitution_only(self):
         lex = _simple_lexicon(["Casa", "casa", "guarda-chuva", "niño", "p2p"])
-        assert edit_distance_1_candidates("Xasa", lex) == ["casa"]
-        assert edit_distance_1_candidates("guardachuva", lex) == []
-        assert edit_distance_1_candidates("guarda--chuva", lex) == ["guarda-chuva"]
-        assert edit_distance_1_candidates("nio", lex) == []
-        assert edit_distance_1_candidates("nino", lex) == []
-        assert edit_distance_1_candidates("niñoo", lex) == ["niño"]
-        assert edit_distance_1_candidates("pp", lex) == []
-        assert edit_distance_1_candidates("p2pX", lex) == ["p2p"]
+        assert lex.within_one_edit("Xasa", PORTUGUESE_ALPHABET) == ["casa"]
+        assert lex.within_one_edit("guardachuva", PORTUGUESE_ALPHABET) == []
+        assert lex.within_one_edit("guarda--chuva", PORTUGUESE_ALPHABET) == ["guarda-chuva"]
+        assert lex.within_one_edit("nio", PORTUGUESE_ALPHABET) == []
+        assert lex.within_one_edit("nino", PORTUGUESE_ALPHABET) == []
+        assert lex.within_one_edit("niñoo", PORTUGUESE_ALPHABET) == ["niño"]
+        assert lex.within_one_edit("pp", PORTUGUESE_ALPHABET) == []
+        assert lex.within_one_edit("p2pX", PORTUGUESE_ALPHABET) == ["p2p"]
 
     def test_empty_and_one_char_probes(self):
         lex = _simple_lexicon(["a", "b", "X", "ab"])
-        assert edit_distance_1_candidates("", lex) == ["a", "b"]
-        assert edit_distance_1_candidates("a", lex) == ["ab", "b"]
-        assert edit_distance_1_candidates("X", lex) == ["a", "b"]
-        assert edit_distance_1_candidates("ñ", lex) == ["a", "b"]
+        assert lex.within_one_edit("", PORTUGUESE_ALPHABET) == ["a", "b"]
+        assert lex.within_one_edit("a", PORTUGUESE_ALPHABET) == ["ab", "b"]
+        assert lex.within_one_edit("X", PORTUGUESE_ALPHABET) == ["a", "b"]
+        assert lex.within_one_edit("ñ", PORTUGUESE_ALPHABET) == ["a", "b"]
 
     def test_probe_in_lexicon_gives_its_neighbours(self):
         lex = _simple_lexicon(["casa", "casas", "caso", "cas"])
-        assert edit_distance_1_candidates("casa", lex) == ["cas", "casas", "caso"]
+        assert lex.within_one_edit("casa", PORTUGUESE_ALPHABET) == ["cas", "casas", "caso"]
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -220,7 +219,7 @@ class TestEditDistance:
     def test_property_against_oracle(self, forms, probe, alphabet):
         forms = sorted(set(forms) | {"a"})
         lex = _simple_lexicon(forms)
-        assert edit_distance_1_candidates(probe, lex, alphabet) == oracle_edit_1(
+        assert lex.within_one_edit(probe, alphabet) == oracle_edit_1(
             probe, forms, alphabet
         )
 

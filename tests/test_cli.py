@@ -1,4 +1,5 @@
 import argparse
+import io
 import itertools
 import json
 import os
@@ -18,12 +19,18 @@ from lexcov.dico import (
     TokenStatus,
     apply_dictionaries,
     read_types,
-    token_annotations,
     write_outputs,
 )
 from lexcov.preprocess import normalize_delimiters, segment_sentences, tokenize
 
-from oracles import merge_results, oracle_annotations_tsv
+from oracles import (
+    merge_results,
+    oracle_annotate,
+    oracle_annotations_tsv,
+    oracle_normalize,
+    oracle_segment,
+    oracle_tokenize,
+)
 from test_automaton import ROOT_TARGET, resign, set_u32
 
 
@@ -151,9 +158,10 @@ class TestApply:
         manifest = json.loads((outdir / "run.json").read_text(encoding="utf-8"))
         assert manifest["counts"]["word_tokens"] == 0
 
-    def test_streams_match_merge_fold(self, tmp_path, capsys):
-        # "exemplo" is in_compound_only in 1_a and 4_d and unknown in 2_b, so
-        # the run-wide lookup cache must not carry a token status across files
+    @staticmethod
+    def multi_file_run(tmp_path, capsys):
+        """`lexcov apply` over four files, one of them empty and one with
+        no terminator: the lexicon binary, the corpus and the run directory."""
         dic = tmp_path / "c.dic"
         dic.write_text("por exemplo,.ADV\no,.DET\ntime,.N\n", encoding="utf-8")
         lex_bin = tmp_path / "c.lex"
@@ -174,22 +182,24 @@ class TestApply:
             capsys, "apply", *map(str, corpus), "-l", str(lex_bin), "-o", str(outdir)
         )
         assert code == 0
+        return lex_bin, corpus, outdir
 
-        # the reference: one apply per file, sentence indices shifted by hand
+    def test_streams_match_merge_fold(self, tmp_path, capsys):
+        # "exemplo" is in_compound_only in 1_a and 4_d and unknown in 2_b, so
+        # the run-wide lookup cache must not carry a token status across files
+        lex_bin, corpus, outdir = self.multi_file_run(tmp_path, capsys)
+
+        # the references: one apply per file, folded, and the reference
+        # annotator over all of them, each file's sentences after the last's
         lex = load_lexicon(lex_bin)
         folded = DicoResult(policy=CaseFoldPolicy.UNITEX_LIKE)
-        annotations = []
+        token_lists = []
         for path in corpus:
-            stream = segment_sentences(
-                tokenize(normalize_delimiters(path.read_text(encoding="utf-8")))
-            )
-            part = []
-            folded = merge_results(
-                folded,
-                apply_dictionaries(lex, stream, sink=lambda a: part.extend(token_annotations(a))),
-            )
-            offset = 1 + max((a.sentence_index for a in annotations), default=-1)
-            annotations += [a._replace(sentence_index=a.sentence_index + offset) for a in part]
+            text = path.read_text(encoding="utf-8")
+            stream = segment_sentences(tokenize(normalize_delimiters(text)))
+            folded = merge_results(folded, apply_dictionaries(lex, stream))
+            token_lists.append(oracle_segment(oracle_tokenize(oracle_normalize(text))))
+        annotations, _ = oracle_annotate([lex], token_lists, CaseFoldPolicy.UNITEX_LIKE)
         statuses = {(a.text, a.status) for a in annotations}
         assert ("exemplo", TokenStatus.IN_COMPOUND_ONLY) in statuses
         assert ("exemplo", TokenStatus.UNKNOWN) in statuses
@@ -206,6 +216,17 @@ class TestApply:
         assert (outdir / "annotations.tsv").read_text(encoding="utf-8") == (
             oracle_annotations_tsv(annotations)
         )
+
+    def test_library_writes_the_run_rows(self, tmp_path, capsys):
+        # the library call over the files as `lexcov apply` reads them
+        lex_bin, corpus, outdir = self.multi_file_run(tmp_path, capsys)
+        streams = (
+            segment_sentences(tokenize(normalize_delimiters(path.read_text(encoding="utf-8"))))
+            for path in corpus
+        )
+        rows = io.StringIO()
+        apply_dictionaries(load_lexicon(lex_bin), streams, annotations=rows)
+        assert rows.getvalue().encode("utf-8") == (outdir / "annotations.tsv").read_bytes()
 
 
 class TestCoverage:
@@ -311,6 +332,27 @@ class TestCoverage:
         assert report["types_total"] == 9
         if policy != "exact":
             assert report["types_unknown"] == 0
+
+    def test_run_takes_cased(self, neymar_bin, tmp_path, capsys):
+        # --cased counts the run's types by case, as the direct mode does
+        # under its default policy; "O" and "o" are one type folded
+        corpus, outdir = tmp_path / "corpus.txt", tmp_path / "run"
+        corpus.write_text("O time de Neymar. E o time\n", encoding="utf-8")
+        assert main(["apply", str(corpus), "-l", str(neymar_bin), "-o", str(outdir)]) == 0
+        capsys.readouterr()
+
+        def report(*argv):
+            code, stdout, _ = run_cli(capsys, "coverage", *argv, "--format", "json")
+            assert code == 0
+            return json.loads(stdout)["reports"][0]
+
+        run, direct = ["--run", str(outdir)], [str(corpus), "-l", str(neymar_bin)]
+        cased = report(*run, "--cased")
+        assert cased == report(*direct, "--cased")
+        assert cased["types_total"] == 6
+        folded = report(*run)
+        assert folded == report(*direct)
+        assert folded["types_total"] == 5
 
     def test_no_inputs_is_usage_error(self, capsys):
         code, _, stderr = run_cli(capsys, "coverage")
@@ -796,8 +838,27 @@ class TestExitCodes:
             ),
             ("--run {run} {corpus}", "--run cannot be combined with CORPUS"),
             ("--run {run} -l {lex}", "--run cannot be combined with -l/--lexicon"),
+            # the options a mode has no use for: --counts holds the counts
+            # already, and a run's policy is in its run.json
+            ("--counts {counts} --cased", "--counts cannot be combined with --cased"),
+            (
+                "--counts {counts} --case-policy unitex_like",
+                "--counts cannot be combined with --case-policy",
+            ),
+            (
+                "--counts {counts} --case-policy exact --cased --run {run}",
+                "--counts cannot be combined with --run, --cased, --case-policy",
+            ),
+            ("--run {run} --case-policy exact", "--run cannot be combined with --case-policy"),
+            (
+                "--run {run} --cased --case-policy unitex_like",
+                "--run cannot be combined with --case-policy",
+            ),
         ],
-        ids=["counts-run", "counts-corpus", "run-corpus", "run-lexicon"],
+        ids=[
+            "counts-run", "counts-corpus", "run-corpus", "run-lexicon", "counts-cased",
+            "counts-case-policy", "counts-all", "run-case-policy", "run-cased-case-policy",
+        ],
     )
     def test_coverage_refuses_mixed_modes(
         self, fixtures_dir, neymar_bin, tmp_path, capsys, argv, conflict

@@ -4,8 +4,8 @@ import pytest
 
 from lexcov.automaton import CaseFoldPolicy, compile_lexicon
 from lexcov.coverage import (
+    CoverageReport,
     compare_versions,
-    coverage_from_counts,
     coverage_from_dico,
     diff_dictionaries,
     format_int,
@@ -61,7 +61,7 @@ class TestPct:
 
 class TestCoverage:
     def test_from_counts_table_values(self):
-        report = coverage_from_counts("DG", "2004", 53966, 10512, 984465, 36190)
+        report = CoverageReport("DG", "2004", 53966, 10512, 984465, 36190)
         assert report.pct_types_unknown == Decimal("19.48")
         assert report.pct_tokens_unknown == Decimal("3.68")
 
@@ -106,10 +106,10 @@ class TestCoverage:
 
 class TestVersionDelta:
     def test_published_deltas(self):
-        dg_old = coverage_from_counts("DG", "2004", 53966, 10512, 984465, 36190)
-        dg_new = coverage_from_counts("DG", "2015", 53966, 9967, 984465, 34611)
-        ma_old = coverage_from_counts("MA", "2004", 22414, 3048, 215776, 11624)
-        ma_new = coverage_from_counts("MA", "2015", 22414, 2769, 215776, 10870)
+        dg_old = CoverageReport("DG", "2004", 53966, 10512, 984465, 36190)
+        dg_new = CoverageReport("DG", "2015", 53966, 9967, 984465, 34611)
+        ma_old = CoverageReport("MA", "2004", 22414, 3048, 215776, 11624)
+        ma_new = CoverageReport("MA", "2015", 22414, 2769, 215776, 10870)
         dg = compare_versions(dg_old, dg_new)
         ma = compare_versions(ma_old, ma_new)
         assert dg.delta_types_pp == Decimal("1.01")
@@ -117,21 +117,21 @@ class TestVersionDelta:
         assert mean_delta([dg.delta_types_pp, ma.delta_types_pp]) == Decimal("1.13")
 
     def test_identical_reports_zero_delta(self):
-        r = coverage_from_counts("X", "d", 100, 10, 1000, 20)
+        r = CoverageReport("X", "d", 100, 10, 1000, 20)
         delta = compare_versions(r, r)
         assert delta.delta_types_pp == Decimal("0.00")
         assert delta.delta_tokens_pp == Decimal("0.00")
 
     def test_hand_computed_subtraction(self):
-        old = coverage_from_counts("X", "a", 200, 50, 1000, 100)  # 25.00 / 10.00
-        new = coverage_from_counts("X", "b", 200, 30, 1000, 80)   # 15.00 / 8.00
+        old = CoverageReport("X", "a", 200, 50, 1000, 100)  # 25.00 / 10.00
+        new = CoverageReport("X", "b", 200, 30, 1000, 80)   # 15.00 / 8.00
         delta = compare_versions(old, new)
         assert delta.delta_types_pp == Decimal("10.00")
         assert delta.delta_tokens_pp == Decimal("2.00")
 
     def test_mismatched_corpus(self):
-        a = coverage_from_counts("DG", "d", 10, 1, 10, 1)
-        b = coverage_from_counts("MA", "d", 10, 1, 10, 1)
+        a = CoverageReport("DG", "d", 10, 1, 10, 1)
+        b = CoverageReport("MA", "d", 10, 1, 10, 1)
         with pytest.raises(MismatchedCorpus):
             compare_versions(a, b)
 
@@ -181,6 +181,6 @@ class TestRendering:
         assert format_pct(Decimal("19.48"), "plain") == "19.48%"
 
     def test_text_report_contains_percentages(self):
-        report = coverage_from_counts("DG", "2004", 53966, 10512, 984465, 36190)
+        report = CoverageReport("DG", "2004", 53966, 10512, 984465, 36190)
         text = render_coverage_text(report, "pt-BR")
         assert "19,48%" in text and "984.465" in text

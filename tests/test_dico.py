@@ -1,3 +1,4 @@
+import io
 import random
 import re
 import tempfile
@@ -14,7 +15,6 @@ from lexcov.dico import (
     apply_dictionaries,
     open_annotations,
     read_types,
-    token_annotations,
     write_outputs,
 )
 from lexcov.errors import MalformedAnnotations, PolicyMismatch
@@ -42,17 +42,23 @@ from oracles import (
 NEYMAR_SENTENCE = "O time de Neymar corria atrás do prejuízo"
 
 
-def run(text, lexicons, policy=CaseFoldPolicy.UNITEX_LIKE, sink=None):
+def run(text, lexicons, policy=CaseFoldPolicy.UNITEX_LIKE, annotations=None):
     stream = segment_sentences(tokenize(normalize_delimiters(text)))
-    return apply_dictionaries(lexicons, stream, policy, sink)
+    return apply_dictionaries(lexicons, stream, policy, annotations)
 
 
 def write_run(text, lexicons, outdir):
     """Apply as `lexcov apply` does: rows written as the text is applied."""
-    with open_annotations(outdir) as sink:
-        result = run(text, lexicons, sink=sink)
+    with open_annotations(outdir) as annotations:
+        result = run(text, lexicons, annotations=annotations)
         write_outputs(result, outdir)
     return result
+
+
+def word_statuses(rows):
+    """The (text, status) of each word row of annotations.tsv text, in order."""
+    fields = (row.split("\t") for row in rows.split("\n")[:-1])
+    return [(text, TokenStatus(status)) for text, kind, _, status, _ in fields if kind == "word"]
 
 
 def lex_from_lines(lines):
@@ -161,9 +167,9 @@ class TestOneCaseRule:
 
     def run(self, text, lex):
         """The result and the (text, status) of each word token, in order."""
-        annotations = []
-        result = run(text, lex, sink=lambda a: annotations.extend(token_annotations(a)))
-        return result, [(a.text, a.status) for a in annotations if a.status]
+        rows = io.StringIO()
+        result = run(text, lex, annotations=rows)
+        return result, word_statuses(rows.getvalue())
 
     def test_sharp_s_upper_case(self):
         lex = lex_from_lines(["straße,.N", "straße larga,.N"])
@@ -304,8 +310,8 @@ class TestOutputs:
     def test_failed_block_leaves_no_trace(self, neymar_lexicon, tmp_path):
         outdir = tmp_path / "new"
         with pytest.raises(RuntimeError):
-            with open_annotations(outdir) as sink:
-                run(NEYMAR_SENTENCE, neymar_lexicon, sink=sink)
+            with open_annotations(outdir) as annotations:
+                run(NEYMAR_SENTENCE, neymar_lexicon, annotations=annotations)
                 raise RuntimeError("stop")
         assert not outdir.exists()
 
@@ -313,7 +319,7 @@ class TestOutputs:
 class TestAgainstReferenceAnnotator:
     """The column path (tokenize, replace, segment, apply by type, the
     cached-row writer) against ``oracles.oracle_annotate``: one Token
-    object and one TokenAnnotation per token."""
+    object and one annotation record per token."""
 
     LEXICONS = {
         "a": lex_from_lines([
@@ -342,13 +348,7 @@ class TestAgainstReferenceAnnotator:
     ]
 
     def column_run(self, files, lexicons, policy, outdir):
-        annotations = []
-        with open_annotations(outdir) as sink:
-
-            def both(annotated):
-                sink(annotated)
-                annotations.extend(token_annotations(annotated))
-
+        with open_annotations(outdir) as annotations:
             streams = (
                 segment_sentences(
                     apply_replacements(tokenize(normalize_delimiters(text)), self.REPLACEMENTS),
@@ -356,9 +356,9 @@ class TestAgainstReferenceAnnotator:
                 )
                 for text in files
             )
-            result = apply_dictionaries(lexicons, streams, policy, both)
+            result = apply_dictionaries(lexicons, streams, policy, annotations)
             write_outputs(result, outdir)
-        return (outdir / "annotations.tsv").read_bytes(), annotations, result
+        return (outdir / "annotations.tsv").read_bytes(), result
 
     def reference_run(self, files, lexicons, policy):
         token_lists = []
@@ -369,22 +369,21 @@ class TestAgainstReferenceAnnotator:
                     tok.text = self.REPLACEMENTS[tok.text]
             token_lists.append(oracle_segment(tokens, self.ABBREVIATIONS))
         annotations, tables = oracle_annotate(lexicons, token_lists, policy)
-        return oracle_annotations_tsv(annotations).encode("utf-8"), annotations, tables
+        return oracle_annotations_tsv(annotations).encode("utf-8"), tables
 
     def check(self, files, names, policy):
         lexicons = [self.LEXICONS[name] for name in names]
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "run"
-            tsv, annotations, result = self.column_run(files, lexicons, policy, path)
+            tsv, result = self.column_run(files, lexicons, policy, path)
             # the run's type table read back is the annotations read back
             word_counts = read_types(path / "types.tsv")
             assert word_counts == oracle_read_annotations(path / "annotations.tsv")
             assert word_counts == result.word_counts
-        want_tsv, want_annotations, (dlf, dlc, word_counts, sentence_count) = (
+        want_tsv, (dlf, dlc, word_counts, sentence_count) = (
             self.reference_run(files, lexicons, policy)
         )
         assert tsv == want_tsv
-        assert annotations == want_annotations
         assert result.word_counts == word_counts
         assert (result.dlf, result.dlc, result.sentence_count) == (dlf, dlc, sentence_count)
 
@@ -446,11 +445,10 @@ class TestTokenConstructionPath:
     LEX = lex_from_lines(["o,.DET", "time,.N", "por exemplo,.ADV", "a fim de,.PREP", "casa,.N"])
 
     def annotate(self, stream):
-        annotations = []
-        result = apply_dictionaries(
-            self.LEX, stream, sink=lambda a: annotations.extend(token_annotations(a))
-        )
-        return annotations, result
+        """The stream's annotations.tsv rows, and the result."""
+        rows = io.StringIO()
+        result = apply_dictionaries(self.LEX, stream, annotations=rows)
+        return rows.getvalue(), result
 
     @pytest.mark.parametrize("text", TEXTS)
     def test_built_stream_segments_and_applies_alike(self, text):
@@ -492,3 +490,16 @@ class TestTokenConstructionPath:
         stream.tokens[1].sentence_index = 3
         assert tokens[1].sentence_index == 3
         assert [t.byte_span for t in stream.tokens] == [(0, 4), (4, 5)]
+
+
+def test_readme_library_example(fixtures_dir, neymar_lexicon, tmp_path, capsys):
+    """The README's Library block runs as written, on the Neymar fixture."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.DOTALL).group(1)
+    assert '"pb2015.dic"' in block
+    source = block.replace('"pb2015.dic"', repr(str(fixtures_dir / "neymar.dic")))
+    exec(compile(source, "README.md", "exec"), {"text": NEYMAR_SENTENCE})
+    printed = capsys.readouterr().out
+    write_run(NEYMAR_SENTENCE, neymar_lexicon, tmp_path)
+    assert printed.startswith("['Neymar']\n")
+    assert printed.endswith((tmp_path / "annotations.tsv").read_text(encoding="utf-8"))
