@@ -506,7 +506,7 @@ def _pack(dicts) -> bytes:
         bit = _ROLE_BITS[dfile.role_tag]
         for form, lemma, gram_code, sem_traits, flex_codes in dfile.entries:
             entry_count += 1
-            multiword = " " in form  # DictEntry.is_multiword
+            multiword = " " in form  # a form with a space is a compound
             # one analysis per flex code, keyed on the code itself
             for flex in flex_codes or ("",):
                 key = (lemma, gram_code, sem_traits, flex)

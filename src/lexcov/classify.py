@@ -65,22 +65,28 @@ class CasingProfile(
         return self.non_initial_cap / self.non_initial if self.non_initial else 0.0
 
 
-class UnknownRecord(
-    namedtuple(
-        "UnknownRecord",
-        "form frequency profile category winning_rule firing_rules evidence",
-        defaults=(None, None, (), None),
-    )
-):
-    """A casefolded unknown form, its frequency and CasingProfile;
-    :func:`classify` fills in the rest.  ``evidence``, a list of (rule,
-    detail) pairs, defaults to a new empty one."""
+class UnknownRecord(namedtuple("UnknownRecord", "form profile evidence", defaults=((),))):
+    """A casefolded unknown form and its CasingProfile; :func:`classify`
+    adds the evidence, a tuple of (rule, detail) pairs in precedence order.
+    The first pair decides the verdict."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        return self if self.evidence is not None else self._replace(evidence=[])
+    @property
+    def frequency(self) -> int:
+        return self.profile.total
+
+    @property
+    def winning_rule(self) -> str | None:
+        return self.evidence[0][0] if self.evidence else None
+
+    @property
+    def category(self) -> Category:
+        return RULE_CATEGORY.get(self.winning_rule, Category.OTHER)
+
+    @property
+    def firing_rules(self) -> tuple[str, ...]:
+        return tuple(rule for rule, _ in self.evidence)
 
 
 def _casing_class(text: str) -> str:
@@ -105,11 +111,7 @@ def build_unknown_records(dico: DicoResult) -> list[UnknownRecord]:
             fields["non_initial"] += n
             if text[0].isupper():
                 fields["non_initial_cap"] += n
-    profiles = ((form, CasingProfile(**fields)) for form, fields in sorted(counts.items()))
-    return [
-        UnknownRecord(form=form, frequency=prof.total, profile=prof)
-        for form, prof in profiles
-    ]
+    return [UnknownRecord(form, CasingProfile(**fields)) for form, fields in sorted(counts.items())]
 
 
 def _split_candidates(form, lexicons, min_part):
@@ -127,8 +129,8 @@ def classify(
     lex_old: Lexicon | None = None,
     config: ClassifierConfig | None = None,
 ) -> list[UnknownRecord]:
-    """Assign a category to every record; first firing rule in precedence
-    order wins, all firing rules are kept as evidence."""
+    """Give every record the evidence of each rule that fires on it, in
+    precedence order; the first decides its category."""
     config = config or ClassifierConfig()
     lexicons = [lex_new] + ([lex_old] if lex_old is not None else [])
     out = []
@@ -138,20 +140,7 @@ def classify(
             detail = _RULES[rule][1](record, lexicons, lex_new, config)
             if detail is not None:
                 fired[rule] = detail
-        if fired:
-            winner = next(r for r in config.precedence if r in fired)
-            category = RULE_CATEGORY[winner]
-        else:
-            winner = None
-            category = Category.OTHER
-        out.append(
-            record._replace(
-                category=category,
-                winning_rule=winner,
-                firing_rules=tuple(fired),
-                evidence=[(rule, detail) for rule, detail in fired.items()],
-            )
-        )
+        out.append(record._replace(evidence=tuple(fired.items())))
     return out
 
 

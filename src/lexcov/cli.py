@@ -86,9 +86,10 @@ def _preprocess_file(path, abbrevs, replacements, digests):
     with open(path, "rb") as fh:
         data = fh.read()
     digests[path] = hashlib.sha256(data).hexdigest()
-    # normalizing turns \r\n and \r into \n, as reading in text mode would
+    # a leading BOM is dropped; normalizing turns \r\n and \r into \n, as
+    # reading in text mode would
     with decoding(path):
-        text = normalize_delimiters(data.decode("utf-8"))
+        text = normalize_delimiters(data.decode("utf-8-sig"))
     stream = tokenize(text, source_id=str(path))
     if replacements:
         apply_replacements(stream, replacements)
@@ -117,7 +118,7 @@ def _apply_corpus(
 
 def _streamed(paths, role=RoleTag.GENERAL) -> list[DictFile]:
     """DictFiles whose entries are read from their files as they are used."""
-    return [DictFile(iter_dict_entries(p), role, p) for p in paths]
+    return [DictFile(iter_dict_entries(p), role) for p in paths]
 
 
 def cmd_compile(args) -> int:
@@ -199,9 +200,9 @@ _COUNT_KEYS = ("types_total", "types_unknown", "tokens_total", "tokens_unknown")
 
 
 def _load_json(path):
-    """The JSON value in the UTF-8 file ``path``; a LexcovError naming the
-    file when it is not UTF-8 or not JSON."""
-    with open(path, encoding="utf-8") as fh, decoding(path):
+    """The JSON value in the UTF-8 file ``path``, a leading BOM dropped; a
+    LexcovError naming the file when it is not UTF-8 or not JSON."""
+    with open(path, encoding="utf-8-sig") as fh, decoding(path):
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
@@ -254,7 +255,6 @@ def _read_run(run_dir):
 
 
 def cmd_coverage(args) -> int:
-    fold_mode = "cased" if args.cased else "folded"
     sources = {
         "--counts": args.counts,
         "--run": args.run,
@@ -277,8 +277,10 @@ def cmd_coverage(args) -> int:
     if args.counts:
         reports = _reports_from_counts(args.counts)
     elif args.run:
-        runs = map(_read_run, args.run)
-        reports = [coverage_from_dico(dico, fold_mode, *ids) for dico, *ids in runs]
+        reports = [
+            coverage_from_dico(dico, cased=args.cased, corpus_id=corpus_id, dict_id=dict_id)
+            for dico, corpus_id, dict_id in map(_read_run, args.run)
+        ]
     else:
         if not args.lexicon or not args.corpus:
             raise LexcovError("coverage: need --counts, --run, or --lexicon with corpus")
@@ -288,7 +290,7 @@ def cmd_coverage(args) -> int:
         reports.append(
             coverage_from_dico(
                 dico,
-                fold_mode,
+                cased=args.cased,
                 corpus_id=",".join(os.path.basename(p) for p, _ in inputs),
                 dict_id=",".join(os.path.basename(p) for p in args.lexicon),
             )
@@ -332,8 +334,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_diff(args) -> int:
-    fold_mode = "cased" if args.cased else "folded"
-    diff = diff_dictionaries(_streamed(args.a), _streamed(args.b), fold_mode)
+    diff = diff_dictionaries(_streamed(args.a), _streamed(args.b), cased=args.cased)
     if args.format == "json":
         print(json.dumps(diff.to_dict(), indent=2, ensure_ascii=False))
     else:

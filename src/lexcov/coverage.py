@@ -57,16 +57,15 @@ class CoverageReport(
 
 
 def coverage_from_dico(
-    dico: DicoResult, fold_mode: str = "folded", corpus_id: str = "", dict_id: str = ""
+    dico: DicoResult, *, cased: bool = False, corpus_id: str = "", dict_id: str = ""
 ) -> CoverageReport:
-    """Coverage of the corpus a dictionary application annotated.  A type
-    counts as unknown when none of its token occurrences received an
-    analysis or compound cover."""
-    folded = fold_mode == "folded"
+    """Coverage of the corpus a dictionary application annotated, its types
+    casefolded unless ``cased``.  A type counts as unknown when none of its
+    token occurrences received an analysis or compound cover."""
     tokens_by_type = {}
     known = set()
     for (text, status, _), n in dico.word_counts.items():
-        form = text.casefold() if folded else text
+        form = text if cased else text.casefold()
         tokens_by_type[form] = tokens_by_type.get(form, 0) + n
         if status is not TokenStatus.UNKNOWN:
             known.add(form)
@@ -116,7 +115,8 @@ def mean_delta(deltas: list[Decimal]) -> Decimal:
 
 class DictDiff(namedtuple("DictDiff", "only_in_a only_in_b common fold_mode")):
     """The sorted forms only in version A and only in version B, and how
-    many both have, under a fold mode."""
+    many both have, with forms ``folded`` or ``cased`` as ``fold_mode``
+    says."""
 
     __slots__ = ()
 
@@ -124,17 +124,15 @@ class DictDiff(namedtuple("DictDiff", "only_in_a only_in_b common fold_mode")):
         return self._asdict()
 
 
-def diff_dictionaries(
-    a: list[DictFile], b: list[DictFile], fold_mode: str = "folded"
-) -> DictDiff:
-    """Set comparison of unique surface forms of two dictionary versions."""
-    folded = fold_mode == "folded"
+def diff_dictionaries(a: list[DictFile], b: list[DictFile], *, cased: bool = False) -> DictDiff:
+    """Set comparison of unique surface forms of two dictionary versions,
+    casefolded unless ``cased``."""
 
     def forms(files):
         out = set()
         for f in files:
             for e in f.entries:
-                out.add(e.surface_form.casefold() if folded else e.surface_form)
+                out.add(e.surface_form if cased else e.surface_form.casefold())
         return out
 
     fa, fb = forms(a), forms(b)
@@ -142,7 +140,7 @@ def diff_dictionaries(
         only_in_a=sorted(fa - fb),
         only_in_b=sorted(fb - fa),
         common=len(fa & fb),
-        fold_mode=fold_mode,
+        fold_mode="cased" if cased else "folded",
     )
 
 

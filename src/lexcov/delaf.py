@@ -51,19 +51,14 @@ class DictEntry(namedtuple("DictEntry", "surface_form lemma gram_code sem_traits
             raise ValueError("gram_code must be non-empty")
         return tuple.__new__(cls, (surface_form, lemma, gram_code, sem_traits, flex_codes))
 
-    def is_multiword(self) -> bool:
-        return " " in self.surface_form
 
-
-class DictFile(
-    namedtuple("DictFile", "entries role_tag path", defaults=(RoleTag.GENERAL, None))
-):
+class DictFile(namedtuple("DictFile", "entries role_tag", defaults=(RoleTag.GENERAL,))):
     """An ordered collection of entries loaded from one DELAF file.
 
     ``entries`` is an iterable of :class:`DictEntry`: :func:`load_dict_file`
     gives a list; a reader that needs one pass, such as the compiler, may
     hold :func:`iter_dict_entries` instead.  ``role_tag`` is a
-    :class:`RoleTag` and ``path`` the file's path, or None."""
+    :class:`RoleTag`."""
 
     __slots__ = ()
 
@@ -190,7 +185,7 @@ def iter_dict_entries(path: str | os.PathLike) -> Iterator[DictEntry]:
 
 def load_dict_file(path: str | os.PathLike, role_tag: RoleTag = RoleTag.GENERAL) -> DictFile:
     """Load a DELAF text file into a DictFile whose entries are a list."""
-    return DictFile(entries=list(iter_dict_entries(path)), role_tag=role_tag, path=str(path))
+    return DictFile(list(iter_dict_entries(path)), role_tag)
 
 
 def save_dict_file(dict_file: DictFile, path: str | os.PathLike) -> None:
@@ -198,8 +193,3 @@ def save_dict_file(dict_file: DictFile, path: str | os.PathLike) -> None:
     lines = sorted(serialize_entry(e) for e in dict_file.entries)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n" if lines else "")
-
-
-def canonicalize_line(line: str) -> str:
-    """The canonical serialization of a well-formed DELAF line."""
-    return serialize_entry(parse_entry(line))

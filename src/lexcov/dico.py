@@ -332,9 +332,10 @@ _FLAGS = {"0": False, "1": True}
 
 
 def read_types(path) -> Counter[tuple[str, TokenStatus, bool]]:
-    """Read a run's types.tsv back into its ``word_counts`` table."""
+    """Read a run's types.tsv back into its ``word_counts`` table; a leading
+    BOM is dropped."""
     word_counts = Counter()
-    with open(path, encoding="utf-8") as fh, decoding(path):
+    with open(path, encoding="utf-8-sig") as fh, decoding(path):
         for line_number, line in enumerate(fh, 1):
             row = line.rstrip("\n").split("\t")
             if len(row) != 4:

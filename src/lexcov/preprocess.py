@@ -155,10 +155,6 @@ class TokenStream:
         are read."""
         return _TokenView(self)
 
-    @property
-    def word_token_count(self) -> int:
-        return self.kinds.count(TokenKind.WORD)
-
     def word_tokens(self) -> list[Token]:
         return [Token._at(self, i) for i, k in enumerate(self.kinds) if k is TokenKind.WORD]
 

@@ -25,7 +25,7 @@ from lexcov.preprocess import (
 )
 
 from oracles import hash_oracle_known, oracle_err_and_known
-from test_classifier import LABELED, load_records
+from test_classifier import LABELED, load_rows
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -210,7 +210,9 @@ def test_criterion_5_reform_normalizer():
 
 def test_criterion_6_classifier_fixture():
     """Labeled examples route correctly; classification is total."""
-    records = load_records(FIXTURES / "unknowns_tables.tsv")
+    rows = load_rows(FIXTURES / "unknowns_tables.tsv")
+    frequencies = {r.form: frequency for frequency, r in rows}
+    records = [r for _, r in rows]
     lex = compile_lexicon([load_dict_file(FIXTURES / "classifier.dic")])
     classified = classify(records, lex)
     by_form = {r.form: r for r in classified}
@@ -221,7 +223,7 @@ def test_criterion_6_classifier_fixture():
         assert isinstance(r.category, Category)
         if r.category is not Category.OTHER:
             assert r.evidence
-        assert r.profile.total == r.frequency
+        assert r.profile.total == r.frequency == frequencies[r.form]
     report("classifier fixture (7 labeled routings, totality on 120 forms)")
 
 

@@ -28,27 +28,31 @@ from lexcov.preprocess import normalize_delimiters, segment_sentences, tokenize
 from oracles import levenshtein, oracle_edit_1
 
 
-def load_records(path):
-    records = []
+def load_rows(path):
+    """Each row of a table of unknown forms: its frequency column and its
+    UnknownRecord."""
+    rows = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             form, freq, *counts = line.rstrip("\n").split("\t")
             lower, cap, upper, mixed, noninit, noninit_cap = map(int, counts)
-            records.append(
-                UnknownRecord(
-                    form=form,
-                    frequency=int(freq),
-                    profile=CasingProfile(
-                        all_lower=lower,
-                        capitalized=cap,
-                        all_upper=upper,
-                        mixed=mixed,
-                        non_initial=noninit,
-                        non_initial_cap=noninit_cap,
-                    ),
-                )
+            record = UnknownRecord(
+                form=form,
+                profile=CasingProfile(
+                    all_lower=lower,
+                    capitalized=cap,
+                    all_upper=upper,
+                    mixed=mixed,
+                    non_initial=noninit,
+                    non_initial_cap=noninit_cap,
+                ),
             )
-    return records
+            rows.append((int(freq), record))
+    return rows
+
+
+def load_records(path):
+    return [record for _, record in load_rows(path)]
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +99,7 @@ class TestLabeledExamples:
 
     def test_other_has_no_evidence(self, classified):
         record = next(r for r in classified if r.form == "aboubacar")
-        assert record.winning_rule is None and record.evidence == []
+        assert record.winning_rule is None and record.evidence == ()
 
 
 class TestInvariants:
@@ -107,7 +111,7 @@ class TestInvariants:
     def test_evidence_nonempty_unless_other(self, classified):
         for r in classified:
             if r.category is Category.OTHER:
-                assert r.winning_rule is None and r.evidence == []
+                assert r.winning_rule is None and r.evidence == ()
             else:
                 assert r.winning_rule in r.firing_rules
                 assert r.evidence
@@ -117,9 +121,9 @@ class TestInvariants:
             if r.winning_rule is not None:
                 assert RULE_CATEGORY[r.winning_rule] is r.category
 
-    def test_profile_sums_to_frequency(self, table_records):
-        for r in table_records:
-            assert r.profile.total == r.frequency
+    def test_profile_sums_to_frequency(self, fixtures_dir):
+        for frequency, r in load_rows(fixtures_dir / "unknowns_tables.tsv"):
+            assert r.profile.total == r.frequency == frequency
 
     def test_histogram_totals(self, classified):
         hist = category_histogram(classified)
@@ -352,3 +356,49 @@ class TestOutput:
         fields = row.split("\t")
         assert fields[2] == "abbreviation_acronym"
         assert fields[3] == "R-acr"
+
+    def test_repeated_rule_in_precedence_is_listed_once(
+        self, table_records, classifier_lexicon, tmp_path
+    ):
+        # a repeated rule id decides nothing more: the table equals the one
+        # of the precedence without the repeat
+        cfg_path = tmp_path / "cls.conf"
+        cfg_path.write_text("precedence = [R-foreign, R-noun, R-foreign]\n", encoding="utf-8")
+        configs = load_classifier_config(cfg_path), ClassifierConfig(("R-foreign", "R-noun"))
+        tables = []
+        for config in configs:
+            out = tmp_path / "cls.tsv"
+            records = classify(table_records, classifier_lexicon, config=config)
+            write_classification_tsv(records, out)
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1]
+        rows = [line.split("\t") for line in tables[0].decode("utf-8").splitlines()]
+        both = [r for r in rows if r[4] == "R-foreign,R-noun"]
+        assert len(both) == 5
+        for row in both:
+            assert row[2:4] == ["foreign_or_slang", "R-foreign"]
+            assert row[5].startswith("R-foreign: ") and row[5].count("R-foreign") == 1
+
+
+class TestRecord:
+    def test_fields(self):
+        assert UnknownRecord._fields == ("form", "profile", "evidence")
+
+    def test_verdict_follows_evidence(self):
+        record = UnknownRecord("zumbi", CasingProfile(all_lower=1, capitalized=2))
+        assert record.evidence == ()
+        assert record.frequency == 3
+        assert record.category is Category.OTHER
+        assert record.winning_rule is None and record.firing_rules == ()
+        evidence = (("R-typo", "edit distance 1 to 'zumba'"), ("R-noun", "all-lowercase"))
+        fired = record._replace(evidence=evidence)
+        assert fired.category is Category.TYPING_ERROR
+        assert fired.winning_rule == "R-typo"
+        assert fired.firing_rules == ("R-typo", "R-noun")
+        reordered = record._replace(evidence=evidence[::-1])
+        assert reordered.category is Category.OTHER_NOUN
+        assert reordered.winning_rule == "R-noun"
+        assert reordered.firing_rules == ("R-noun", "R-typo")
+
+    def test_classify_stores_the_evidence_as_a_tuple(self, classified):
+        assert all(isinstance(r.evidence, tuple) for r in classified)

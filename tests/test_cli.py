@@ -410,10 +410,62 @@ class TestDiff:
                 capsys, "diff", "-a", str(a), "-b", str(b), "--format", "json", *flag
             )
             assert code == 0
-            listed = diff_dictionaries(
-                [load_dict_file(a)], [load_dict_file(b)], "cased" if cased else "folded"
-            )
+            listed = diff_dictionaries([load_dict_file(a)], [load_dict_file(b)], cased=cased)
             assert stdout == json.dumps(listed.to_dict(), indent=2, ensure_ascii=False) + "\n"
+
+
+BOM = "\ufeff".encode("utf-8")
+
+
+class TestByteOrderMark:
+    """A leading BOM is dropped from every text input, as from a DELAF file."""
+
+    def test_corpus(self, tmp_path, capsys):
+        dic, lex_bin = tmp_path / "c.dic", tmp_path / "c.lex"
+        dic.write_text("por exemplo,.ADV\no,.DET\ntime,.N\n", encoding="utf-8")
+        assert main(["compile", str(dic), "-o", str(lex_bin)]) == 0
+        text = "O time, por exemplo. Neymar venceu\r\n".encode("utf-8")
+        outputs = []
+        for name, data in (("plain", text), ("bom", BOM + text)):
+            corpus = tmp_path / name / "corpus.txt"  # one basename: one corpus id
+            corpus.parent.mkdir()
+            corpus.write_bytes(data)
+            outdir = tmp_path / name / "run"
+            assert main(["apply", str(corpus), "-l", str(lex_bin), "-o", str(outdir)]) == 0
+            capsys.readouterr()
+            code, report, _ = run_cli(capsys, "coverage", str(corpus), "-l", str(lex_bin))
+            assert code == 0
+            files = ("annotations.tsv", "types.tsv", "dlf", "dlc", "err")
+            outputs.append([(outdir / f).read_bytes() for f in files] + [report])
+        assert outputs[0] == outputs[1]
+        assert outputs[1][0].startswith("O\tword\t".encode("utf-8"))
+        assert outputs[1][3] == b"por exemplo,.ADV\n"
+
+    def test_counts_file(self, tmp_path, capsys):
+        rows = [{"corpus_id": "DG", "dict_id": "2004", "types_total": 53966,
+                 "types_unknown": 10512, "tokens_total": 984465, "tokens_unknown": 36190}]
+        outputs = []
+        for name, prefix in (("plain", b""), ("bom", BOM)):
+            counts = tmp_path / f"{name}.json"
+            counts.write_bytes(prefix + json.dumps(rows).encode("utf-8"))
+            outputs.append(run_cli(capsys, "coverage", "--counts", str(counts)))
+        assert outputs[0] == outputs[1]
+        assert outputs[1][0] == 0 and "19.48%" in outputs[1][1]
+
+    @pytest.mark.parametrize("command", ["coverage", "classify"])
+    def test_run_files(self, neymar_bin, tmp_path, capsys, command):
+        corpus, outdir = tmp_path / "corpus.txt", tmp_path / "run"
+        corpus.write_text("O time de Neymar. E o time\n", encoding="utf-8")
+        assert main(["apply", str(corpus), "-l", str(neymar_bin), "-o", str(outdir)]) == 0
+        capsys.readouterr()
+        argv = run_reader(command, outdir, neymar_bin)
+        plain = run_cli(capsys, *argv)
+        assert plain[0] == 0
+        for name in ("types.tsv", "run.json"):
+            path = outdir / name
+            path.write_bytes(BOM + path.read_bytes())
+            assert run_cli(capsys, *argv) == plain, name
+        assert read_types(outdir / "types.tsv")[("Neymar", TokenStatus.UNKNOWN, False)] == 1
 
 
 class TestReproducibility:

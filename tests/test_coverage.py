@@ -68,7 +68,7 @@ class TestCoverage:
     def test_from_dico(self):
         lex = lex_from_forms(["rosa", "a"])
         stream = stream_of("a rosa é a rosa")
-        report = coverage_from_dico(apply_dictionaries(lex, stream), "folded")
+        report = coverage_from_dico(apply_dictionaries(lex, stream))
         assert report.types_total == 3 and report.types_unknown == 1
         assert report.tokens_total == 5 and report.tokens_unknown == 1
 
@@ -81,16 +81,18 @@ class TestCoverage:
         assert large.types_unknown <= small.types_unknown
         assert large.tokens_unknown <= small.tokens_unknown
 
-    @pytest.mark.parametrize("fold_mode", ["folded", "cased"])
-    def test_totals_against_independent_count(self, fold_mode):
+    @pytest.mark.parametrize(
+        "cased", [pytest.param(False, id="folded"), pytest.param(True, id="cased")]
+    )
+    def test_totals_against_independent_count(self, cased):
         text = "O rato roeu a roupa do Rei de Roma o rato fugiu do rei"
         report = coverage_from_dico(
-            apply_dictionaries(lex_from_forms(["rato"]), stream_of(text)), fold_mode
+            apply_dictionaries(lex_from_forms(["rato"]), stream_of(text)), cased=cased
         )
         # shell-style oracle: split on whitespace and tally
         tally = {}
         for word in text.split():
-            form = word.casefold() if fold_mode == "folded" else word
+            form = word if cased else word.casefold()
             tally[form] = tally.get(form, 0) + 1
         assert report.types_total == len(tally)
         assert report.tokens_total == sum(tally.values())
@@ -99,9 +101,19 @@ class TestCoverage:
         lex = lex_from_forms(["rosa"])
         stream = stream_of("Rosa rosa ROSA azul")
         dico = apply_dictionaries(lex, stream)
-        folded = coverage_from_dico(dico, "folded")
-        cased = coverage_from_dico(dico, "cased")
+        folded = coverage_from_dico(dico)
+        cased = coverage_from_dico(dico, cased=True)
         assert folded.types_unknown <= cased.types_unknown
+
+
+    @pytest.mark.parametrize("mode", ["folded", "cased"])
+    def test_fold_mode_string_is_refused(self, mode):
+        dico = apply_dictionaries(lex_from_forms(["rosa"]), stream_of("Rosa rosa"))
+        with pytest.raises(TypeError):
+            coverage_from_dico(dico, mode)
+        a = [DictFile([parse_entry("Rosa,.N")])]
+        with pytest.raises(TypeError):
+            diff_dictionaries(a, a, mode)
 
 
 class TestVersionDelta:
@@ -152,13 +164,9 @@ class TestDictDiff:
         assert diff.only_in_a == [] and diff.only_in_b == []
 
     def test_fold_mode(self):
-        diff = diff_dictionaries(
-            [self.dfile(["Uva"])], [self.dfile(["uva"])], "folded"
-        )
+        diff = diff_dictionaries([self.dfile(["Uva"])], [self.dfile(["uva"])])
         assert diff.common == 1 and not diff.only_in_a and not diff.only_in_b
-        cased = diff_dictionaries(
-            [self.dfile(["Uva"])], [self.dfile(["uva"])], "cased"
-        )
+        cased = diff_dictionaries([self.dfile(["Uva"])], [self.dfile(["uva"])], cased=True)
         assert cased.common == 0
 
     def test_antisymmetric(self):
@@ -169,7 +177,7 @@ class TestDictDiff:
 
     def test_size_invariant(self):
         a, b = [self.dfile(["x", "y", "Y"])], [self.dfile(["y"])]
-        diff = diff_dictionaries(a, b, "folded")
+        diff = diff_dictionaries(a, b)
         unique_a = {"x", "y"}
         assert len(diff.only_in_a) + diff.common == len(unique_a)
 

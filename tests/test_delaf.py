@@ -4,10 +4,11 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lexcov.automaton import compile_lexicon
 from lexcov.delaf import (
     DictEntry,
+    DictFile,
     RoleTag,
-    canonicalize_line,
     iter_dict_entries,
     load_dict_file,
     parse_entry,
@@ -55,8 +56,10 @@ class TestParseEntry:
         assert entry.surface_form == "a\\b"
 
     def test_multiword(self):
-        assert parse_entry("por exemplo,.ADV").is_multiword()
-        assert not parse_entry("exemplo,.N:ms").is_multiword()
+        # the space stays in the form, and a form with one is a compound
+        entries = [parse_entry("por exemplo,.ADV"), parse_entry("exemplo,.N:ms")]
+        assert entries[0].surface_form == "por exemplo"
+        assert compile_lexicon([DictFile(entries)]).stats.compound_count == 1
 
     @pytest.mark.parametrize(
         "bad",
@@ -190,9 +193,8 @@ class TestRoundTrip:
         for name in ("neymar.dic", "sample.dic", "compounds.dic"):
             for line in (fixtures_dir / name).read_text().splitlines():
                 if line.strip():
-                    assert serialize_entry(parse_entry(line)) == canonicalize_line(line)
                     # these fixtures are already canonical
-                    assert canonicalize_line(line) == line
+                    assert serialize_entry(parse_entry(line)) == line
 
     @given(
         form=ENTRY_CHARS,

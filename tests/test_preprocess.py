@@ -79,7 +79,7 @@ class TestTokenize:
 
     def test_empty(self):
         stream = tokenize("")
-        assert stream.tokens == [] and stream.word_token_count == 0
+        assert stream.tokens == []
 
     def test_word_tokens_have_no_digits(self):
         for tok in tokenize("covid19 x2y").tokens:
