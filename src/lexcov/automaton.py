@@ -56,12 +56,6 @@ class LexiconStats(
 
 
 _ROLE_BITS = {RoleTag.GENERAL: 1, RoleTag.ABBREVIATIONS_ACRONYMS: 2, RoleTag.USER: 4}
-# the roles of each role mask; a mask byte's other bits name no role
-_ROLE_MASK = 7
-_ROLE_SETS = tuple(
-    frozenset(role for role, bit in _ROLE_BITS.items() if mask & bit)
-    for mask in range(_ROLE_MASK + 1)
-)
 
 
 def token_matches_form(token_text: str, form_text: str, policy: CaseFoldPolicy) -> bool:
@@ -353,7 +347,9 @@ class Lexicon:
         return parts
 
     def analysis_roles(self, analysis_id: int) -> frozenset:
-        return _ROLE_SETS[self._masks[analysis_id] & _ROLE_MASK]
+        """The roles of an analysis; a mask byte's other bits name no role."""
+        mask = self._masks[analysis_id]
+        return frozenset(role for role, bit in _ROLE_BITS.items() if mask & bit)
 
     def entry_for(self, form: str, analysis_id: int) -> DictEntry:
         """The entry of ``form``, a form this lexicon matched, with an
@@ -464,21 +460,6 @@ class Lexicon:
                 node = edges.setdefault((node, kind, text), len(edges) + 1)
             ends.setdefault(node, []).append((ci, words))
         return edges, ends
-
-    def iter_forms(self):
-        """All simple forms in sorted order."""
-        states = self._states
-        stack = [(0, "")]
-        out = []
-        while stack:
-            state, prefix = stack.pop()
-            final, edges = states[state]
-            if final:
-                out.append(prefix)
-            for ch in sorted(edges, reverse=True):
-                stack.append((edges[ch][0], prefix + ch))
-        # DFS with reversed edge order yields sorted output directly
-        return out
 
 
 def compile_lexicon(dicts: list[DictFile]) -> Lexicon:

@@ -42,7 +42,7 @@ from .dico import (
     read_types,
     write_outputs,
 )
-from .errors import LexcovError, MalformedEntry, MalformedManifest, decoding
+from .errors import EmptyLexicon, LexcovError, MalformedEntry, MalformedManifest, decoding
 from .preprocess import (
     load_abbreviation_list,
     load_replacement_table,
@@ -90,7 +90,7 @@ def _preprocess_file(path, abbrevs, replacements, digests):
     # reading in text mode would
     with decoding(path):
         text = normalize_delimiters(data.decode("utf-8-sig"))
-    stream = tokenize(text, source_id=str(path))
+    stream = tokenize(text)
     if replacements:
         apply_replacements(stream, replacements)
     return segment_sentences(stream, abbrevs)
@@ -122,7 +122,10 @@ def _streamed(paths, role=RoleTag.GENERAL) -> list[DictFile]:
 
 
 def cmd_compile(args) -> int:
-    lex = compile_lexicon(_streamed(args.dicts, RoleTag(args.role)))
+    try:
+        lex = compile_lexicon(_streamed(args.dicts, RoleTag(args.role)))
+    except EmptyLexicon as exc:
+        raise EmptyLexicon(f"{', '.join(args.dicts)}: {exc}") from None
     save_lexicon(lex, args.output)
     stats = {
         "entries": lex.stats.entry_count,

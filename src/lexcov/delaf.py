@@ -4,8 +4,10 @@ The accepted line grammar is::
 
     form ',' lemma '.' gram_code ('+' sem_trait)* (':' flex_code)*
 
-``\\,`` escapes a literal comma inside form/lemma and ``\\\\`` escapes a
-backslash.  An empty lemma field means "lemma equals the surface form".
+``\\,`` escapes a literal comma inside form/lemma, ``\\.`` a dot inside a
+lemma, and ``\\\\`` a backslash; a backslash before any other character
+stands for that character.  An empty lemma field means "lemma equals the
+surface form".  A form may not begin or end with a space.
 The normative format description lives in docs/delaf-format.md.
 """
 
@@ -97,18 +99,26 @@ def parse_entry(line: str, line_number: int | None = None) -> DictEntry:
     """Parse a single DELAF line into a DictEntry.
 
     A line with no ``\\`` is split at its first ``,`` and the first ``.``
-    after it; any other line, and any line that split does not accept, is
-    read by the escape-aware scanner, which reports what is wrong with it.
+    after it; any other line, and any line that split does not accept or
+    whose form begins or ends with a space, is read by the escape-aware
+    scanner, which reports what is wrong with it.
     Raises MalformedEntry if the line does not match the grammar.
     """
     form, _, rest = line.partition(",")
     lemma, dot, codes = rest.partition(".")
-    if not (form and dot) or "\\" in line:
+    if not (form and dot) or "\\" in line or form.strip(" ") != form:
         form, i = _scan_field(line, 0, ",", line_number)
         if i >= len(line):
             raise MalformedEntry("missing ',' separator", line, len(line), line_number)
         if not form:
             raise MalformedEntry("empty surface form", line, 0, line_number)
+        # an edge space would make a compound that covers a space, or one
+        # that never matches
+        if form[0] == " ":
+            at = line.index(" ")
+            raise MalformedEntry("surface form begins with a space", line, at, line_number)
+        if form[-1] == " ":
+            raise MalformedEntry("surface form ends with a space", line, i - 1, line_number)
         lemma, j = _scan_field(line, i + 1, ".", line_number)
         if j >= len(line):
             raise MalformedEntry("missing '.' separator", line, len(line), line_number)
@@ -140,7 +150,8 @@ def _parse_codes(codes: str, line: str, line_number: int | None) -> tuple:
 
 def serialize_entry(entry: DictEntry) -> str:
     """Emit the canonical DELAF line for an entry."""
-    lemma = "" if entry.lemma == entry.surface_form else _escape(entry.lemma)
+    # the lemma field ends at a "."; the form field at a ","
+    lemma = "" if entry.lemma == entry.surface_form else _escape(entry.lemma).replace(".", "\\.")
     line = f"{_escape(entry.surface_form)},{lemma}.{entry.gram_code}"
     if entry.sem_traits:
         line += "+" + "+".join(entry.sem_traits)
@@ -169,7 +180,7 @@ def iter_dict_entries(path: str | os.PathLike) -> Iterator[DictEntry]:
                     continue
                 form, _, rest = line.partition(",")
                 lemma, dot, codes = rest.partition(".")
-                if not (form and dot) or "\\" in line:
+                if not (form and dot) or "\\" in line or form.strip(" ") != form:
                     yield parse_entry(line, line_number)
                     continue
                 parsed = codes_of.get(codes)

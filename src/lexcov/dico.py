@@ -186,7 +186,9 @@ def _compound_pass(lexicons, stream, words, policy, dlc, starters_by_text) -> li
         if best is None:
             continue
         span, order, form, ids = best
-        for entry in _entries(lexicons[order], form, ids):
+        lex = lexicons[order]
+        for aid in ids:
+            entry = lex.entry_for(form, aid)
             dlc[entry] = dlc.get(entry, 0) + 1
         covered.extend(range(i, i + span))
         resume = i + span
@@ -197,15 +199,11 @@ def _lookup_analyses(lexicons, text, policy) -> tuple[DictEntry, ...]:
     matched = []
     for lex in lexicons:
         for form, ids in lex.lookup_forms(text, policy).items():
-            matched += _entries(lex, form, ids)
+            matched += [lex.entry_for(form, aid) for aid in ids]
     if len(matched) < 2:
         return tuple(matched)
     # two lexicons may hold the same entry
     return tuple(sorted(set(matched), key=serialize_entry))
-
-
-def _entries(lex: Lexicon, form: str, ids) -> list[DictEntry]:
-    return [lex.entry_for(form, i) for i in ids]
 
 
 def merge_results(a: DicoResult, b: DicoResult) -> DicoResult:

@@ -99,13 +99,12 @@ class TokenStream:
     views of its columns.
     """
 
-    def __init__(self, tokens=(), source_id: str = ""):
+    def __init__(self, tokens=()):
         tokens = list(tokens)
         self.kinds = [t.kind for t in tokens]
         self.texts = [t.text for t in tokens]
         self.sentence_indices = [t.sentence_index for t in tokens]
         self.initial_positions = [i for i, t in enumerate(tokens) if t.sentence_initial]
-        self.source_id = source_id
         self._byte_spans = [t.byte_span for t in tokens]
         self._source = None
         for i, tok in enumerate(tokens):
@@ -114,7 +113,7 @@ class TokenStream:
     def _fields(self):
         return (
             self.kinds, self.texts, self.byte_spans(), self.sentence_indices,
-            self.initial_positions, self.source_id,
+            self.initial_positions,
         )
 
     def __eq__(self, other):
@@ -125,16 +124,15 @@ class TokenStream:
     __hash__ = None
 
     def __repr__(self):
-        return f"TokenStream(tokens={list(self.tokens)!r}, source_id={self.source_id!r})"
+        return f"TokenStream(tokens={list(self.tokens)!r})"
 
     @classmethod
-    def _of_columns(cls, kinds, texts, source_id="", *, source=None, byte_spans=None):
+    def _of_columns(cls, kinds, texts, *, source=None, byte_spans=None):
         stream = cls.__new__(cls)
         stream.kinds = kinds
         stream.texts = texts
         stream.sentence_indices = [0] * len(texts)
         stream.initial_positions = []
-        stream.source_id = source_id
         stream._byte_spans = byte_spans
         stream._source = source
         return stream
@@ -284,10 +282,10 @@ def normalize_delimiters(raw: str) -> str:
     return text
 
 
-def tokenize(text: str, source_id: str = "") -> TokenStream:
+def tokenize(text: str) -> TokenStream:
     """Split a normalized text into word/number/punct/space tokens."""
     kinds, texts = token_columns(text)
-    return TokenStream._of_columns(kinds, texts, source_id, source=text)
+    return TokenStream._of_columns(kinds, texts, source=text)
 
 
 def _normalize_abbreviations(abbreviations) -> set[str]:

@@ -198,6 +198,13 @@ def oracle_parse_entry(line: str, line_number=None) -> DictEntry:
         raise MalformedEntry("missing ',' separator", line, len(line), line_number)
     if not form:
         raise MalformedEntry("empty surface form", line, 0, line_number)
+    if form.startswith(" "):
+        # the form's first character is the line's first, or the one its
+        # backslash escapes
+        at = 1 if line.startswith("\\") else 0
+        raise MalformedEntry("surface form begins with a space", line, at, line_number)
+    if form.endswith(" "):
+        raise MalformedEntry("surface form ends with a space", line, i - 1, line_number)
     lemma, j = _oracle_scan_field(line, i + 1, ".", line_number)
     if j >= len(line):
         raise MalformedEntry("missing '.' separator", line, len(line), line_number)
@@ -376,7 +383,9 @@ def _oracle_escape(text):
 
 
 def oracle_serialize(entry: DictEntry) -> str:
-    lemma = "" if entry.lemma == entry.surface_form else _oracle_escape(entry.lemma)
+    lemma = ""
+    if entry.lemma != entry.surface_form:
+        lemma = _oracle_escape(entry.lemma).replace(".", "\\.")
     out = [_oracle_escape(entry.surface_form), ",", lemma, ".", entry.gram_code]
     out.extend("+" + t for t in entry.sem_traits)
     out.extend(":" + c for c in entry.flex_codes)

@@ -58,6 +58,14 @@ def lex_from_forms(forms):
     return lex_from_lines([f"{f},.N" for f in forms])
 
 
+def assert_holds_exactly(lex, forms):
+    """``lex``'s automaton accepts exactly the sorted simple ``forms``: they
+    rank 0…n−1, and load checks that the root accepts as many forms as the
+    lexicon has simple forms."""
+    assert [lex.word_index(f) for f in forms] == list(range(len(forms)))
+    assert lex.stats.unique_form_count - lex.stats.compound_count == len(forms)
+
+
 class TestCompile:
     def test_neymar_subset(self, neymar_lexicon):
         lex = neymar_lexicon
@@ -327,8 +335,7 @@ class TestMinimality:
         lex = lex_from_forms(forms)
         save_lexicon(lex, tmp_path / "lex.bin")
         for copy in (lex, load_lexicon(tmp_path / "lex.bin")):
-            assert [copy.word_index(f) for f in forms] == list(range(len(forms)))
-            assert copy.iter_forms() == forms
+            assert_holds_exactly(copy, forms)
 
 
 # labels whose case maps are not one-to-one, one outside the BMP, and the
@@ -385,11 +392,13 @@ class TestBuild:
         lex = compile_lexicon(dicts)
         save_lexicon(lex, tmp_path / "all.lex")
         loaded = load_lexicon(tmp_path / "all.lex")
-        forms = lex.iter_forms()
-        assert loaded.iter_forms() == forms
+        forms = sorted({e.surface_form for d in dicts for e in d.entries})
+        simple = sorted(set(forms) - set(lex._compound_forms))
+        for copy in (lex, loaded):
+            assert_holds_exactly(copy, simple)
         texts = {
             variant
-            for form in forms + list(lex._compound_forms)
+            for form in forms
             for variant in (form, form.upper(), form.capitalize(), form[1:], form + "s")
         }
         for text in sorted(texts):
@@ -439,11 +448,14 @@ class TestCompounds:
 
 
 class TestSaveLoad:
-    def test_round_trip_neymar(self, neymar_lexicon, tmp_path):
+    def test_round_trip_neymar(self, neymar_lexicon, fixtures_dir, tmp_path):
         path = tmp_path / "lex.bin"
         save_lexicon(neymar_lexicon, path)
         loaded = load_lexicon(path)
-        for form in neymar_lexicon.iter_forms():
+        entries = load_dict_file(fixtures_dir / "neymar.dic").entries
+        forms = sorted({e.surface_form for e in entries})
+        assert_holds_exactly(loaded, forms)
+        for form in forms:
             got = {serialize_entry(loaded.entry_for(form, i)) for i in loaded.lookup(form)}
             want = {
                 serialize_entry(neymar_lexicon.entry_for(form, i))

@@ -93,6 +93,29 @@ class TestCompile:
             capsys, "compile", str(empty), "-o", str(tmp_path / "x.bin")
         )
         assert code == 2
+        assert stderr == f"lexcov: {empty}: no entries to compile\n"
+        blank = tmp_path / "blank.dic"
+        blank.write_text("\n \n\t\n", encoding="utf-8")
+        code, _, stderr = run_cli(
+            capsys, "compile", str(empty), str(blank), "-o", str(tmp_path / "x.bin")
+        )
+        assert code == 2
+        assert stderr == f"lexcov: {empty}, {blank}: no entries to compile\n"
+        assert not (tmp_path / "x.bin").exists()
+
+    def test_dot_in_lemma_round_trips_through_dlf(self, tmp_path, capsys):
+        dic = tmp_path / "srs.dic"
+        dic.write_text("Srs,Sr\\..N:mp\n", encoding="utf-8")
+        code, _, _ = run_cli(capsys, "compile", str(dic), "-o", str(tmp_path / "srs.lex"))
+        assert code == 0
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("Os Srs chegaram.\n", encoding="utf-8")
+        run = tmp_path / "run"
+        code, _, _ = run_cli(
+            capsys, "apply", str(corpus), "-l", str(tmp_path / "srs.lex"), "-o", str(run)
+        )
+        assert code == 0
+        assert (run / "dlf").read_bytes() == dic.read_bytes()
 
     def test_form_with_65536_analyses_compiles_and_applies(self, tmp_path, capsys):
         # counts are u32: a form may have more analyses than a u16 holds
@@ -383,6 +406,25 @@ class TestClassify:
         )
         assert hist["old_spelling"] >= 1  # idéia
 
+    def test_lists_a_form_that_coverage_counts_as_known(self, tmp_path, capsys):
+        # a record per casefolded text with an unknown occurrence; folded
+        # coverage counts a type known when any occurrence is known
+        dic, lex, corpus = tmp_path / "d.dic", tmp_path / "d.lex", tmp_path / "c.txt"
+        dic.write_text("casa,.N\n", encoding="utf-8")
+        corpus.write_text("A casa. Casa nova.\n", encoding="utf-8")
+        run = tmp_path / "run"
+        assert main(["compile", str(dic), "-o", str(lex)]) == 0
+        assert main([
+            "apply", str(corpus), "-l", str(lex), "-o", str(run), "--case-policy", "exact"
+        ]) == 0
+        capsys.readouterr()
+        code, stdout, _ = run_cli(capsys, "coverage", "--run", str(run), "--format", "json")
+        assert code == 0
+        assert json.loads(stdout)["reports"][0]["types_unknown"] == 2
+        assert run_cli(capsys, "classify", str(run), "-l", str(lex))[0] == 0
+        rows = (run / "classification.tsv").read_text(encoding="utf-8").splitlines()
+        assert [row.split("\t")[0] for row in rows] == ["a", "casa", "nova"]
+
 
 class TestDiff:
     def test_json(self, tmp_path, capsys):
@@ -602,6 +644,21 @@ class TestExitCodes:
         assert stderr == (
             f"lexcov: {paths['bad']}: malformed entry: line 2, col 5: missing '.' separator:"
             " 'xx,yy'\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv", ["compile {bad} -o {out}", "diff -a {dic} -b {bad}"], ids=["compile", "diff"]
+    )
+    def test_form_with_an_edge_space_names_its_file(self, fixtures_dir, tmp_path, capsys, argv):
+        paths = {
+            "dic": fixtures_dir / "neymar.dic", "bad": tmp_path / "bad.dic", "out": tmp_path / "out"
+        }
+        paths["bad"].write_text("casa ,.N\n", encoding="utf-8")
+        code, _, stderr = run_cli(capsys, *(arg.format(**paths) for arg in argv.split()))
+        assert code == 2
+        assert stderr == (
+            f"lexcov: {paths['bad']}: malformed entry: line 1, col 4:"
+            " surface form ends with a space: 'casa ,.N'\n"
         )
 
     @pytest.mark.parametrize("row", ["time\tbom\ttime", "time", "\tbom", "time\t"])

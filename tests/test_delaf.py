@@ -17,7 +17,7 @@ from lexcov.delaf import (
 )
 from lexcov.errors import MalformedEntry
 
-from oracles import oracle_parse_entry
+from oracles import oracle_parse_entry, oracle_serialize
 
 
 class TestParseEntry:
@@ -78,6 +78,31 @@ class TestParseEntry:
     def test_malformed(self, bad):
         with pytest.raises(MalformedEntry):
             parse_entry(bad)
+
+    @pytest.mark.parametrize(
+        "line, message, column",
+        [
+            ("casa ,.N", "ends", 4),
+            (" nova,.A", "begins", 0),
+            ("por exemplo ,.ADV", "ends", 11),
+            ("\\ nova,.A", "begins", 1),
+            ("casa\\ ,.N", "ends", 5),
+            (" ,.N", "begins", 0),
+        ],
+    )
+    def test_form_with_an_edge_space(self, tmp_path, line, message, column):
+        # such a form would be a compound that covers a word and the space
+        # after it, or one that never matches
+        path = tmp_path / "d.dic"
+        path.write_text(f"a,.N\n{line}\n", encoding="utf-8")
+        for parse in (lambda: parse_entry(line, 2), lambda: list(iter_dict_entries(path))):
+            with pytest.raises(MalformedEntry) as exc:
+                parse()
+            assert str(exc.value) == (
+                f"line 2, col {column}: surface form {message} with a space: {line!r}"
+            )
+        # a DictEntry built in code is not checked
+        assert DictEntry("casa ", "casa", "N").surface_form == "casa "
 
     def test_error_carries_line_and_column(self):
         with pytest.raises(MalformedEntry) as exc:
@@ -181,11 +206,26 @@ class TestSerializeEntry:
         entry = DictEntry("bate,boca", "bate,boca", "N", (), ("ms",))
         assert serialize_entry(entry) == r"bate\,boca,.N:ms"
 
+    def test_dot_in_lemma_escaped(self, tmp_path):
+        # the lemma field ends at its first unescaped "."; the form's at ","
+        line = r"Srs,Sr\..N:mp"
+        entry = DictEntry("Srs", "Sr.", "N", (), ("mp",))
+        assert parse_entry(line) == entry
+        assert serialize_entry(entry) == line
+        dotted = DictEntry("Sr.", "Sr.", "N")
+        assert serialize_entry(dotted) == "Sr.,.N"
+        path = tmp_path / "d.dic"
+        save_dict_file(DictFile([entry, dotted]), path)
+        assert path.read_text(encoding="utf-8") == "Sr.,.N\n" + line + "\n"
+        assert load_dict_file(path).entries == [dotted, entry]
+
 
 ENTRY_CHARS = st.text(
-    alphabet="abçõé, \\",
+    alphabet="abçõé,. \\",
     min_size=1,
 ).filter(lambda s: s.strip())
+# a form's text begins and ends with a character that is not a space
+FORM_CHARS = ENTRY_CHARS.filter(lambda s: s[0] != " " and s[-1] != " ")
 
 
 class TestRoundTrip:
@@ -197,7 +237,7 @@ class TestRoundTrip:
                     assert serialize_entry(parse_entry(line)) == line
 
     @given(
-        form=ENTRY_CHARS,
+        form=FORM_CHARS,
         lemma=st.one_of(st.just(""), ENTRY_CHARS),
         gram=st.text(alphabet="VNA", min_size=1, max_size=4),
         sems=st.lists(st.text(alphabet="DefArt", min_size=1, max_size=4), max_size=3),
@@ -206,6 +246,8 @@ class TestRoundTrip:
     def test_serialize_parse_identity(self, form, lemma, gram, sems, flexes):
         entry = DictEntry(form, lemma or form, gram, tuple(sems), tuple(flexes))
         assert parse_entry(serialize_entry(entry)) == entry
+        # the reference annotator sorts analyses by the same line
+        assert oracle_serialize(entry) == serialize_entry(entry)
 
 
 class TestDictFile:

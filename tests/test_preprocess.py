@@ -122,10 +122,8 @@ class TestTokenize:
 
 class TestTokenStream:
     def test_equal_streams(self):
-        direct = tokenize("O time. Venceu", source_id="a")
-        built = TokenStream(
-            tokens=[Token(t.kind, t.text, t.byte_span) for t in direct.tokens], source_id="a"
-        )
+        direct = tokenize("O time. Venceu")
+        built = TokenStream(tokens=[Token(t.kind, t.text, t.byte_span) for t in direct.tokens])
         assert built == direct
         segment_sentences(direct)
         assert built != direct
@@ -133,21 +131,19 @@ class TestTokenStream:
         assert built == direct
 
     def test_unequal_streams(self):
-        stream = tokenize("O time.", source_id="a")
-        assert stream != tokenize("O tim.", source_id="a")
-        assert stream != tokenize("O time.", source_id="b")
+        stream = tokenize("O time.")
+        assert stream != tokenize("O tim.")
         spans = [t.byte_span for t in stream.tokens]
         spans[0] = (0, 2)
         moved = TokenStream(
-            tokens=[Token(t.kind, t.text, span) for t, span in zip(stream.tokens, spans)],
-            source_id="a",
+            tokens=[Token(t.kind, t.text, span) for t, span in zip(stream.tokens, spans)]
         )
         assert moved != stream
 
     def test_repr_lists_tokens(self):
-        assert repr(tokenize("O", source_id="a")) == (
+        assert repr(tokenize("O")) == (
             "TokenStream(tokens=[Token(kind=<TokenKind.WORD: 'word'>, text='O',"
-            " byte_span=(0, 1), sentence_index=0, sentence_initial=False)], source_id='a')"
+            " byte_span=(0, 1), sentence_index=0, sentence_initial=False)])"
         )
 
 
