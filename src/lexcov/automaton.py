@@ -467,8 +467,9 @@ def compile_lexicon(dicts: list[DictFile]) -> Lexicon:
 
     Identical (form, analysis) pairs are deduplicated.  Entries carrying
     several ':'-groups are expanded into one analysis per inflectional
-    reading.  Each file's entries are read once, so they may be an
-    iterator (:func:`lexcov.delaf.iter_dict_entries`).  The lexicon is
+    reading.  Each file's entries are read once, by position, so they may
+    be an iterator (:func:`lexcov.delaf.iter_dict_entries`) and plain
+    5-tuples in :class:`~lexcov.delaf.DictEntry` field order.  The lexicon is
     read from the payload it packs, as :func:`load_lexicon` reads a file,
     so it passes every check a load makes.
     """
@@ -520,10 +521,13 @@ def _pack(dicts) -> bytes:
         else:
             form_counts.append(len(held))
             form_ids.extend(sorted(held))
-    finals, edge_counts, chars, targets = _build_dafsa(sorted_forms)
     folded_count = _folded_count(
         chain(sorted_forms, compounds), lambda f: f in simple or f in compounds
     )
+    # not read again; freed here, it is not held through the DAFSA build
+    # and the columns, where a 1M-form compile reached its peak RSS
+    del simple
+    finals, edge_counts, chars, targets = _build_dafsa(sorted_forms)
     fold_extra = {}
     # fold_key of each form, streamed at C speed
     for key, form in zip(map(str.casefold, map(str.upper, sorted_forms)), sorted_forms):

@@ -34,7 +34,7 @@ from .coverage import (
     render_delta_text,
     render_diff_text,
 )
-from .delaf import DictFile, RoleTag, iter_dict_entries
+from .delaf import DictFile, RoleTag, _read_entries
 from .dico import (
     DicoResult,
     apply_dictionaries,
@@ -116,14 +116,15 @@ def _apply_corpus(
 
 # -- subcommands ------------------------------------------------------------
 
-def _streamed(paths, role=RoleTag.GENERAL) -> list[DictFile]:
-    """DictFiles whose entries are read from their files as they are used."""
-    return [DictFile(iter_dict_entries(p), role) for p in paths]
+def _streamed(paths, codes_of, role=RoleTag.GENERAL) -> list[DictFile]:
+    """DictFiles whose entries, plain 5-tuples, are read from their files
+    as they are used; ``codes_of`` is the one codes cache of the command."""
+    return [DictFile(_read_entries(p, codes_of), role) for p in paths]
 
 
 def cmd_compile(args) -> int:
     try:
-        lex = compile_lexicon(_streamed(args.dicts, RoleTag(args.role)))
+        lex = compile_lexicon(_streamed(args.dicts, {}, RoleTag(args.role)))
     except EmptyLexicon as exc:
         raise EmptyLexicon(f"{', '.join(args.dicts)}: {exc}") from None
     save_lexicon(lex, args.output)
@@ -337,7 +338,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_diff(args) -> int:
-    diff = diff_dictionaries(_streamed(args.a), _streamed(args.b), cased=args.cased)
+    codes_of = {}  # both versions repeat the same codes texts
+    diff = diff_dictionaries(
+        _streamed(args.a, codes_of), _streamed(args.b, codes_of), cased=args.cased
+    )
     if args.format == "json":
         print(json.dumps(diff.to_dict(), indent=2, ensure_ascii=False))
     else:

@@ -9,6 +9,7 @@ here, so that the commands that print no percentage do not load it.
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import itemgetter
 
 from .delaf import DictFile
 from .dico import DicoResult, TokenStatus
@@ -131,8 +132,9 @@ def diff_dictionaries(a: list[DictFile], b: list[DictFile], *, cased: bool = Fal
     def forms(files):
         out = set()
         for f in files:
-            for e in f.entries:
-                out.add(e.surface_form if cased else e.surface_form.casefold())
+            # an entry is a DictEntry or a plain 5-tuple; the form is first
+            form_of = map(itemgetter(0), f.entries)
+            out.update(form_of if cased else map(str.casefold, form_of))
         return out
 
     fa, fb = forms(a), forms(b)

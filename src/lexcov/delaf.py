@@ -7,7 +7,7 @@ The accepted line grammar is::
 ``\\,`` escapes a literal comma inside form/lemma, ``\\.`` a dot inside a
 lemma, and ``\\\\`` a backslash; a backslash before any other character
 stands for that character.  An empty lemma field means "lemma equals the
-surface form".  A form may not begin or end with a space.
+surface form".  A form may not begin or end with whitespace.
 The normative format description lives in docs/delaf-format.md.
 """
 
@@ -57,10 +57,10 @@ class DictEntry(namedtuple("DictEntry", "surface_form lemma gram_code sem_traits
 class DictFile(namedtuple("DictFile", "entries role_tag", defaults=(RoleTag.GENERAL,))):
     """An ordered collection of entries loaded from one DELAF file.
 
-    ``entries`` is an iterable of :class:`DictEntry`: :func:`load_dict_file`
-    gives a list; a reader that needs one pass, such as the compiler, may
-    hold :func:`iter_dict_entries` instead.  ``role_tag`` is a
-    :class:`RoleTag`."""
+    ``entries`` is an iterable of :class:`DictEntry` or of plain 5-tuples
+    in its field order: :func:`load_dict_file` gives a list; a reader that
+    needs one pass, such as the compiler, may hold :func:`iter_dict_entries`
+    instead.  ``role_tag`` is a :class:`RoleTag`."""
 
     __slots__ = ()
 
@@ -100,25 +100,26 @@ def parse_entry(line: str, line_number: int | None = None) -> DictEntry:
 
     A line with no ``\\`` is split at its first ``,`` and the first ``.``
     after it; any other line, and any line that split does not accept or
-    whose form begins or ends with a space, is read by the escape-aware
+    whose form begins or ends with whitespace, is read by the escape-aware
     scanner, which reports what is wrong with it.
     Raises MalformedEntry if the line does not match the grammar.
     """
     form, _, rest = line.partition(",")
     lemma, dot, codes = rest.partition(".")
-    if not (form and dot) or "\\" in line or form.strip(" ") != form:
+    if not (form and dot) or "\\" in line or form.strip() != form:
         form, i = _scan_field(line, 0, ",", line_number)
         if i >= len(line):
             raise MalformedEntry("missing ',' separator", line, len(line), line_number)
         if not form:
             raise MalformedEntry("empty surface form", line, 0, line_number)
-        # an edge space would make a compound that covers a space, or one
-        # that never matches
-        if form[0] == " ":
-            at = line.index(" ")
-            raise MalformedEntry("surface form begins with a space", line, at, line_number)
-        if form[-1] == " ":
-            raise MalformedEntry("surface form ends with a space", line, i - 1, line_number)
+        # an edge space would make a compound that covers a space, and any
+        # edge whitespace a form that never matches (the corpus's tabs
+        # become spaces); the column is the first or last character's
+        edges = ((form[0], "begins", 1 if line[0] == "\\" else 0), (form[-1], "ends", i - 1))
+        for ch, edge, at in edges:
+            if ch.isspace():
+                what = "a space" if ch == " " else f"whitespace {ch!r}"
+                raise MalformedEntry(f"surface form {edge} with {what}", line, at, line_number)
         lemma, j = _scan_field(line, i + 1, ".", line_number)
         if j >= len(line):
             raise MalformedEntry("missing '.' separator", line, len(line), line_number)
@@ -160,38 +161,46 @@ def serialize_entry(entry: DictEntry) -> str:
     return line
 
 
-def iter_dict_entries(path: str | os.PathLike) -> Iterator[DictEntry]:
-    """The entries of a DELAF text file, read line by line, in file order.
+def _read_entries(path: str | os.PathLike, codes_of: dict) -> Iterator[tuple]:
+    """The entries of a DELAF text file as plain 5-tuples in
+    :class:`DictEntry` field order, read line by line, in file order.
 
     A leading BOM is dropped, lines end at ``\\n`` (a ``\\r`` before it is
     dropped, a lone ``\\r`` is part of its line) and blank lines are
-    skipped; line numbers in errors count every line.
+    skipped; line numbers in errors count every line, and an error
+    carries ``path``.
 
     The lines of a dictionary repeat a few codes texts (the text after the
-    lemma's ``.``), so each distinct one is parsed once; a line that needs
-    the scanner goes to :func:`parse_entry` whole.
+    lemma's ``.``), so ``codes_of`` maps each one parsed to its gram code,
+    traits and flex codes; a text parses the same way on every line, so
+    one dict may serve every file a command reads.  A text that fails is
+    not kept, so each line that holds it raises its own error.  A line
+    that needs the scanner goes to :func:`parse_entry` whole.
     """
-    codes_of = {}  # codes text -> (gram code, traits, flex codes)
     with open(path, encoding="utf-8-sig", newline="\n") as fh, decoding(path):
         try:
             for line_number, raw in enumerate(fh, start=1):
                 line = raw.rstrip("\r\n")
-                if not line or line.isspace():
-                    continue
                 form, _, rest = line.partition(",")
                 lemma, dot, codes = rest.partition(".")
-                if not (form and dot) or "\\" in line or form.strip(" ") != form:
-                    yield parse_entry(line, line_number)
+                # a blank line has no "." and never passes this split
+                if not (form and dot) or "\\" in line or form.strip() != form:
+                    if line and not line.isspace():
+                        yield parse_entry(line, line_number)
                     continue
                 parsed = codes_of.get(codes)
                 if parsed is None:
                     parsed = codes_of[codes] = _parse_codes(codes, line, line_number)
-                gram_code, sem_traits, flex_codes = parsed
-                entry = (form, lemma or form, gram_code, sem_traits, flex_codes)
-                yield tuple.__new__(DictEntry, entry)
+                yield (form, lemma or form) + parsed
         except MalformedEntry as exc:
             exc.path = path
             raise
+
+
+def iter_dict_entries(path: str | os.PathLike) -> Iterator[DictEntry]:
+    """The entries of a DELAF text file as :class:`DictEntry`, read as
+    :func:`_read_entries` reads them."""
+    return map(DictEntry._make, _read_entries(path, {}))
 
 
 def load_dict_file(path: str | os.PathLike, role_tag: RoleTag = RoleTag.GENERAL) -> DictFile:

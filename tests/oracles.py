@@ -198,13 +198,16 @@ def oracle_parse_entry(line: str, line_number=None) -> DictEntry:
         raise MalformedEntry("missing ',' separator", line, len(line), line_number)
     if not form:
         raise MalformedEntry("empty surface form", line, 0, line_number)
-    if form.startswith(" "):
+    # a space is named as such, other whitespace by its repr
+    if form[0].isspace():
         # the form's first character is the line's first, or the one its
         # backslash escapes
         at = 1 if line.startswith("\\") else 0
-        raise MalformedEntry("surface form begins with a space", line, at, line_number)
-    if form.endswith(" "):
-        raise MalformedEntry("surface form ends with a space", line, i - 1, line_number)
+        what = "a space" if form[0] == " " else f"whitespace {form[0]!r}"
+        raise MalformedEntry(f"surface form begins with {what}", line, at, line_number)
+    if form[-1].isspace():
+        what = "a space" if form[-1] == " " else f"whitespace {form[-1]!r}"
+        raise MalformedEntry(f"surface form ends with {what}", line, i - 1, line_number)
     lemma, j = _oracle_scan_field(line, i + 1, ".", line_number)
     if j >= len(line):
         raise MalformedEntry("missing '.' separator", line, len(line), line_number)

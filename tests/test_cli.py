@@ -661,6 +661,23 @@ class TestExitCodes:
             " surface form ends with a space: 'casa ,.N'\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv", ["compile {bad} -o {out}", "diff -a {dic} -b {bad}"], ids=["compile", "diff"]
+    )
+    def test_form_with_edge_whitespace_names_its_file(self, fixtures_dir, tmp_path, capsys, argv):
+        # a form ending in a tab would compile into one no token matches
+        paths = {
+            "dic": fixtures_dir / "neymar.dic", "bad": tmp_path / "bad.dic", "out": tmp_path / "out"
+        }
+        paths["bad"].write_text("a,.N\ncasa\t,.N\n", encoding="utf-8")
+        code, _, stderr = run_cli(capsys, *(arg.format(**paths) for arg in argv.split()))
+        assert code == 2
+        assert stderr == (
+            f"lexcov: {paths['bad']}: malformed entry: line 2, col 4:"
+            " surface form ends with whitespace '\\t': 'casa\\t,.N'\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("row", ["time\tbom\ttime", "time", "\tbom", "time\t"])
     def test_malformed_replacement_row(self, fixtures_dir, neymar_bin, tmp_path, capsys, row):
         outdir = tmp_path / "run"

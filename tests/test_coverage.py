@@ -175,6 +175,19 @@ class TestDictDiff:
         ba = diff_dictionaries(b, a)
         assert ab.only_in_a == ba.only_in_b and ab.only_in_b == ba.only_in_a
 
+    @pytest.mark.parametrize("cased", [False, True])
+    def test_plain_tuples_diff_as_entries(self, cased):
+        # lexcov diff hands diff_dictionaries the reader's plain 5-tuples
+        a = [self.dfile(["Uva", "x"]), DictFile([parse_entry("de casa,casa.N:ms:fs")])]
+        b = [self.dfile(["uva", "y", "Y"])]
+
+        def plain(files):
+            return [DictFile([tuple(e) for e in f.entries], f.role_tag) for f in files]
+
+        entries = diff_dictionaries(a, b, cased=cased)
+        assert entries == diff_dictionaries(plain(a), plain(b), cased=cased)
+        assert entries == diff_dictionaries(plain(a), b, cased=cased)
+
     def test_size_invariant(self):
         a, b = [self.dfile(["x", "y", "Y"])], [self.dfile(["y"])]
         diff = diff_dictionaries(a, b)

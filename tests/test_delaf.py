@@ -1,14 +1,16 @@
 import os
 import tempfile
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lexcov.automaton import compile_lexicon
+from lexcov.automaton import _pack, compile_lexicon
 from lexcov.delaf import (
     DictEntry,
     DictFile,
     RoleTag,
+    _read_entries,
     iter_dict_entries,
     load_dict_file,
     parse_entry,
@@ -104,6 +106,29 @@ class TestParseEntry:
         # a DictEntry built in code is not checked
         assert DictEntry("casa ", "casa", "N").surface_form == "casa "
 
+    @pytest.mark.parametrize(
+        "line, message, column",
+        [
+            ("casa\t,.N", "ends with whitespace '\\t'", 4),
+            ("\tnova,.A", "begins with whitespace '\\t'", 0),
+            ("\\\tnova,.A", "begins with whitespace '\\t'", 1),
+            ("casa\xa0,.N", "ends with whitespace '\\xa0'", 4),
+            ("casa\r,.N", "ends with whitespace '\\r'", 4),
+            ("de\u3000casa\x0c,.N", "ends with whitespace '\\x0c'", 7),
+        ],
+    )
+    def test_form_with_edge_whitespace(self, tmp_path, line, message, column):
+        # the corpus's tabs become spaces, so such a form never matches; a
+        # space is named as in the test above, other whitespace by its repr
+        path = tmp_path / "d.dic"
+        path.write_text(f"a,.N\n{line}\n", encoding="utf-8", newline="")
+        for parse in (lambda: parse_entry(line, 2), lambda: list(iter_dict_entries(path))):
+            with pytest.raises(MalformedEntry) as exc:
+                parse()
+            assert str(exc.value) == f"line 2, col {column}: surface form {message}: {line!r}"
+        # whitespace inside a form is kept
+        assert parse_entry("de\tcasa,.N").surface_form == "de\tcasa"
+
     def test_error_carries_line_and_column(self):
         with pytest.raises(MalformedEntry) as exc:
             parse_entry("semvirgula.V", line_number=7)
@@ -122,7 +147,9 @@ class TestParseMatchesScanner:
     """parse_entry splits unescaped lines itself; on every line it must
     agree with the scanner-only oracle, errors included."""
 
-    @given(line=st.text(alphabet="aBç,.+:\\ "), line_number=st.none() | st.integers(1, 9))
+    @given(
+        line=st.text(alphabet="aBç,.+:\\ \t\xa0"), line_number=st.none() | st.integers(1, 9)
+    )
     def test_any_line(self, line, line_number):
         assert outcome(parse_entry, line, line_number) == outcome(
             oracle_parse_entry, line, line_number
@@ -143,6 +170,7 @@ class TestParseMatchesScanner:
 GOOD_CODES = ["N", "V:J3s", "V+Hum:ms:fs", "ADV", "A.B"]
 BAD_CODES = ["N+", "V:", "V::a", ":ms", "+a", ""]
 FORMS = ["casa", "ç", "de casa", "a\\,b", "x\\\\y"]
+EDGE_FORMS = ["casa\t", "\tcasa", "casa ", "\\\tç"]
 GOOD_LINES = st.builds(
     lambda form, lemma, codes: f"{form},{lemma}.{codes}",
     st.sampled_from(FORMS),
@@ -151,47 +179,131 @@ GOOD_LINES = st.builds(
 )
 OTHER_LINES = st.builds(
     lambda form, lemma, codes: f"{form},{lemma}.{codes}",
-    st.sampled_from(["", "a.b", "a\\", *FORMS]),
+    st.sampled_from(["", "a.b", "a\\", *FORMS, *EDGE_FORMS]),
     st.sampled_from(["", "a.b", "a\\", *FORMS]),
     st.sampled_from(GOOD_CODES + BAD_CODES),
-) | st.text(alphabet="aç,.+:\\ ", max_size=12)
+) | st.text(alphabet="aç,.+:\\ \t", max_size=12)
+
+
+def with_others(lines, others):
+    for at, line in others:
+        lines.insert(at, line)
+    return lines
+
+
+# a file's lines: well-formed ones with a few others among them
+FILE_LINES = st.builds(
+    with_others,
+    st.lists(GOOD_LINES, max_size=30),
+    st.lists(st.tuples(st.integers(0, 30), OTHER_LINES), max_size=3),
+)
 
 
 def read_until_error(entries):
     """The entries an iterable yields before its first MalformedEntry, and
-    that error's message, line, column and line number (None if none)."""
+    that error's message, line, column, line number and path (None if
+    none)."""
     read = []
     try:
         for entry in entries:
             read.append(entry)
     except MalformedEntry as exc:
-        return read, (str(exc), exc.line, exc.column, exc.line_number)
+        return read, (str(exc), exc.line, exc.column, exc.line_number, exc.path)
     return read, None
 
 
+def oracle_file(lines, path):
+    """The scanner-only oracle over a file's non-blank lines; an error
+    carries ``path`` as the reader's does."""
+    try:
+        for number, line in enumerate(lines, start=1):
+            if line.strip():
+                yield oracle_parse_entry(line, number)
+    except MalformedEntry as exc:
+        exc.path = path
+        raise
+
+
+def write_lines(path, lines):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("".join(line + "\n" for line in lines))
+
+
 class TestStreamMatchesScanner:
-    """iter_dict_entries parses each distinct codes text once; read line by
-    line, the scanner-only oracle must give the same entries and the same
-    first error."""
+    """The reader parses each distinct codes text once per command; read
+    line by line, the scanner-only oracle must give the same entries and
+    the same first error."""
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        lines=st.lists(GOOD_LINES, max_size=30),
-        others=st.lists(st.tuples(st.integers(0, 30), OTHER_LINES), max_size=3),
-    )
-    def test_file(self, lines, others):
-        for at, line in others:
-            lines.insert(at, line)
+    @given(lines=FILE_LINES)
+    def test_file(self, lines):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "d.dic")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write("".join(line + "\n" for line in lines))
+            write_lines(path, lines)
             got = read_until_error(iter_dict_entries(path))
+        assert got == read_until_error(oracle_file(lines, path))
+
+    @settings(max_examples=300, deadline=None)
+    @given(first=FILE_LINES, second=FILE_LINES)
+    def test_two_files_share_one_codes_cache(self, first, second):
+        # a codes text the first file parsed is read from the cache in the
+        # second, and an error there names the second file and its line
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [os.path.join(tmp, "a.dic"), os.path.join(tmp, "b.dic")]
+            for path, lines in zip(paths, (first, second)):
+                write_lines(path, lines)
+            codes_of = {}
+            got = read_until_error(chain.from_iterable(_read_entries(p, codes_of) for p in paths))
         want = read_until_error(
-            oracle_parse_entry(line, number)
-            for number, line in enumerate(lines, start=1)
-            if line.strip()
+            chain.from_iterable(map(oracle_file, (first, second), paths))
         )
+        assert got == want
+
+
+ESCAPABLE = st.text(alphabet="aç,.\\ +:", min_size=1, max_size=6)
+
+
+def escape_field(text, ends):
+    """``text`` as a DELAF field that ends at one of ``ends``: a backslash
+    before each backslash and terminator, and before each ``a``, which it
+    stands for too."""
+    return "".join("\\" + ch if ch in ends or ch in "\\a" else ch for ch in text)
+
+
+PACK_LINES = st.builds(
+    lambda form, lemma, gram, traits, flex: "".join(
+        [escape_field(form, ","), ",", escape_field(lemma, "."), ".", gram]
+        + ["+" + t for t in traits]
+        + [":" + f for f in flex]
+    ),
+    ESCAPABLE.filter(lambda s: not (s[0].isspace() or s[-1].isspace())),
+    st.just("") | ESCAPABLE,
+    st.sampled_from(["N", "V", "A.B"]),
+    st.lists(st.sampled_from(["Hum", "z.w"]), max_size=2),
+    st.lists(st.sampled_from(["ms", "fs", "J3s"]), max_size=3),
+)
+
+
+class TestReaderPacksAsParseEntry:
+    """The compiled payload of the reader's plain tuples equals the one of
+    parse_entry's entries, line by line, on files with escapes, traits,
+    several ':' groups, blank lines, a BOM and CRLF line ends."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lines=st.lists(PACK_LINES | st.sampled_from(["", " ", "\t", " \x0c "]), max_size=25),
+        entry=PACK_LINES,
+        bom=st.booleans(),
+        end=st.sampled_from(["\n", "\r\n"]),
+    )
+    def test_pack(self, lines, entry, bom, end):
+        lines = [*lines, entry]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "d.dic")
+            with open(path, "w", encoding="utf-8-sig" if bom else "utf-8", newline="") as fh:
+                fh.write("".join(line + end for line in lines))
+            got = _pack([DictFile(_read_entries(path, {}))])
+        want = _pack([DictFile([parse_entry(line) for line in lines if line.strip()])])
         assert got == want
 
 
