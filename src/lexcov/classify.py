@@ -305,6 +305,7 @@ def load_classifier_config(path) -> ClassifierConfig:
     """Key/value config: ``key = value`` lines, ``#`` comments, lists in
     ``[a, b]`` form, word-list values naming files (one word per line)."""
     kwargs = {}
+    precedence_line = None  # ClassifierConfig checks the rule ids this line set
     with open(path, encoding="utf-8-sig") as fh, decoding(path):
         for line_number, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -325,10 +326,15 @@ def load_classifier_config(path) -> ClassifierConfig:
                 elif kind in (int, float):
                     kwargs[key] = kind(value)
                 elif kind is tuple:
+                    if key == "precedence":
+                        precedence_line = line_number
                     items = [v.strip().strip('"') for v in value.strip("[]").split(",")]
                     kwargs[key] = tuple(i for i in items if i)
                 else:
                     raise ConfigError(f"{path}:{line_number}: unknown key {key!r}")
             except (ValueError, OSError) as exc:
                 raise ConfigError(f"{path}:{line_number}: {exc}") from None
-    return ClassifierConfig(**kwargs)
+    try:
+        return ClassifierConfig(**kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}:{precedence_line}: {exc}") from None

@@ -180,7 +180,7 @@ def _compound_pass(lexicons, stream, words, policy, dlc, starters_by_text) -> li
             for span, form, ids in lexicons[order].match_compounds(
                 kinds, texts, policy, i, end
             ):
-                if span > 1 and (best is None or span > best[0]):
+                if best is None or span > best[0]:
                     best = (span, order, form, ids)
                 break  # matches are longest-first per lexicon
         if best is None:

@@ -17,7 +17,6 @@ import enum
 import re
 import unicodedata
 from bisect import bisect_left
-from collections.abc import Sequence
 from itertools import accumulate, compress, count, repeat
 from operator import itemgetter
 
@@ -93,10 +92,10 @@ class TokenStream:
       sentence-initial word tokens.
 
     :meth:`byte_spans` gives each token's UTF-8 byte span in the text it
-    was tokenized from, computed on request.  :attr:`tokens` shows the
-    stream as :class:`Token` views.  ``TokenStream(tokens=[Token(...),
-    ...])`` builds a stream from tokens and takes them over: they become
-    views of its columns.
+    was tokenized from, computed on request.  :attr:`tokens` is a list of
+    :class:`Token` views, made on each read.  ``TokenStream(tokens=[
+    Token(...), ...])`` builds a stream from tokens and takes them over:
+    they become views of its columns.
     """
 
     def __init__(self, tokens=()):
@@ -124,7 +123,7 @@ class TokenStream:
     __hash__ = None
 
     def __repr__(self):
-        return f"TokenStream(tokens={list(self.tokens)!r})"
+        return f"TokenStream(tokens={self.tokens!r})"
 
     @classmethod
     def _of_columns(cls, kinds, texts, *, source=None, byte_spans=None):
@@ -148,10 +147,10 @@ class TokenStream:
         return self._byte_spans
 
     @property
-    def tokens(self) -> _TokenView:
-        """The stream as a sequence of :class:`Token` views, made as they
-        are read."""
-        return _TokenView(self)
+    def tokens(self) -> list[Token]:
+        """The stream as a list of :class:`Token` views, made on each read;
+        read it once and keep the list, as each read costs O(n)."""
+        return [Token._at(self, i) for i in range(len(self.texts))]
 
     def word_tokens(self) -> list[Token]:
         return [Token._at(self, i) for i, k in enumerate(self.kinds) if k is TokenKind.WORD]
@@ -234,42 +233,6 @@ class Token:
             f"Token(kind={kind!r}, text={text!r}, byte_span={span!r},"
             f" sentence_index={index!r}, sentence_initial={initial!r})"
         )
-
-
-class _TokenView(Sequence):
-    """A TokenStream's tokens as :class:`Token` views; ``len`` reads no token."""
-
-    __slots__ = ("_stream",)
-
-    def __init__(self, stream):
-        self._stream = stream
-
-    def __len__(self):
-        return len(self._stream.texts)
-
-    def __getitem__(self, i):
-        at = range(len(self))[i]
-        if isinstance(at, range):
-            return [Token._at(self._stream, j) for j in at]
-        return Token._at(self._stream, at)
-
-    def __iter__(self):
-        stream = self._stream
-        return (Token._at(stream, i) for i in range(len(stream.texts)))
-
-    def __mul__(self, times):
-        # repeated as a list of views, as a list of tokens would be
-        return list(self) * times
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return list(self) == list(other)
-
-    __hash__ = None
-
-    def __repr__(self):
-        return repr(list(self))
 
 
 def normalize_delimiters(raw: str) -> str:

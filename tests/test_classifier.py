@@ -297,6 +297,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ClassifierConfig(precedence=("R-bogus",))
 
+    def test_unknown_rule_id_reports_location(self, tmp_path):
+        # the line that set precedence last is the one that counts
+        cfg_path = tmp_path / "cls.conf"
+        cfg_path.write_text(
+            "precedence = [R-acr]\n# a comment\nprecedence = [R-prop, R-x]\n", encoding="utf-8"
+        )
+        with pytest.raises(ConfigError) as info:
+            load_classifier_config(cfg_path)
+        assert str(info.value) == f"{cfg_path}:3: unknown rule id in precedence list: 'R-x'"
+
     def test_bad_line_reports_location(self, tmp_path):
         cfg_path = tmp_path / "cls.conf"
         cfg_path.write_text("acr_min_len 2\n", encoding="utf-8")

@@ -872,6 +872,20 @@ class TestExitCodes:
         message = "Expecting value: line 2 column 1 (char 2)"
         assert stderr == f"lexcov: {outdir / 'run.json'}: {message}\n"
 
+    def test_unknown_rule_id_in_config_names_its_line(self, neymar_bin, tmp_path, capsys):
+        corpus, config = tmp_path / "c.txt", tmp_path / "bad.cfg"
+        corpus.write_text("O time venceu.\n", encoding="utf-8")
+        config.write_text("acr_min_len = 2\nprecedence = [R-x]\n", encoding="utf-8")
+        outdir = tmp_path / "run"
+        assert main(["apply", str(corpus), "-l", str(neymar_bin), "-o", str(outdir)]) == 0
+        capsys.readouterr()
+        code, stdout, stderr = run_cli(
+            capsys, "classify", str(outdir), "-l", str(neymar_bin), "--config", str(config)
+        )
+        assert code == 2
+        assert stdout == ""
+        assert stderr == f"lexcov: {config}:2: unknown rule id in precedence list: 'R-x'\n"
+
     @pytest.mark.parametrize(
         "key, value, shown, expected",
         [
