@@ -127,11 +127,16 @@ class Lexicon:
             pos += size
             return view[pos - size : pos]
 
-        def column(typecode, count):
+        def column(typecode, count, checked=None):
+            # the bytes are appended to ``checked`` as the payload holds
+            # them, little-endian, whatever the platform
             col = array(typecode)
-            col.frombytes(read(count * col.itemsize))
+            data = read(count * col.itemsize)
+            col.frombytes(data)
             if _SWAP:
                 col.byteswap()
+            if checked is not None:
+                checked.append(data)
             return col
 
         lengths = column(_U32, n_strings)
@@ -142,28 +147,32 @@ class Lexicon:
             raise CorruptFile(
                 f"string table at payload offset {text_at + exc.start}: {exc.reason}"
             ) from None
+        # the payload bytes of the columns of string ids, of edge targets
+        # and of analysis ids, for their range checks
+        string_data, target_data, analysis_data = [], [], []
         # by analysis id, the string ids of its lemma, its code, its
         # '+'-joined traits and its ':'-joined flex codes, and its role bits
-        analyses = [column(_U32, n_analyses) for _ in range(4)]
+        analyses = [column(_U32, n_analyses, string_data) for _ in range(4)]
         self._lemmas, self._grams, self._traits, self._flexes = analyses
         self._masks = column("B", n_analyses)
         finals = column("B", n_states)
         edge_counts = column(_U32, n_states)
-        chars, targets = (column(_U32, n_transitions) for _ in range(2))
+        chars = column(_U32, n_transitions)
+        targets = column(_U32, n_transitions, target_data)
         # word index w has the analysis ids
         # form_ids[form_offsets[w]:form_offsets[w + 1]]
         form_counts = column(_U32, n_forms)
-        self._form_ids = form_ids = column(_U32, sum(form_counts))
+        self._form_ids = form_ids = column(_U32, sum(form_counts), analysis_data)
         self._form_offsets = array(_U32, accumulate(form_counts, initial=0))
         # compound c, in file/entry order, is compound_forms[c] with the
         # analysis ids compound_ids[compound_offsets[c]:compound_offsets[c + 1]]
-        compound_forms = column(_U32, n_compounds)
+        compound_forms = column(_U32, n_compounds, string_data)
         compound_counts = column(_U32, n_compounds)
-        self._compound_ids = compound_ids = column(_U32, sum(compound_counts))
+        self._compound_ids = compound_ids = column(_U32, sum(compound_counts), analysis_data)
         self._compound_offsets = array(_U32, accumulate(compound_counts, initial=0))
-        fold_keys = column(_U32, n_fold_extra)
+        fold_keys = column(_U32, n_fold_extra, string_data)
         fold_counts = column(_U32, n_fold_extra)
-        fold_forms = column(_U32, sum(fold_counts))
+        fold_forms = column(_U32, sum(fold_counts), string_data)
         if pos != len(raw):
             raise CorruptFile(f"{len(raw) - pos} unread bytes after the last section")
 
@@ -173,23 +182,24 @@ class Lexicon:
                 f"string lengths add up to {total} characters,"
                 f" but the string table holds {len(text)}"
             )
-        string_columns = (*analyses, compound_forms, fold_keys, fold_forms)
-        top = max(map(max, filter(None, string_columns)), default=-1)
-        if top >= n_strings:
+        # each bound is checked over byte planes; max() finds the value to
+        # name only when a check fails
+        if not all(_all_below(data, n_strings) for data in string_data):
+            string_columns = (*analyses, compound_forms, fold_keys, fold_forms)
+            top = max(map(max, filter(None, string_columns)))
             raise CorruptFile(f"string id {top}, but there are {n_strings} strings")
         if sum(edge_counts) != n_transitions:
             raise CorruptFile(
                 f"states have {sum(edge_counts)} edges, but the header counts {n_transitions}"
             )
-        top = max(targets, default=0)
-        if top >= n_states:
-            raise CorruptFile(f"edge to state {top}, but there are {n_states} states")
+        if not _all_below(*target_data, n_states):
+            raise CorruptFile(f"edge to state {max(targets)}, but there are {n_states} states")
         # few distinct labels, so checking each once is cheap
         invalid = [cp for cp in set(chars) if cp > 0x10FFFF or 0xD800 <= cp <= 0xDFFF]
         if invalid:
             raise CorruptFile(f"edge labelled with invalid code point {min(invalid):#x}")
-        top = max(max(form_ids, default=-1), max(compound_ids, default=-1))
-        if top >= n_analyses:
+        if not all(_all_below(data, n_analyses) for data in analysis_data):
+            top = max(max(form_ids, default=-1), max(compound_ids, default=-1))
             raise CorruptFile(f"analysis id {top}, but there are {n_analyses} analyses")
         self._offsets = _rank_offsets(finals, edge_counts, chars, targets, n_forms)
         self._finals, self._edge_counts, self._chars, self._targets = (
@@ -731,14 +741,31 @@ def _rank_offsets(finals, edge_counts, chars, targets, n_forms) -> array:
     offsets = array(_U32, bytes(4 * len(targets)))
     on_path = bytearray(len(finals))
     # a state's targets mostly have higher numbers, so most are counted
-    # before it is reached and the stack stays short
+    # before it is reached: such a state is finished here, and only one
+    # with an uncounted target enters the stack walk, at that edge
     for start in range(len(finals) - 1, -1, -1):
         if counts[start] >= 0:
+            continue
+        edge, end = first[start], first[start + 1]
+        acc, label = 1 if finals[start] else 0, -1
+        while edge < end:
+            count = counts[targets[edge]]
+            if count < 0:
+                break
+            char = chars[edge]
+            if char <= label:
+                raise _misordered(start, label, char)
+            label = char
+            offsets[edge] = acc
+            acc += count
+            edge += 1
+        else:
+            counts[start] = acc
             continue
         on_path[start] = 1
         # (state, its next edge, the forms below its earlier edges, the
         # label of its last edge counted or -1)
-        stack = [(start, first[start], 1 if finals[start] else 0, -1)]
+        stack = [(start, edge, acc, label)]
         while stack:
             state, edge, acc, label = stack.pop()
             end = first[state + 1]
@@ -748,12 +775,7 @@ def _rank_offsets(finals, edge_counts, chars, targets, n_forms) -> array:
                     break
                 char = chars[edge]
                 if char <= label:
-                    raise CorruptFile(
-                        f"state {state} has two edges labelled {chr(char)!r}"
-                        if char == label
-                        else f"state {state}'s edges {chr(label)!r} and {chr(char)!r}"
-                        " are out of code-point order"
-                    )
+                    raise _misordered(state, label, char)
                 label = char
                 offsets[edge] = acc
                 acc += count
@@ -779,6 +801,16 @@ def _rank_offsets(finals, edge_counts, chars, targets, n_forms) -> array:
     return offsets
 
 
+def _misordered(state, label, char) -> CorruptFile:
+    """The error for a state's edge labelled ``char`` after one labelled
+    ``label``, where labels must strictly ascend."""
+    return CorruptFile(
+        f"state {state} has two edges labelled {chr(char)!r}"
+        if char == label
+        else f"state {state}'s edges {chr(label)!r} and {chr(char)!r} are out of code-point order"
+    )
+
+
 # -- binary format ----------------------------------------------------------
 
 _MAGIC = b"LXCV"
@@ -800,6 +832,38 @@ def _column(typecode, values) -> array:
     if _SWAP:
         col.byteswap()
     return col
+
+
+def _all_below(data, n: int) -> bool:
+    """``max(col, default=-1) < n`` for the u32 column ``col`` whose
+    little-endian bytes are ``data``, at C speed: its byte planes are
+    compared with those of ``n - 1``, the most significant first, and
+    only the positions that tie on every higher plane are compared on the
+    next, through an ``int`` bit mask once they are not all of them."""
+    if n > 0xFFFFFFFF:
+        return True
+    if n <= 0:
+        return n == 0 and not data
+    data, top = bytes(data), n - 1  # bytes slice by a step far faster than a memoryview
+    tie = None  # the positions tying so far, one bit each; None: all of them
+    for shift in (24, 16, 8, 0):
+        plane = data[shift >> 3 :: 4]
+        k = (top >> shift) & 255
+        if tie is None:
+            if plane.translate(None, bytes(range(k + 1))):
+                return False  # a byte above k
+            ties = plane.count(k)
+            if ties == 0:
+                return True
+            if ties < len(plane):
+                tie = int.from_bytes(plane.translate(bytes(k) + b"\1" + bytes(255 - k)), "little")
+            continue
+        if tie & int.from_bytes(plane.translate(bytes(k + 1) + b"\1" * (255 - k)), "little"):
+            return False
+        tie &= int.from_bytes(plane.translate(bytes(k) + b"\1" + bytes(255 - k)), "little")
+        if not tie:
+            return True
+    return True  # what still ties equals n - 1
 
 
 def _find_u32(col: array, value: int, start: int = 0) -> int:

@@ -12,7 +12,7 @@ from collections import Counter, namedtuple
 
 from .automaton import Lexicon
 from .dico import DicoResult, TokenStatus
-from .errors import ConfigError, decoding
+from .errors import ConfigError, LexcovError, decoding
 from .preprocess import reform_normalize
 
 PORTUGUESE_ALPHABET = "abcdefghijklmnopqrstuvwxyzáàâãçéêíóôõúü"
@@ -317,21 +317,25 @@ def load_classifier_config(path) -> ClassifierConfig:
             key = key.strip()
             value = value.strip().strip('"')
             kind = type(_CONFIG_DEFAULTS.get(key))
+            if key not in _WORD_LISTS and kind not in (int, float, tuple):
+                raise ConfigError(f"{path}:{line_number}: unknown key {key!r}")
             try:
                 if key in _WORD_LISTS:
                     with open(value, encoding="utf-8-sig") as wf, decoding(value):
                         words = {w.strip().casefold() for w in wf if w.strip()}
                     name = _WORD_LISTS[key]
                     kwargs[name] = type(_CONFIG_DEFAULTS[name])(sorted(words))
-                elif kind in (int, float):
-                    kwargs[key] = kind(value)
                 elif kind is tuple:
                     if key == "precedence":
                         precedence_line = line_number
                     items = [v.strip().strip('"') for v in value.strip("[]").split(",")]
                     kwargs[key] = tuple(i for i in items if i)
                 else:
-                    raise ConfigError(f"{path}:{line_number}: unknown key {key!r}")
+                    kwargs[key] = kind(value)
+            except LexcovError as exc:
+                # a word list that is not UTF-8: named first, as every such
+                # input is, then the line that names it
+                raise ConfigError(f"{exc} ({key} at {path}:{line_number})") from None
             except (ValueError, OSError) as exc:
                 raise ConfigError(f"{path}:{line_number}: {exc}") from None
     try:

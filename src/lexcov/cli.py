@@ -205,11 +205,13 @@ _COUNT_KEYS = ("types_total", "types_unknown", "tokens_total", "tokens_unknown")
 
 def _load_json(path):
     """The JSON value in the UTF-8 file ``path``, a leading BOM dropped; a
-    LexcovError naming the file when it is not UTF-8 or not JSON."""
-    with open(path, encoding="utf-8-sig") as fh, decoding(path):
+    LexcovError naming the file when it is not UTF-8 or not JSON (both
+    ValueErrors), holds an integer of more digits than ``int()`` reads, or
+    nests deeper than the parser recurses."""
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise LexcovError(f"{path}: {exc}") from None
 
 

@@ -792,3 +792,68 @@ class TestBrokenPayload:
         resign(path, edit)
         with pytest.raises(CorruptFile, match=message):
             load_lexicon(path)
+
+
+# u32 values and bounds at and about the byte-plane boundaries, where the
+# planes of a value and of the bound tie or part
+PLANE_EDGES = [0, 1, 255, 256, 257, 65535, 65536, 2**24 - 1, 2**24, 2**24 + 1, 2**32 - 1]
+U32_VALUES = st.one_of(
+    st.sampled_from(PLANE_EDGES),
+    st.sampled_from(PLANE_EDGES).flatmap(
+        lambda edge: st.integers(max(0, edge - 2), min(2**32 - 1, edge + 2))
+    ),
+    st.integers(0, 2**32 - 1),
+)
+
+
+@st.composite
+def columns_and_bounds(draw):
+    """A u32 column and a bound: a plane edge, a value of the column give
+    or take a plane's width, or a bound no u32 reaches; or a bound and a
+    column whose values take each byte from about the bound's, so that
+    they tie with it on some planes and part on others."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 2**32 - 1))
+        near = [st.sampled_from([b - 1, b, b + 1, 0, 255]) for b in (n - 1).to_bytes(4, "little")]
+        value = st.tuples(*near).map(lambda bs: bytes(min(max(b, 0), 255) for b in bs))
+        return draw(st.lists(value.map(lambda b: int.from_bytes(b, "little")), max_size=12)), n
+    col = draw(st.lists(U32_VALUES, max_size=12))
+    near = st.sampled_from(col or [0]).flatmap(
+        lambda v: st.sampled_from([v - 256, v - 255, v - 1, v, v + 1, v + 255, v + 256])
+    )
+    n = draw(st.one_of(U32_VALUES, near, st.integers(2**32, 2**40)))
+    return col, max(n, 0)
+
+
+class TestAllBelow:
+    @settings(max_examples=500)
+    @given(drawn=columns_and_bounds(), as_view=st.booleans())
+    def test_matches_max(self, drawn, as_view):
+        col, n = drawn
+        data = struct.pack(f"<{len(col)}I", *col)
+        if as_view:  # load passes slices of the payload's memoryview
+            data = memoryview(b"\xff" + data)[1:]
+        assert automaton._all_below(data, n) == (max(col, default=-1) < n)
+
+    @pytest.mark.parametrize(
+        "col, n, below",
+        [
+            ([], 0, True),
+            ([0], 0, False),
+            ([255], 256, True),
+            ([256], 256, False),
+            # above in the second plane
+            ([0x0100, 0x01FF, 0x0200], 0x01FF, False),
+            # a low byte above n - 1's, of a value that ties in the second
+            # plane, or of one below there, which the tie mask leaves out
+            ([0x00FF, 0x01FF], 0x01FF, False),
+            ([0x0100, 0x01FE, 0x00FF], 0x01FF, True),
+            # the second value ties in the third plane only, after it parted
+            ([0x050400, 0x0405FF], 0x050506, True),
+            ([2**32 - 1], 2**32 - 1, False),
+            ([2**32 - 1], 2**32, True),
+        ],
+    )
+    def test_cases(self, col, n, below):
+        data = struct.pack(f"<{len(col)}I", *col)
+        assert automaton._all_below(data, n) is below
