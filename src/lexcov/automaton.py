@@ -152,6 +152,7 @@ class Lexicon:
         string_data, target_data, analysis_data = [], [], []
         # by analysis id, the string ids of its lemma, its code, its
         # '+'-joined traits and its ':'-joined flex codes, and its role bits
+        lemmas_at = pos
         analyses = [column(_U32, n_analyses, string_data) for _ in range(4)]
         self._lemmas, self._grams, self._traits, self._flexes = analyses
         self._masks = column("B", n_analyses)
@@ -166,12 +167,14 @@ class Lexicon:
         self._form_offsets = array(_U32, accumulate(form_counts, initial=0))
         # compound c, in file/entry order, is compound_forms[c] with the
         # analysis ids compound_ids[compound_offsets[c]:compound_offsets[c + 1]]
+        compound_forms_at = pos
         compound_forms = column(_U32, n_compounds, string_data)
         compound_counts = column(_U32, n_compounds)
         self._compound_ids = compound_ids = column(_U32, sum(compound_counts), analysis_data)
         self._compound_offsets = array(_U32, accumulate(compound_counts, initial=0))
         fold_keys = column(_U32, n_fold_extra, string_data)
         fold_counts = column(_U32, n_fold_extra)
+        fold_forms_at = pos
         fold_forms = column(_U32, sum(fold_counts), string_data)
         if pos != len(raw):
             raise CorruptFile(f"{len(raw) - pos} unread bytes after the last section")
@@ -208,22 +211,24 @@ class Lexicon:
 
         # entry_for leaves out DictEntry's checks, so no lemma or code may
         # be empty, and token_matches_form reads a form's first character;
-        # _pack writes each string once, so one id is searched
-        empty = _find_u32(lengths, 0)
+        # _pack writes each string once, so one id is searched; the columns
+        # are searched in the payload, each between its offsets
+        empty = _find_u32(raw, _HEADER.size, n_strings, 0)
         if empty >= 0:
-            again = _find_u32(lengths, 0, empty + 1)
+            again = _find_u32(raw, _HEADER.size, n_strings, 0, empty + 1)
             if again >= 0:
                 raise CorruptFile(f"strings {empty} and {again} are both empty")
-            for problem, col in (
-                ("analysis {} has an empty lemma", self._lemmas),
-                ("analysis {} has an empty grammatical code", self._grams),
+            grams_at = lemmas_at + 4 * n_analyses
+            for problem, at, count in (
+                ("analysis {} has an empty lemma", lemmas_at, n_analyses),
+                ("analysis {} has an empty grammatical code", grams_at, n_analyses),
                 # _TOKEN_RE matches every character, so only the empty form has no tokens
-                ("compound '' has no tokens", compound_forms),
-                ("fold-extra form {} is empty", fold_forms),
+                ("compound '' has no tokens", compound_forms_at, n_compounds),
+                ("fold-extra form {} is empty", fold_forms_at, len(fold_forms)),
             ):
-                at = _find_u32(col, empty)
-                if at >= 0:
-                    raise CorruptFile(problem.format(at))
+                found = _find_u32(raw, at, count, empty)
+                if found >= 0:
+                    raise CorruptFile(problem.format(found))
         self._text, self._lengths = text, lengths
         self._compound_form_ids = compound_forms
         self._fold_keys, self._fold_counts, self._fold_forms = fold_keys, fold_counts, fold_forms
@@ -866,14 +871,15 @@ def _all_below(data, n: int) -> bool:
     return True  # what still ties equals n - 1
 
 
-def _find_u32(col: array, value: int, start: int = 0) -> int:
+def _find_u32(data, at: int, count: int, value: int, start: int = 0) -> int:
     """The first position at or after ``start`` that holds ``value`` in
-    the u32 column ``col``, or -1; a search of its bytes, at C speed."""
-    data, needle = col.tobytes(), array(_U32, (value,)).tobytes()
-    at = data.find(needle, 4 * start)
-    while at > 0 and at % 4:  # a match that straddles two items
-        at = data.find(needle, at + 1)
-    return at // 4
+    the little-endian u32 column of ``count`` items at byte offset ``at``
+    of ``data``, or -1; a search of those bytes in place, at C speed."""
+    needle, end = value.to_bytes(4, "little"), at + 4 * count
+    found = data.find(needle, at + 4 * start, end)
+    while found > 0 and (found - at) % 4:  # a match that straddles two items
+        found = data.find(needle, found + 1, end)
+    return found if found < 0 else (found - at) // 4
 
 
 def save_lexicon(lex: Lexicon, path) -> None:

@@ -7,6 +7,7 @@ Run manifests (run.json) honor SOURCE_DATE_EPOCH for reproducible trees.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -207,12 +208,15 @@ def _load_json(path):
     """The JSON value in the UTF-8 file ``path``, a leading BOM dropped; a
     LexcovError naming the file when it is not UTF-8 or not JSON (both
     ValueErrors), holds an integer of more digits than ``int()`` reads, or
-    nests deeper than the parser recurses."""
+    nests deeper than the parser recurses.  Past the digit limit, Python's
+    advice to call ``sys.set_int_max_str_digits()`` is left out: a user of
+    the command cannot call it."""
     with open(path, encoding="utf-8-sig") as fh:
         try:
             return json.load(fh)
         except (ValueError, RecursionError) as exc:
-            raise LexcovError(f"{path}: {exc}") from None
+            message = str(exc).partition("; use sys.set_int_max_str_digits()")[0]
+            raise LexcovError(f"{path}: {message}") from None
 
 
 def _reports_from_counts(path):
@@ -436,6 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run the command that ``argv`` (default ``sys.argv[1:]``) names; its
+    exit code.  The garbage collector is left as it is, so a long-lived
+    caller may call this any number of times."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
@@ -451,5 +458,14 @@ def main(argv=None) -> int:
         return 1
 
 
+def run(argv=None) -> int:
+    """The process entry point of the ``lexcov`` command and of ``python -m
+    lexcov.cli``: :func:`main`, with the objects made by the imports moved
+    to the collector's permanent generation first.  They live until exit,
+    so no collection, the shutdown's included, needs to walk them again."""
+    gc.freeze()
+    return main(argv)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

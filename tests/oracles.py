@@ -279,6 +279,16 @@ def oracle_normalize(raw: str) -> str:
     return "".join(out)
 
 
+def oracle_normalize_substitutions(raw: str) -> str:
+    """NFC, then three substitutions over the whole text: CR and CRLF line
+    ends made LF, controls other than tab and LF dropped, and runs of
+    whitespace other than LF made one space."""
+    text = unicodedata.normalize("NFC", raw)
+    text = re.sub(r"\r\n?", "\n", text)
+    text = re.sub(r"[\x00-\x08\x0b-\x1f\x7f-\x9f]+", "", text)
+    return re.sub(r"[^\S\n]+", " ", text)
+
+
 _ORACLE_TOKEN_RE = re.compile(r"([^\W\d_]+)|(\d+)|(\s+)|(.)", re.DOTALL)
 _ORACLE_TERMINATORS = {".", "!", "?", "…"}
 

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import io
 import itertools
 import json
@@ -1068,6 +1069,64 @@ def test_cli_import_loads_no_heavy_module():
 def test_diff_loads_no_heavy_module(fixtures_dir):
     argv = ["diff", "-a", str(fixtures_dir / "neymar.dic"), "-b", str(fixtures_dir / "sample.dic")]
     assert _heavy_modules_after(f"assert lexcov.cli.main({argv!r}) == 0") == []
+
+
+class TestEntryPoint:
+    """``run()`` is what a command's process runs: it freezes the heap the
+    imports made, and ``main()``, which long-lived callers use, leaves the
+    collector as it is."""
+
+    @staticmethod
+    def child(code, *args):
+        """The stdout and stderr of a fresh ``python -S -c code args``."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", code, *args],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        return done.stdout, done.stderr
+
+    @pytest.fixture
+    def argv(self, fixtures_dir):
+        dicts = (str(fixtures_dir / name) for name in ("neymar.dic", "sample.dic"))
+        return ["diff", "-a", next(dicts), "-b", next(dicts)]
+
+    def test_run_freezes_the_import_heap(self, argv, capsys):
+        out, err = self.child(
+            "import gc, sys, lexcov.cli\n"
+            "code = lexcov.cli.run(sys.argv[1:])\n"
+            "print(code, gc.get_freeze_count(), file=sys.stderr)",
+            *argv,
+        )
+        code, frozen = map(int, err.split())
+        assert code == 0 and frozen > 0
+        assert out == run_cli(capsys, *argv)[1]
+
+    def test_module_runs_through_run(self, argv):
+        # what `python -m lexcov.cli` runs
+        _, err = self.child(
+            "import gc, runpy, sys\n"
+            "try:\n"
+            "    runpy.run_module('lexcov.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, gc.get_freeze_count(), file=sys.stderr)",
+            *argv,
+        )
+        code, frozen = map(int, err.split())
+        assert code == 0 and frozen > 0
+
+    def test_main_leaves_the_collector_alone(self, argv, capsys):
+        frozen = gc.get_freeze_count()
+        assert run_cli(capsys, *argv)[0] == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_console_script_is_run(self):
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n\n", 1)[0]
+        assert scripts.splitlines() == ['lexcov = "lexcov.cli:run"']
 
 
 # the top parser and each subcommand, with arguments that make it print a

@@ -237,6 +237,7 @@ BAD_VALUES = st.one_of(ODD_VALUES, st.just("9" * 5000))
 NEEDS_DIGIT_LIMIT = pytest.mark.skipif(
     not hasattr(sys, "get_int_max_str_digits"), reason="int() reads any number of digits"
 )
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 STRINGS = st.text(st.sampled_from("ab,.é\x00"), max_size=5).map(json.dumps)
 
 
@@ -327,7 +328,8 @@ class TestCountsFile:
         [
             pytest.param(
                 '[{"types_total": 1' + "0" * 5000 + "}]",
-                "Exceeds the limit (",
+                f"Exceeds the limit ({DIGIT_LIMIT} digits) for integer string conversion:"
+                " value has 5001 digits\n",
                 marks=NEEDS_DIGIT_LIMIT,
             ),
             ("[" * 100_000, "maximum recursion depth exceeded"),
@@ -341,6 +343,8 @@ class TestCountsFile:
         assert (code, out) == (2, "")
         assert err.startswith(f"lexcov: {counts}: {message}")
         assert err.count("\n") == 1
+        # Python's advice is for a program, not for a user of the command
+        assert "set_int_max_str_digits" not in err
 
 
 class TestManifest:
@@ -364,7 +368,10 @@ class TestManifest:
         manifest.write_text('{"policy": "exact", "n": ' + "9" * 5000 + "}", encoding="utf-8")
         code, out, err = run_cli(capsys, "coverage", "--run", str(run))
         assert (code, out) == (2, "")
-        assert err.startswith(f"lexcov: {manifest}: Exceeds the limit (")
+        assert err == (
+            f"lexcov: {manifest}: Exceeds the limit ({DIGIT_LIMIT} digits)"
+            " for integer string conversion: value has 5000 digits\n"
+        )
 
 
 # -- .lex --------------------------------------------------------------------
@@ -440,3 +447,139 @@ class TestLexFile:
         resign(lex, data.draw(payload_edits(zlib.decompress(compiled[46:]))))
         code, _, err = run_cli(capsys, *(arg.format(root=workdir, lex=lex) for arg in command))
         assert_clean_exit(code, err, lex)
+
+
+# -- DELAF, abbreviation list and replacement table -------------------------
+
+
+def text_file(draw, lines, garbled):
+    """The bytes of ``lines``: each ended by LF or CRLF, now and then after
+    a BOM, and if ``garbled`` with a byte among them that is not UTF-8."""
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    data = draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + "".join(l + end for l in lines).encode()
+    if garbled:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3"])) + data[at:]
+    return data
+
+
+# field characters: letters, the separators and the escape, whitespace and
+# controls, a combining accent, a BOM, a line separator and an emoji
+DELAF_TEXT = st.text(
+    st.sampled_from("aAçé\u0301 ,.+:\\\t\r\x00\xa0\ufeff\u2028\U0001f600"), max_size=6
+)
+# letters whose case fold or lower case is longer than they are among them
+GOOD_FORM = st.text(st.sampled_from("aAçéßİ-'"), min_size=1, max_size=6).flatmap(
+    lambda word: st.sampled_from([word, f"{word} de {word}", f"{word}-lo"])
+)
+CODES = st.sampled_from(["N", "V", "ADV", "PREP"]), st.sampled_from(["", "N\t", "+", "é"])
+FLEXES = st.sampled_from(["ms", "P3s"])
+
+
+@st.composite
+def delaf_files(draw):
+    """Whether a DELAF holds only well-formed lines (half of them do) and
+    at least one entry, and its bytes: lines of a form, a lemma, a code,
+    traits and flex codes, each field now and then drawn from characters
+    that the grammar escapes or refuses, with blank lines among them."""
+    clean = draw(st.booleans())
+
+    def pick(good, bad):
+        return draw(good if clean else mostly(good, bad))
+
+    lines = []
+    for _ in range(draw(st.integers(1 if clean else 0, 6))):
+        form = pick(GOOD_FORM, DELAF_TEXT)
+        lemma = pick(st.sampled_from(["", "casa", "Sr\\.", "a\\,b"]), DELAF_TEXT)
+        code = pick(*CODES)
+        traits = "".join("+" + pick(*CODES) for _ in range(draw(st.integers(0, 2))))
+        flexes = "".join(":" + draw(FLEXES) for _ in range(draw(st.integers(0, 2))))
+        lines.append(pick(st.just(f"{form},{lemma}.{code}{traits}{flexes}"), DELAF_TEXT))
+    lines += draw(st.lists(st.sampled_from(["", " ", "\t"]), max_size=2))
+    lines = draw(st.permutations(lines))
+    return clean, text_file(draw, lines, not clean and draw(st.integers(0, 4)) == 0)
+
+
+class TestDelafFile:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            # with --json, compile's stats go to stdout, and stderr holds errors only
+            ["compile", "{dic}", "-o", "{root}/drawn_dic.lex", "--json"],
+            ["diff", "-a", "{fixture}", "-b", "{dic}", "--format", "json"],
+        ],
+        ids=["compile", "diff"],
+    )
+    @SETTINGS
+    @given(drawn=delaf_files())
+    def test_drawn_delaf(self, workdir, fixtures_dir, capsys, command, drawn):
+        clean, data = drawn
+        dic = workdir / "drawn.dic"
+        dic.write_bytes(data)
+        fixture = fixtures_dir / "neymar.dic"
+        argv = (arg.format(dic=dic, root=workdir, fixture=fixture) for arg in command)
+        code, _, err = run_cli(capsys, *argv)
+        assert_clean_exit(code, err, dic)
+        assert code == 0 or not clean
+
+
+LINE_TEXT = st.text(st.sampled_from("aAçé\u0301 .\t\r\x00\xa0\u2028\x85"), max_size=6)
+REPLACEMENT = st.text(st.sampled_from("aAçé\u0301 .\x00\xa0\u2028\x85"), min_size=1, max_size=6)
+CORPUS_WORDS = st.sampled_from(["A", "ONU", "veio", "fim", "jogar", "Marte", "exemplo", "por"])
+
+
+@st.composite
+def abbreviation_files(draw):
+    """Whether an abbreviation list is UTF-8 (four in five are), and its
+    bytes: words of the corpus, with or without a dot, and other lines of
+    any of the characters a line may hold."""
+    word = CORPUS_WORDS.flatmap(lambda w: st.sampled_from([w, w + ".", f" {w}. "]))
+    utf8 = draw(st.integers(0, 4)) > 0
+    return utf8, text_file(draw, draw(st.lists(mostly(word, LINE_TEXT), max_size=6)), not utf8)
+
+
+@st.composite
+def replacement_files(draw):
+    """Whether a replacement table holds only rows of a corpus word and a
+    non-empty replacement (half of them do), and its bytes; the others hold
+    now and then a row of any number of fields, empty ones or ones with a
+    CR among them, or a byte that is not UTF-8."""
+    clean = draw(st.booleans())
+    row = st.tuples(CORPUS_WORDS, REPLACEMENT).map("\t".join)
+    if not clean:
+        row = mostly(row, st.lists(LINE_TEXT, max_size=3).map("\t".join))
+    lines = draw(st.lists(row, max_size=5))
+    return clean, text_file(draw, lines, not clean and draw(st.integers(0, 4)) == 0)
+
+
+class TestWordFiles:
+    @SETTINGS
+    @given(drawn=abbreviation_files())
+    def test_drawn_abbreviation_list(self, workdir, capsys, drawn):
+        utf8, data = drawn
+        abbrev = workdir / "drawn_abbrev.txt"
+        abbrev.write_bytes(data)
+        code, _, err = run_cli(
+            capsys, "apply", str(workdir / "compounds.txt"), "-l", str(workdir / "base.lex"),
+            "--abbrev", str(abbrev), "-o", str(workdir / "abbrev_run"),
+        )
+        assert_clean_exit(code, err, abbrev)
+        assert code == 0 or not utf8
+
+    @SETTINGS
+    @given(drawn=replacement_files())
+    def test_drawn_replacement_table(self, workdir, capsys, drawn):
+        clean, data = drawn
+        table = workdir / "drawn_replacements.tsv"
+        table.write_bytes(data)
+        run = workdir / "replacement_run"
+        code, _, err = run_cli(
+            capsys, "apply", str(workdir / "compounds.txt"), "-l", str(workdir / "base.lex"),
+            "--replacements", str(table), "-o", str(run),
+        )
+        assert_clean_exit(code, err, table)
+        assert code == 0 or not clean
+        if code == 0:
+            # the run that the table made reads back
+            code, _, err = run_cli(capsys, "coverage", "--run", str(run))
+            assert (code, err) == (0, "")

@@ -15,7 +15,20 @@ from lexcov.preprocess import (
     tokenize,
 )
 
-from oracles import oracle_normalize, oracle_tokenize
+from oracles import oracle_normalize, oracle_normalize_substitutions, oracle_tokenize
+
+# controls, CR, tab and the Unicode spaces, beside the other characters:
+# what normalizing changes, and what it keeps
+RICH_TEXT = st.text(
+    st.one_of(
+        st.sampled_from("\x00\x08\t\n\x0b\x0c\r\x1c\x1f \x7f\x85\x9f"),
+        st.sampled_from("\xa0\u1680\u2003\u2028\u2029\u3000"),
+        st.sampled_from(" \n\r"),
+        st.sampled_from("ae\u0301\u00ad\u200b\ufeff-."),
+        st.characters(),
+    ),
+    max_size=60,
+)
 
 
 def words_of(text):
@@ -48,6 +61,19 @@ class TestNormalizeDelimiters:
     @given(st.text(max_size=200))
     def test_matches_reference(self, text):
         assert normalize_delimiters(text) == oracle_normalize(text)
+
+    @settings(max_examples=500)
+    @given(RICH_TEXT)
+    def test_matches_substitutions(self, text):
+        # some drawn texts take the path that skips the substitutions
+        assert normalize_delimiters(text) == oracle_normalize_substitutions(text)
+
+    def test_every_changed_character_is_unprintable(self):
+        # the check that skips the substitutions relies on this
+        for c in map(chr, range(0x110000)):
+            text = unicodedata.normalize("NFC", f"a{c}b")
+            if oracle_normalize_substitutions(text) != text:
+                assert not c.isprintable(), hex(ord(c))
 
     @given(st.text(max_size=200))
     def test_idempotent(self, text):
