@@ -153,8 +153,11 @@ class Lexicon:
         # by analysis id, the string ids of its lemma, its code, its
         # '+'-joined traits and its ':'-joined flex codes, and its role bits
         lemmas_at = pos
-        analyses = [column(_U32, n_analyses, string_data) for _ in range(4)]
-        self._lemmas, self._grams, self._traits, self._flexes = analyses
+        self._lemmas = lemmas = column(_U32, n_analyses, string_data)
+        grams_at = pos
+        self._grams = grams = column(_U32, n_analyses, string_data)
+        self._traits = traits = column(_U32, n_analyses, string_data)
+        self._flexes = flexes = column(_U32, n_analyses, string_data)
         self._masks = column("B", n_analyses)
         finals = column("B", n_states)
         edge_counts = column(_U32, n_states)
@@ -188,7 +191,7 @@ class Lexicon:
         # each bound is checked over byte planes; max() finds the value to
         # name only when a check fails
         if not all(_all_below(data, n_strings) for data in string_data):
-            string_columns = (*analyses, compound_forms, fold_keys, fold_forms)
+            string_columns = (lemmas, grams, traits, flexes, compound_forms, fold_keys, fold_forms)
             top = max(map(max, filter(None, string_columns)))
             raise CorruptFile(f"string id {top}, but there are {n_strings} strings")
         if sum(edge_counts) != n_transitions:
@@ -218,7 +221,6 @@ class Lexicon:
             again = _find_u32(raw, _HEADER.size, n_strings, 0, empty + 1)
             if again >= 0:
                 raise CorruptFile(f"strings {empty} and {again} are both empty")
-            grams_at = lemmas_at + 4 * n_analyses
             for problem, at, count in (
                 ("analysis {} has an empty lemma", lemmas_at, n_analyses),
                 ("analysis {} has an empty grammatical code", grams_at, n_analyses),

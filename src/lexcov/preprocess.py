@@ -239,14 +239,14 @@ def normalize_delimiters(raw: str) -> str:
     """Normalize a raw text: NFC, LF line endings, single spaces,
     control characters (other than LF) removed."""
     text = unicodedata.normalize("NFC", raw)
-    # what the substitutions change is a control or a whitespace character
-    # other than a space, none of them printable, or a space after a space;
-    # a text with neither, as most are, is returned as it is
-    if "  " not in text and text.replace("\n", "").isprintable():
-        return text
-    text = _CRLF_RE.sub("\n", text)
-    text = _CONTROL_RE.sub("", text)
-    text = _HSPACE_RE.sub(" ", text)
+    if "\r" in text:
+        text = _CRLF_RE.sub("\n", text)
+    # what the other two substitutions change is a control or a whitespace
+    # character other than a space, none of them printable, or a space
+    # after a space; a text with neither is left as it is
+    if "  " in text or not text.replace("\n", "").isprintable():
+        text = _CONTROL_RE.sub("", text)
+        text = _HSPACE_RE.sub(" ", text)
     return text
 
 

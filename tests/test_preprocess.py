@@ -1,3 +1,4 @@
+import re
 import unicodedata
 
 from hypothesis import given, settings, strategies as st
@@ -69,11 +70,12 @@ class TestNormalizeDelimiters:
         assert normalize_delimiters(text) == oracle_normalize_substitutions(text)
 
     def test_every_changed_character_is_unprintable(self):
-        # the check that skips the substitutions relies on this
-        for c in map(chr, range(0x110000)):
-            text = unicodedata.normalize("NFC", f"a{c}b")
-            if oracle_normalize_substitutions(text) != text:
-                assert not c.isprintable(), hex(ord(c))
+        # the check that skips the control and space substitutions relies
+        # on this: each character they match, but a space, is unprintable
+        every = "".join(map(chr, range(0x110000)))
+        matched = set(re.findall(r"[\x00-\x08\x0b-\x1f\x7f-\x9f]|[^\S\n]", every))
+        assert " " in matched
+        assert [hex(ord(c)) for c in matched - {" "} if c.isprintable()] == []
 
     @given(st.text(max_size=200))
     def test_idempotent(self, text):
