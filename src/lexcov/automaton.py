@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import os
 import struct
 import sys
 import zlib
 from array import array
 from bisect import bisect_left
 from collections import namedtuple
+from contextlib import suppress
 from functools import cached_property
 from itertools import accumulate, chain, islice
 from operator import itemgetter
@@ -127,19 +129,29 @@ class Lexicon:
             pos += size
             return view[pos - size : pos]
 
-        def column(typecode, count, checked=None):
-            # the bytes are appended to ``checked`` as the payload holds
-            # them, little-endian, whatever the platform
+        def column(typecode, count, checked=None, searched=None):
+            # a u32 column's four byte planes, the least significant first,
+            # are interleaved into its little-endian items; ``checked`` gets
+            # the planes as the payload holds them, ``searched`` the items
             col = array(typecode)
-            data = read(count * col.itemsize)
+            if typecode == "B":
+                col.frombytes(read(count))
+                return col
+            planes = read(4 * count)
+            data = _interleave(planes)
             col.frombytes(data)
             if _SWAP:
                 col.byteswap()
             if checked is not None:
-                checked.append(data)
+                checked.append(planes)
+            if searched is not None:
+                searched.append(data)
             return col
 
-        lengths = column(_U32, n_strings)
+        # the little-endian bytes of the string lengths, then of each column
+        # of string ids that may not hold the empty string, for its search
+        searched = []
+        lengths = column(_U32, n_strings, searched=searched)
         text_at = pos
         try:
             text = str(read(text_size), "utf-8")
@@ -147,15 +159,13 @@ class Lexicon:
             raise CorruptFile(
                 f"string table at payload offset {text_at + exc.start}: {exc.reason}"
             ) from None
-        # the payload bytes of the columns of string ids, of edge targets
+        # the byte planes of the columns of string ids, of edge targets
         # and of analysis ids, for their range checks
         string_data, target_data, analysis_data = [], [], []
         # by analysis id, the string ids of its lemma, its code, its
         # '+'-joined traits and its ':'-joined flex codes, and its role bits
-        lemmas_at = pos
-        self._lemmas = lemmas = column(_U32, n_analyses, string_data)
-        grams_at = pos
-        self._grams = grams = column(_U32, n_analyses, string_data)
+        self._lemmas = lemmas = column(_U32, n_analyses, string_data, searched)
+        self._grams = grams = column(_U32, n_analyses, string_data, searched)
         self._traits = traits = column(_U32, n_analyses, string_data)
         self._flexes = flexes = column(_U32, n_analyses, string_data)
         self._masks = column("B", n_analyses)
@@ -170,15 +180,13 @@ class Lexicon:
         self._form_offsets = array(_U32, accumulate(form_counts, initial=0))
         # compound c, in file/entry order, is compound_forms[c] with the
         # analysis ids compound_ids[compound_offsets[c]:compound_offsets[c + 1]]
-        compound_forms_at = pos
-        compound_forms = column(_U32, n_compounds, string_data)
+        compound_forms = column(_U32, n_compounds, string_data, searched)
         compound_counts = column(_U32, n_compounds)
         self._compound_ids = compound_ids = column(_U32, sum(compound_counts), analysis_data)
         self._compound_offsets = array(_U32, accumulate(compound_counts, initial=0))
         fold_keys = column(_U32, n_fold_extra, string_data)
         fold_counts = column(_U32, n_fold_extra)
-        fold_forms_at = pos
-        fold_forms = column(_U32, sum(fold_counts), string_data)
+        fold_forms = column(_U32, sum(fold_counts), string_data, searched)
         if pos != len(raw):
             raise CorruptFile(f"{len(raw) - pos} unread bytes after the last section")
 
@@ -214,21 +222,25 @@ class Lexicon:
 
         # entry_for leaves out DictEntry's checks, so no lemma or code may
         # be empty, and token_matches_form reads a form's first character;
-        # _pack writes each string once, so one id is searched; the columns
-        # are searched in the payload, each between its offsets
-        empty = _find_u32(raw, _HEADER.size, n_strings, 0)
+        # _pack writes each string once, so one id is searched
+        lengths_data, *searched = searched
+        empty = _find_u32(lengths_data, 0, n_strings, 0)
         if empty >= 0:
-            again = _find_u32(raw, _HEADER.size, n_strings, 0, empty + 1)
+            again = _find_u32(lengths_data, 0, n_strings, 0, empty + 1)
             if again >= 0:
                 raise CorruptFile(f"strings {empty} and {again} are both empty")
-            for problem, at, count in (
-                ("analysis {} has an empty lemma", lemmas_at, n_analyses),
-                ("analysis {} has an empty grammatical code", grams_at, n_analyses),
-                # _TOKEN_RE matches every character, so only the empty form has no tokens
-                ("compound '' has no tokens", compound_forms_at, n_compounds),
-                ("fold-extra form {} is empty", fold_forms_at, len(fold_forms)),
+            for problem, data in zip(
+                (
+                    "analysis {} has an empty lemma",
+                    "analysis {} has an empty grammatical code",
+                    # _TOKEN_RE matches every character, so only the empty
+                    # form has no tokens
+                    "compound '' has no tokens",
+                    "fold-extra form {} is empty",
+                ),
+                searched,
             ):
-                found = _find_u32(raw, at, count, empty)
+                found = _find_u32(data, 0, len(data) >> 2, empty)
                 if found >= 0:
                     raise CorruptFile(problem.format(found))
         self._text, self._lengths = text, lengths
@@ -821,40 +833,58 @@ def _misordered(state, label, char) -> CorruptFile:
 # -- binary format ----------------------------------------------------------
 
 _MAGIC = b"LXCV"
-_FORMAT_VERSION = 4
+_FORMAT_VERSION = 5
 # entry, simple-form, folded-form, state and transition counts (u64);
 # analysis, compound, fold-extra and string counts (u32);
 # string table size in bytes (u64)
 _HEADER = struct.Struct("<QQQQQIIIIQ")
-# columns are little-endian u8 and u32; array typecodes name C types,
-# so the u32 code is the one of that item size on this platform
+# columns are u8 and little-endian u32, a u32 column stored as four byte
+# planes; array typecodes name C types, so the u32 code is the one of that
+# item size on this platform
 _U32 = next(code for code in "IL" if array(code).itemsize == 4)
 _SWAP = sys.byteorder == "big"
 
 
-def _column(typecode, values) -> array:
-    """The values as a little-endian column, ready to be joined; an array
-    of ``typecode`` is taken as it is, not copied."""
+def _column(typecode, values):
+    """The values as a column, ready to be joined: a u8 column as an array,
+    an array of ``typecode`` taken as it is, not copied; a u32 column as
+    the four byte planes of its little-endian items, the least significant
+    first, so that deflate meets the mostly zero high bytes in runs."""
     col = values if type(values) is array else array(typecode, values)
+    if typecode == "B":
+        return col
     if _SWAP:
         col.byteswap()
-    return col
+    data = col.tobytes()
+    return b"".join([data[0::4], data[1::4], data[2::4], data[3::4]])
 
 
-def _all_below(data, n: int) -> bool:
-    """``max(col, default=-1) < n`` for the u32 column ``col`` whose
-    little-endian bytes are ``data``, at C speed: its byte planes are
-    compared with those of ``n - 1``, the most significant first, and
-    only the positions that tie on every higher plane are compared on the
-    next, through an ``int`` bit mask once they are not all of them."""
+def _interleave(planes) -> bytearray:
+    """The little-endian items of the u32 column whose byte planes, as
+    :func:`_column` writes them, are ``planes``."""
+    count = len(planes) >> 2
+    data = bytearray(len(planes))
+    for k in range(4):
+        data[k::4] = planes[k * count : (k + 1) * count]
+    return data
+
+
+def _all_below(planes, n: int) -> bool:
+    """``max(col, default=-1) < n`` for the u32 column ``col`` whose byte
+    planes, as :func:`_column` writes them, are ``planes``, at C speed:
+    each plane is compared with that byte of ``n - 1``, the most
+    significant first, and only the positions that tie on every higher
+    plane are compared on the next, through an ``int`` bit mask once they
+    are not all of them."""
     if n > 0xFFFFFFFF:
         return True
     if n <= 0:
-        return n == 0 and not data
-    data, top = bytes(data), n - 1  # bytes slice by a step far faster than a memoryview
+        return n == 0 and not planes
+    count, top = len(planes) >> 2, n - 1
     tie = None  # the positions tying so far, one bit each; None: all of them
     for shift in (24, 16, 8, 0):
-        plane = data[shift >> 3 :: 4]
+        at = (shift >> 3) * count
+        plane = bytes(planes[at : at + count])
         k = (top >> shift) & 255
         if tie is None:
             if plane.translate(None, bytes(range(k + 1))):
@@ -886,13 +916,22 @@ def _find_u32(data, at: int, count: int, value: int, start: int = 0) -> int:
 
 def save_lexicon(lex: Lexicon, path) -> None:
     """Write the versioned, checksummed binary form (docs/lexicon-binary.md)
-    around the payload the lexicon was read from."""
+    around the payload the lexicon was read from.  The file is written
+    beside ``path`` as ``PATH.partial`` and then renamed over it, so a
+    write that fails leaves any earlier file at ``path`` as it was."""
     payload = lex._payload
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<HQ", _FORMAT_VERSION, len(payload)))
-        fh.write(hashlib.sha256(payload).digest())
-        fh.write(payload)
+    partial = f"{os.fspath(path)}.partial"
+    try:
+        with open(partial, "wb") as fh:
+            fh.write(_MAGIC)
+            fh.write(struct.pack("<HQ", _FORMAT_VERSION, len(payload)))
+            fh.write(hashlib.sha256(payload).digest())
+            fh.write(payload)
+        os.replace(partial, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(partial)
+        raise
 
 
 def load_lexicon(path) -> Lexicon:

@@ -1,3 +1,4 @@
+import errno
 import functools
 import hashlib
 import itertools
@@ -8,10 +9,12 @@ import subprocess
 import sys
 import tempfile
 import zlib
+from array import array
+from collections import namedtuple
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lexcov import automaton
 from lexcov.automaton import (
@@ -497,6 +500,39 @@ class TestSaveLoad:
         with pytest.raises(FormatVersionMismatch):
             load_lexicon(path)
 
+    def test_failed_save_keeps_the_old_file(self, neymar_lexicon, tmp_path, monkeypatch):
+        path = tmp_path / "lex.bin"
+        save_lexicon(neymar_lexicon, path)
+        old = path.read_bytes()
+
+        class DiskFull:
+            """A file whose first write stores one byte and then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:1])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(automaton, "open", lambda *args: DiskFull(open(*args)), raising=False)
+        other = lex_from_lines(["zê,.N"])
+        with pytest.raises(OSError, match="No space left"):
+            save_lexicon(other, path)
+        assert path.read_bytes() == old
+        assert list(tmp_path.iterdir()) == [path]
+        # a save that succeeds replaces the file and leaves no partial file
+        monkeypatch.undo()
+        save_lexicon(other, path)
+        assert load_lexicon(path).stats == other.stats
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_not_a_lexicon_file(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"junk")
@@ -513,7 +549,7 @@ class TestSaveLoad:
 
     @pytest.mark.parametrize("name", ["neymar", "compounds"])
     def test_build_matches_golden_file(self, fixtures_dir, tmp_path, name):
-        # the committed .lex files pin format v4 byte for byte
+        # the committed .lex files pin format v5 byte for byte
         from lexcov.delaf import load_dict_file
 
         path = tmp_path / f"{name}.lex"
@@ -629,62 +665,91 @@ def resign(path, edit):
     )
 
 
-def replace_once(old, new):
+# the columns of a .lex payload in order (docs/lexicon-binary.md): each a
+# name, its item size, and its item count, a header field or the sum of an
+# earlier count column
+HEADER_FIELDS = (
+    "entries n_forms folded n_states n_transitions n_analyses n_compounds n_fold_extra"
+    " n_strings text_size"
+).split()
+PAYLOAD_COLUMNS = [
+    ("lengths", 4, "n_strings"),
+    ("text", 1, "text_size"),
+    ("lemmas", 4, "n_analyses"),
+    ("grams", 4, "n_analyses"),
+    ("traits", 4, "n_analyses"),
+    ("flexes", 4, "n_analyses"),
+    ("masks", 1, "n_analyses"),
+    ("finals", 1, "n_states"),
+    ("edge_counts", 4, "n_states"),
+    ("labels", 4, "n_transitions"),
+    ("targets", 4, "n_transitions"),
+    ("form_counts", 4, "n_forms"),
+    ("form_ids", 4, "form_counts"),
+    ("compound_forms", 4, "n_compounds"),
+    ("compound_counts", 4, "n_compounds"),
+    ("compound_ids", 4, "compound_counts"),
+    ("fold_keys", 4, "n_fold_extra"),
+    ("fold_counts", 4, "n_fold_extra"),
+    ("fold_forms", 4, "fold_counts"),
+]
+
+
+class Column(namedtuple("Column", "at count size")):
+    """A payload column: its byte offset, item count and item size."""
+
+    def offsets(self, i):
+        """The byte offsets of item ``i``: one for a u8; for a u32, one in
+        each of the column's four byte planes, the least significant first."""
+        return [self.at + i] if self.size == 1 else [self.at + k * self.count + i for k in range(4)]
+
+
+def payload_columns(raw):
+    """The columns of a .lex payload, by name; its header is read as it
+    is, and each count column's items summed to size the next column."""
+    counts = dict(zip(HEADER_FIELDS, automaton._HEADER.unpack_from(raw)))
+    columns, at = {}, automaton._HEADER.size
+    for name, size, count in PAYLOAD_COLUMNS:
+        if count in columns:
+            n = sum(read(raw, columns[count].offsets(i)) for i in range(columns[count].count))
+        else:
+            n = counts[count]
+        columns[name] = Column(at, n, size)
+        at += n * size
+    assert at == len(raw)
+    return columns
+
+
+def read(raw, offsets):
+    """The little-endian integer whose bytes are at these byte offsets."""
+    return int.from_bytes(bytes(raw[at] for at in offsets), "little")
+
+
+def write(raw, offsets, value):
+    """``raw`` with ``value``'s little-endian bytes at these byte offsets."""
+    out = bytearray(raw)
+    for at, byte in zip(offsets, value.to_bytes(len(offsets), "little")):
+        out[at] = byte
+    return bytes(out)
+
+
+def item(raw, name, i):
+    """Item ``i`` of the named column of a .lex payload."""
+    return read(raw, payload_columns(raw)[name].offsets(i))
+
+
+def put(raw, name, i, value):
+    """``raw`` with item ``i`` of the named column set to ``value``."""
+    return write(raw, payload_columns(raw)[name].offsets(i), value)
+
+
+def set_item(name, i, value):
+    """The edit that sets item ``i`` of the named column to ``value``."""
+
     def edit(raw):
-        assert raw.count(old) == 1
-        return raw.replace(old, new)
+        return put(raw, name, i, value)
 
     return edit
-
-
-# "zê" is the only simple form: the root's one edge is "z" to state 1; edge
-# labels are u32 code points, and ord("z") occurs once as a u32
-Z_LABEL = struct.pack("<I", ord("z"))
-
-
-def put(raw, where, item):
-    """``raw`` with the bytes ``item`` written at byte ``where(header)``."""
-    at = where(automaton._HEADER.unpack_from(raw))
-    return raw[:at] + item + raw[at + len(item) :]
-
-
-def u32(value):
-    return struct.pack("<I", value)
-
-
-def set_u32(where, value):
-    """Overwrite the u32 at byte ``where(header)`` of the payload."""
-
-    def edit(raw):
-        return put(raw, where, u32(value))
-
-    return edit
-
-
-# the header's state count is its fourth u64
-STATE_COUNT = lambda header: 24
-# the string table's length column follows the header; the first analysis's
-# lemma id follows the string table, whose count and byte size end the header
-FIRST_LENGTH = lambda header: automaton._HEADER.size
-FIRST_LEMMA = lambda header: automaton._HEADER.size + 4 * header[-2] + header[-1]
-# the code, traits and flex codes columns follow the A lemma ids, in turn
-FIRST_CODE = lambda header: FIRST_LEMMA(header) + 4 * header[5]
-FIRST_TRAITS = lambda header: FIRST_LEMMA(header) + 8 * header[5]
-FIRST_FLEXES = lambda header: FIRST_LEMMA(header) + 12 * header[5]
-# the states' u8 final flags follow the analyses (A rows of 4 u32 and a u8)
-FIRST_FINAL = lambda header: FIRST_LEMMA(header) + 17 * header[5]
-# the S u32 edge counts follow the final flags, then the T u32 code points
-# that label the edges, the root's first
-EDGE_COUNTS = lambda header: FIRST_FINAL(header) + header[3]
-FIRST_LABEL = lambda header: EDGE_COUNTS(header) + 4 * header[3]
-# the root's first edge target opens the target column, which follows the labels
-ROOT_TARGET = lambda header: FIRST_LABEL(header) + 4 * header[4]
-# the F u32 form counts follow the T targets, then the forms' analysis ids
-FIRST_FORM_ID = lambda header: ROOT_TARGET(header) + 4 * header[4] + 4 * header[1]
-# with one analysis per form, the F form ids end where the C compound form
-# ids start; the C compound counts follow, then the compounds' analysis ids
-FIRST_COMPOUND = lambda header: FIRST_FORM_ID(header) + 4 * header[1]
-FIRST_COMPOUND_ID = lambda header: FIRST_COMPOUND(header) + 8 * header[6]
 
 
 def root_edges(*labels):
@@ -692,8 +757,10 @@ def root_edges(*labels):
     labels, and state 1 none; in code-point order, the payload loads."""
 
     def edit(raw):
-        raw = put(raw, EDGE_COUNTS, u32(2) + u32(0))
-        return put(raw, FIRST_LABEL, b"".join(u32(ord(label)) for label in labels))
+        raw = put(put(raw, "edge_counts", 0, 2), "edge_counts", 1, 0)
+        for i, label in enumerate(labels):
+            raw = put(raw, "labels", i, ord(label))
+        return raw
 
     return edit
 
@@ -713,10 +780,11 @@ class TestBrokenPayload:
         "edit, message",
         [
             # an edge whose target is not a state
-            (set_u32(ROOT_TARGET, 999), "edge to state 999"),
-            (replace_once(Z_LABEL, struct.pack("<I", 0x110000)), "code point 0x110000"),
-            (replace_once(Z_LABEL, struct.pack("<I", 0xFFFFFFFF)), "code point 0xffffffff"),
-            (replace_once(Z_LABEL, struct.pack("<I", 0xD800)), "code point 0xd800"),
+            (set_item("targets", 0, 999), "edge to state 999"),
+            # the root's one edge, "z", is the first label
+            (set_item("labels", 0, 0x110000), "code point 0x110000"),
+            (set_item("labels", 0, 0xFFFFFFFF), "code point 0xffffffff"),
+            (set_item("labels", 0, 0xD800), "code point 0xd800"),
             # the root's two edges out of code-point order, or with one label
             (root_edges("z", "a"), "state 0's edges 'z' and 'a' are out of code-point order"),
             (root_edges("z", "z"), "state 0 has two edges labelled 'z'"),
@@ -728,26 +796,21 @@ class TestBrokenPayload:
             (lambda raw: raw[:-1], "unexpected end of payload"),
             # "zê" is the first string: 2 characters, now 3
             (
-                set_u32(FIRST_LENGTH, 3),
+                set_item("lengths", 0, 3),
                 "string lengths add up to 12 characters, but the string table holds 11",
             ),
-            (set_u32(FIRST_LEMMA, 5), "string id 5, but there are 5 strings"),
+            (set_item("lemmas", 0, 5), "string id 5, but there are 5 strings"),
             # traits and flex codes are split only when a lookup reads
             # them, but their ids are checked at load
-            (set_u32(FIRST_TRAITS, 6), "string id 6, but there are 5 strings"),
-            (set_u32(FIRST_FLEXES, 7), "string id 7, but there are 5 strings"),
+            (set_item("traits", 0, 6), "string id 6, but there are 5 strings"),
+            (set_item("flexes", 0, 7), "string id 7, but there are 5 strings"),
             # string 4 is "": entries are built without DictEntry's checks
-            (set_u32(FIRST_LEMMA, 4), "analysis 0 has an empty lemma"),
-            (set_u32(FIRST_CODE, 4), "analysis 0 has an empty grammatical code"),
-            (
-                set_u32(lambda header: FIRST_CODE(header) + 4, 4),
-                "analysis 1 has an empty grammatical code",
-            ),
+            (set_item("lemmas", 0, 4), "analysis 0 has an empty lemma"),
+            (set_item("grams", 0, 4), "analysis 0 has an empty grammatical code"),
+            (set_item("grams", 1, 4), "analysis 1 has an empty grammatical code"),
             # "zê" is now empty and "zê ca" two characters longer: two empty strings
             (
-                lambda raw: set_u32(FIRST_LENGTH, 0)(
-                    set_u32(lambda header: FIRST_LENGTH(header) + 4, 7)(raw)
-                ),
+                lambda raw: put(put(raw, "lengths", 0, 0), "lengths", 1, 7),
                 "strings 0 and 4 are both empty",
             ),
         ],
@@ -758,21 +821,22 @@ class TestBrokenPayload:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda raw: put(raw, STATE_COUNT, bytes(8)), "no root state"),
+            # the header's state count is its fourth u64
+            (lambda raw: write(raw, range(24, 32), 0), "no root state"),
             # the edge from state 1 now leads past the last state
-            (lambda raw: put(raw, lambda h: ROOT_TARGET(h) + 4, u32(999)), "edge to state 999"),
+            (lambda raw: put(raw, "targets", 1, 999), "edge to state 999"),
             # the edge from state 1 now leads back to the root
-            (lambda raw: put(raw, lambda h: ROOT_TARGET(h) + 4, u32(0)), "cycle through state"),
+            (lambda raw: put(raw, "targets", 1, 0), "cycle through state"),
             # state 1 is now final: the automaton accepts "z" too
             (
-                lambda raw: put(raw, lambda h: FIRST_FINAL(h) + 1, b"\1"),
+                lambda raw: put(raw, "finals", 1, 1),
                 "the automaton's form count is 2, the form table's 1",
             ),
-            (lambda raw: put(raw, FIRST_FORM_ID, u32(7)), "analysis id 7, but there are 2"),
-            (lambda raw: put(raw, FIRST_COMPOUND_ID, u32(2)), "analysis id 2, but there are 2"),
+            (lambda raw: put(raw, "form_ids", 0, 7), "analysis id 7, but there are 2"),
+            (lambda raw: put(raw, "compound_ids", 0, 2), "analysis id 2, but there are 2"),
             # compounds are tokenized only when a match reaches them, but
             # an empty form fails at load
-            (lambda raw: put(raw, FIRST_COMPOUND, u32(4)), "compound '' has no tokens"),
+            (lambda raw: put(raw, "compound_forms", 0, 4), "compound '' has no tokens"),
         ],
     )
     def test_saved_broken_lexicon_is_corrupt(self, saved, edit, message):
@@ -780,11 +844,11 @@ class TestBrokenPayload:
         self.check(saved, edit, message)
 
     def test_empty_fold_extra_form_is_corrupt(self, tmp_path):
-        # "Ab" is the fold-extra form of "ab", the payload's last u32; string
-        # 2 is "", which a unitex_like lookup of "ab" would have indexed
+        # "Ab" is the fold-extra form of "ab"; string 2 is "", which a
+        # unitex_like lookup of "ab" would have indexed
         path = tmp_path / "fold.lex"
         save_lexicon(lex_from_lines(["Ab,.N"]), path)
-        self.check(path, lambda raw: raw[:-4] + u32(2), "fold-extra form 0 is empty")
+        self.check(path, set_item("fold_forms", 0, 2), "fold-extra form 0 is empty")
 
     @staticmethod
     def check(path, edit, message):
@@ -825,15 +889,40 @@ def columns_and_bounds(draw):
     return col, max(n, 0)
 
 
+def planes_of(col):
+    """The byte planes of a u32 column, the least significant first."""
+    data = struct.pack(f"<{len(col)}I", *col)
+    return b"".join(data[k::4] for k in range(4))
+
+
+class TestColumnCodec:
+    @settings(max_examples=500)
+    @given(drawn=columns_and_bounds())
+    @example(drawn=([], 0))
+    @example(drawn=([0, 255, 256, 2**16, 2**24, 2**32 - 1], 2**24))
+    def test_round_trip(self, drawn):
+        # a u32 column is written as its byte planes and read back as its
+        # items; its bound is checked on the planes as written
+        col, n = drawn
+        planes = automaton._column(automaton._U32, col)
+        assert planes == planes_of(col)
+        assert list(struct.unpack(f"<{len(col)}I", automaton._interleave(planes))) == col
+        assert automaton._all_below(planes, n) == (max(col, default=-1) < n)
+
+    def test_u8_column_is_kept(self):
+        col = array("B", [0, 1, 255])
+        assert automaton._column("B", col) is col
+
+
 class TestAllBelow:
     @settings(max_examples=500)
     @given(drawn=columns_and_bounds(), as_view=st.booleans())
     def test_matches_max(self, drawn, as_view):
         col, n = drawn
-        data = struct.pack(f"<{len(col)}I", *col)
+        planes = planes_of(col)
         if as_view:  # load passes slices of the payload's memoryview
-            data = memoryview(b"\xff" + data)[1:]
-        assert automaton._all_below(data, n) == (max(col, default=-1) < n)
+            planes = memoryview(b"\xff" + planes)[1:]
+        assert automaton._all_below(planes, n) == (max(col, default=-1) < n)
 
     @pytest.mark.parametrize(
         "col, n, below",
@@ -855,8 +944,7 @@ class TestAllBelow:
         ],
     )
     def test_cases(self, col, n, below):
-        data = struct.pack(f"<{len(col)}I", *col)
-        assert automaton._all_below(data, n) is below
+        assert automaton._all_below(planes_of(col), n) is below
 
 
 class TestFindU32:

@@ -32,7 +32,7 @@ from oracles import (
     oracle_segment,
     oracle_tokenize,
 )
-from test_automaton import ROOT_TARGET, resign, set_u32
+from test_automaton import resign, set_item
 
 
 def run_cli(capsys, *argv):
@@ -610,20 +610,20 @@ class TestExitCodes:
         corpus = tmp_path / "c.txt"
         corpus.write_text("O time venceu.\n", encoding="utf-8")
         data = bytearray(neymar_bin.read_bytes())
-        for version in (1, 2, 3):
+        for version in (1, 2, 3, 4):
             data[4:6] = version.to_bytes(2, "little")
             neymar_bin.write_bytes(bytes(data))
             code, _, stderr = run_cli(
                 capsys, "apply", str(corpus), "-l", str(neymar_bin), "-o", str(tmp_path / "run")
             )
             assert code == 2
-            assert f"format version {version}, expected 4" in stderr
+            assert f"format version {version}, expected 5" in stderr
             assert "re-run `lexcov compile`" in stderr
 
     def test_resigned_broken_payload(self, neymar_bin, tmp_path, capsys):
         # the root's first edge leads to a state that does not exist, and
         # the file's checksum is valid
-        resign(neymar_bin, set_u32(ROOT_TARGET, 999))
+        resign(neymar_bin, set_item("targets", 0, 999))
         corpus = tmp_path / "c.txt"
         corpus.write_text("O time venceu.\n", encoding="utf-8")
         code, _, stderr = run_cli(

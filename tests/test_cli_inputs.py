@@ -6,7 +6,6 @@ None of the drawn files is unreadable, so none may exit 1 (an OSError).
 """
 
 import json
-import struct
 import sys
 import zlib
 
@@ -19,7 +18,7 @@ from lexcov.classify import _CONFIG_DEFAULTS, _WORD_LISTS, DEFAULT_PRECEDENCE
 from lexcov.cli import main
 from lexcov.dico import TokenStatus
 
-from test_automaton import resign
+from test_automaton import payload_columns, resign, write
 from test_cli import run_cli
 
 SETTINGS = settings(
@@ -378,32 +377,14 @@ class TestManifest:
 
 
 def u32_offsets(raw):
-    """The byte offset of each u32 of a .lex payload: the header's four
-    and every item of its u32 columns (docs/lexicon-binary.md)."""
-    header = automaton._HEADER.unpack_from(raw)
-    _, n_forms, _, n_states, n_transitions, n_analyses, n_compounds, n_fold_extra = header[:8]
-    n_strings, size = header[8:]
-    offsets = list(range(40, 56, 4))  # the u32 counts follow five u64s
-    at = automaton._HEADER.size
-
-    def u32s(count):
-        """The next ``count`` u32s; their offsets are kept."""
-        nonlocal at
-        offsets.extend(range(at, at + 4 * count, 4))
-        at += 4 * count
-        return struct.unpack_from(f"<{count}I", raw, at - 4 * count)
-
-    u32s(n_strings)
-    at += size
-    u32s(4 * n_analyses)
-    at += n_analyses + n_states  # the u8 role masks and final flags
-    u32s(n_states + 2 * n_transitions)
-    u32s(sum(u32s(n_forms)))
-    u32s(n_compounds)
-    u32s(sum(u32s(n_compounds)))
-    u32s(n_fold_extra)
-    u32s(sum(u32s(n_fold_extra)))
-    assert at == len(raw)
+    """The byte offsets of each u32 of a .lex payload, its least
+    significant byte first: the header's four, and every item of its u32
+    columns across their byte planes (docs/lexicon-binary.md)."""
+    # the header's u32 counts follow its five u64s
+    offsets = [range(at, at + 4) for at in range(40, 56, 4)]
+    for column in payload_columns(raw).values():
+        if column.size == 4:
+            offsets.extend(map(column.offsets, range(column.count)))
     return offsets
 
 
@@ -413,17 +394,18 @@ def payload_edits(draw, raw):
     counted from one of the header's counts or not, or one byte set to any
     value."""
     if draw(st.integers(0, 3)):
-        at = draw(st.sampled_from(u32_offsets(raw)))
+        offsets = draw(st.sampled_from(u32_offsets(raw)))
         near = st.sampled_from(automaton._HEADER.unpack_from(raw)).flatmap(
             lambda n: st.sampled_from([n - 1, n, n + 255, n + 256])
         )
         value = draw(st.one_of(near, st.sampled_from([2**16, 2**24, 2**32 - 1])))
-        item = struct.pack("<I", min(max(value, 0), 2**32 - 1))
+        value = min(max(value, 0), 2**32 - 1)
+        event("u32")
     else:
-        at = draw(st.integers(0, len(raw) - 1))
-        item = bytes([draw(st.integers(0, 255))])
-    event("u32" if len(item) == 4 else "byte")
-    return lambda raw: raw[:at] + item + raw[at + len(item) :]
+        offsets = [draw(st.integers(0, len(raw) - 1))]
+        value = draw(st.integers(0, 255))
+        event("byte")
+    return lambda raw: write(raw, offsets, value)
 
 
 class TestLexFile:
