@@ -579,25 +579,25 @@ def _pack(dicts) -> bytes:
     first_use = dict.fromkeys(chain.from_iterable(string_columns))
     strings = dict(zip(first_use, range(len(first_use))))  # string -> its id
     lemmas, grams, traits, flexes, compound_forms, key_ids, fold_form_ids = (
-        _column(_U32, map(strings.__getitem__, col)) for col in string_columns
+        _column(map(strings.__getitem__, col)) for col in string_columns
     )
     sections = [
         lemmas,
         grams,
         traits,
         flexes,
-        _column("B", masks),
-        _column("B", finals),
-        _column(_U32, edge_counts),
-        _column(_U32, chars),
-        _column(_U32, targets),
-        _column(_U32, form_counts),
-        _column(_U32, form_ids),
+        array("B", masks),
+        array("B", finals),
+        _column(edge_counts),
+        _column(chars),
+        _column(targets),
+        _column(form_counts),
+        _column(form_ids),
         compound_forms,
-        _column(_U32, map(len, compounds.values())),
-        _column(_U32, chain.from_iterable(compounds.values())),
+        _column(map(len, compounds.values())),
+        _column(chain.from_iterable(compounds.values())),
         key_ids,
-        _column(_U32, map(len, fold_forms)),
+        _column(map(len, fold_forms)),
         fold_form_ids,
     ]
     text = "".join(strings).encode("utf-8")
@@ -613,7 +613,7 @@ def _pack(dicts) -> bytes:
         len(strings),
         len(text),
     )
-    return b"".join([header, _column(_U32, map(len, strings)), text, *sections])
+    return b"".join([header, _column(map(len, strings)), text, *sections])
 
 
 def _folded_count(forms, is_form) -> int:
@@ -845,14 +845,12 @@ _U32 = next(code for code in "IL" if array(code).itemsize == 4)
 _SWAP = sys.byteorder == "big"
 
 
-def _column(typecode, values):
-    """The values as a column, ready to be joined: a u8 column as an array,
-    an array of ``typecode`` taken as it is, not copied; a u32 column as
-    the four byte planes of its little-endian items, the least significant
-    first, so that deflate meets the mostly zero high bytes in runs."""
-    col = values if type(values) is array else array(typecode, values)
-    if typecode == "B":
-        return col
+def _column(values) -> bytes:
+    """The values as a u32 column, ready to be joined: the four byte planes
+    of its little-endian items, the least significant first, so that
+    deflate meets the mostly zero high bytes in runs.  A u32 array is
+    taken as it is, not copied."""
+    col = values if type(values) is array else array(_U32, values)
     if _SWAP:
         col.byteswap()
     data = col.tobytes()

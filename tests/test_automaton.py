@@ -9,7 +9,6 @@ import subprocess
 import sys
 import tempfile
 import zlib
-from array import array
 from collections import namedtuple
 from pathlib import Path
 
@@ -733,11 +732,6 @@ def write(raw, offsets, value):
     return bytes(out)
 
 
-def item(raw, name, i):
-    """Item ``i`` of the named column of a .lex payload."""
-    return read(raw, payload_columns(raw)[name].offsets(i))
-
-
 def put(raw, name, i, value):
     """``raw`` with item ``i`` of the named column set to ``value``."""
     return write(raw, payload_columns(raw)[name].offsets(i), value)
@@ -904,14 +898,10 @@ class TestColumnCodec:
         # a u32 column is written as its byte planes and read back as its
         # items; its bound is checked on the planes as written
         col, n = drawn
-        planes = automaton._column(automaton._U32, col)
+        planes = automaton._column(col)
         assert planes == planes_of(col)
         assert list(struct.unpack(f"<{len(col)}I", automaton._interleave(planes))) == col
         assert automaton._all_below(planes, n) == (max(col, default=-1) < n)
-
-    def test_u8_column_is_kept(self):
-        col = array("B", [0, 1, 255])
-        assert automaton._column("B", col) is col
 
 
 class TestAllBelow:
