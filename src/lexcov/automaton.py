@@ -11,7 +11,6 @@ matched through a token trie per first token, built on first use.
 
 from __future__ import annotations
 
-import enum
 import hashlib
 import os
 import struct
@@ -28,12 +27,7 @@ from operator import itemgetter
 from .delaf import DictEntry, DictFile, RoleTag
 from .errors import CorruptFile, EmptyLexicon, FormatVersionMismatch
 from .preprocess import _TOKEN_RE, TokenKind, token_columns
-
-
-class CaseFoldPolicy(enum.Enum):
-    EXACT = "exact"
-    UNITEX_LIKE = "unitex_like"
-    FULL_FOLD = "full_fold"
+from .runtable import CaseFoldPolicy
 
 
 class Analysis(namedtuple("Analysis", "lemma gram_code sem_traits flex_codes")):
@@ -224,9 +218,9 @@ class Lexicon:
         # be empty, and token_matches_form reads a form's first character;
         # _pack writes each string once, so one id is searched
         lengths_data, *searched = searched
-        empty = _find_u32(lengths_data, 0, n_strings, 0)
+        empty = _find_u32(lengths_data, 0)
         if empty >= 0:
-            again = _find_u32(lengths_data, 0, n_strings, 0, empty + 1)
+            again = _find_u32(lengths_data, 0, empty + 1)
             if again >= 0:
                 raise CorruptFile(f"strings {empty} and {again} are both empty")
             for problem, data in zip(
@@ -240,7 +234,7 @@ class Lexicon:
                 ),
                 searched,
             ):
-                found = _find_u32(data, 0, len(data) >> 2, empty)
+                found = _find_u32(data, empty)
                 if found >= 0:
                     raise CorruptFile(problem.format(found))
         self._text, self._lengths = text, lengths
@@ -901,15 +895,15 @@ def _all_below(planes, n: int) -> bool:
     return True  # what still ties equals n - 1
 
 
-def _find_u32(data, at: int, count: int, value: int, start: int = 0) -> int:
+def _find_u32(data, value: int, start: int = 0) -> int:
     """The first position at or after ``start`` that holds ``value`` in
-    the little-endian u32 column of ``count`` items at byte offset ``at``
-    of ``data``, or -1; a search of those bytes in place, at C speed."""
-    needle, end = value.to_bytes(4, "little"), at + 4 * count
-    found = data.find(needle, at + 4 * start, end)
-    while found > 0 and (found - at) % 4:  # a match that straddles two items
-        found = data.find(needle, found + 1, end)
-    return found if found < 0 else (found - at) // 4
+    ``data``, the little-endian bytes of a u32 column, or -1; a search of
+    those bytes in place, at C speed."""
+    needle = value.to_bytes(4, "little")
+    found = data.find(needle, 4 * start)
+    while found > 0 and found % 4:  # a match that straddles two items
+        found = data.find(needle, found + 1)
+    return found if found < 0 else found // 4
 
 
 def save_lexicon(lex: Lexicon, path) -> None:

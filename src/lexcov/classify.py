@@ -11,9 +11,9 @@ import enum
 from collections import Counter, namedtuple
 
 from .automaton import Lexicon
-from .dico import DicoResult, TokenStatus
 from .errors import ConfigError, LexcovError, decoding
 from .preprocess import reform_normalize
+from .runtable import DicoResult, TokenStatus
 
 PORTUGUESE_ALPHABET = "abcdefghijklmnopqrstuvwxyzáàâãçéêíóôõúü"
 

@@ -2,28 +2,22 @@
 
 Exit codes: 0 success, 1 environment/IO problems, 2 invalid input.
 Run manifests (run.json) honor SOURCE_DATE_EPOCH for reproducible trees.
+
+The imports at the top are what every command needs.  Each command imports
+the layers it runs itself, once, so that ``coverage --run`` and ``diff``
+load neither the automaton, the tokenizer nor hashlib.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import hashlib
 import json
 import os
 import sys
 import time
 
 from . import __version__
-from .automaton import CaseFoldPolicy, compile_lexicon, load_lexicon, save_lexicon
-from .classify import (
-    ClassifierConfig,
-    build_unknown_records,
-    category_histogram,
-    classify,
-    load_classifier_config,
-    write_classification_tsv,
-)
 from .coverage import (
     CoverageReport,
     compare_versions,
@@ -36,29 +30,10 @@ from .coverage import (
     render_diff_text,
 )
 from .delaf import DictFile, RoleTag, _read_entries
-from .dico import (
-    DicoResult,
-    apply_dictionaries,
-    open_annotations,
-    read_types,
-    write_outputs,
-)
 from .errors import EmptyLexicon, LexcovError, MalformedEntry, MalformedManifest, decoding
-from .preprocess import (
-    load_abbreviation_list,
-    load_replacement_table,
-    apply_replacements,
-    normalize_delimiters,
-    segment_sentences,
-    tokenize,
-)
+from .runtable import CaseFoldPolicy, DicoResult, read_types
 
 _POLICIES = {p.value: p for p in CaseFoldPolicy}
-
-
-def _sha256(path) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _timestamp() -> str:
@@ -83,20 +58,6 @@ def _expand_corpus(patterns) -> list[str]:
     return sorted(dict.fromkeys(paths))
 
 
-def _preprocess_file(path, abbrevs, replacements, digests):
-    with open(path, "rb") as fh:
-        data = fh.read()
-    digests[path] = hashlib.sha256(data).hexdigest()
-    # a leading BOM is dropped; normalizing turns \r\n and \r into \n, as
-    # reading in text mode would
-    with decoding(path):
-        text = normalize_delimiters(data.decode("utf-8-sig"))
-    stream = tokenize(text)
-    if replacements:
-        apply_replacements(stream, replacements)
-    return segment_sentences(stream, abbrevs)
-
-
 def _apply_corpus(
     patterns, lexicon_paths, policy, abbrev=None, replacements=None, annotations=None
 ):
@@ -104,14 +65,40 @@ def _apply_corpus(
     with the sha256 of each file as it was read, and the one DicoResult
     over all of it.  The rows go to ``annotations``, as for
     :func:`apply_dictionaries`."""
+    from hashlib import sha256
+
+    from .automaton import load_lexicon
+    from .dico import apply_dictionaries
+    from .preprocess import (
+        apply_replacements,
+        load_abbreviation_list,
+        load_replacement_table,
+        normalize_delimiters,
+        segment_sentences,
+        tokenize,
+    )
+
     lexicons = [load_lexicon(p) for p in lexicon_paths]
     corpus = _expand_corpus(patterns)
     abbrevs = load_abbreviation_list(abbrev) if abbrev else ()
     table = load_replacement_table(replacements) if replacements else None
     digests = {}
+
+    def preprocess(path):
+        with open(path, "rb") as fh:
+            data = fh.read()
+        digests[path] = sha256(data).hexdigest()
+        # a leading BOM is dropped; normalizing turns \r\n and \r into \n,
+        # as reading in text mode would
+        with decoding(path):
+            text = normalize_delimiters(data.decode("utf-8-sig"))
+        stream = tokenize(text)
+        if table:
+            apply_replacements(stream, table)
+        return segment_sentences(stream, abbrevs)
+
     # one file's tokens at a time, in sorted corpus order
-    streams = (_preprocess_file(path, abbrevs, table, digests) for path in corpus)
-    result = apply_dictionaries(lexicons, streams, policy, annotations)
+    result = apply_dictionaries(lexicons, map(preprocess, corpus), policy, annotations)
     return [(path, digests[path]) for path in corpus], result
 
 
@@ -124,6 +111,8 @@ def _streamed(paths, codes_of, role=RoleTag.GENERAL) -> list[DictFile]:
 
 
 def cmd_compile(args) -> int:
+    from .automaton import compile_lexicon, save_lexicon
+
     try:
         lex = compile_lexicon(_streamed(args.dicts, {}, RoleTag(args.role)))
     except EmptyLexicon as exc:
@@ -144,6 +133,14 @@ def cmd_compile(args) -> int:
 
 
 def cmd_apply(args) -> int:
+    from hashlib import sha256
+
+    from .dico import open_annotations, write_outputs
+
+    def sha256_of(path):
+        with open(path, "rb") as fh:
+            return sha256(fh.read()).hexdigest()
+
     policy = _POLICIES[args.case_policy]
     created = _timestamp()  # checked before the run directory is made
     # annotations.tsv replaces an earlier run's only once the whole corpus
@@ -162,10 +159,10 @@ def cmd_apply(args) -> int:
         "corpus_id": ",".join(os.path.basename(p) for p, _ in inputs),
         "policy": policy.value,
         "inputs": [{"path": str(p), "sha256": digest} for p, digest in inputs],
-        "lexicons": [{"path": str(p), "sha256": _sha256(p)} for p in args.lexicon],
+        "lexicons": [{"path": str(p), "sha256": sha256_of(p)} for p in args.lexicon],
         "configs": {
-            "abbrev": _sha256(args.abbrev) if args.abbrev else None,
-            "replacements": _sha256(args.replacements) if args.replacements else None,
+            "abbrev": sha256_of(args.abbrev) if args.abbrev else None,
+            "replacements": sha256_of(args.replacements) if args.replacements else None,
         },
         "counts": {
             "word_tokens": result.word_token_count,
@@ -332,6 +329,16 @@ def cmd_coverage(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .automaton import load_lexicon
+    from .classify import (
+        ClassifierConfig,
+        build_unknown_records,
+        category_histogram,
+        classify,
+        load_classifier_config,
+        write_classification_tsv,
+    )
+
     records = build_unknown_records(_read_run(args.run_dir)[0])
     lex_new = load_lexicon(args.lexicon)
     lex_old = load_lexicon(args.old) if args.old else None

@@ -12,8 +12,8 @@ from collections import namedtuple
 from operator import itemgetter
 
 from .delaf import DictFile
-from .dico import DicoResult, TokenStatus
 from .errors import MismatchedCorpus
+from .runtable import DicoResult, TokenStatus
 
 
 def pct(part: int, total: int) -> Decimal:

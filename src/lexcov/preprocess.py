@@ -13,7 +13,6 @@ token unless a caller asks for :class:`Token` views.
 
 from __future__ import annotations
 
-import enum
 import re
 import unicodedata
 from bisect import bisect_left
@@ -21,6 +20,7 @@ from itertools import accumulate, compress, count, repeat
 from operator import itemgetter
 
 from .errors import MalformedReplacements, decoding
+from .runtable import _StrEnum
 
 _CRLF_RE = re.compile(r"\r\n?")
 # C0 and C1 controls other than \t and \n, and DEL
@@ -34,18 +34,6 @@ _TOKEN_RE = re.compile("|".join(_TOKEN_ALTERNATIVES), re.DOTALL)
 _GROUPED_TOKEN_RE = re.compile("|".join(f"({a})" for a in _TOKEN_ALTERNATIVES), re.DOTALL)
 
 _TERMINATORS = frozenset({".", "!", "?", "…"})
-
-
-class _StrEnum(str, enum.Enum):
-    """An enum whose members are str, equal to their values, so a key
-    holding them hashes at C speed.  ``str()`` and ``format()`` give
-    ``Class.MEMBER``, as a plain enum's do, on every Python version."""
-
-    def __str__(self):
-        return f"{type(self).__name__}.{self.name}"
-
-    def __format__(self, spec):
-        return format(str(self), spec)
 
 
 class TokenKind(_StrEnum):

@@ -941,28 +941,30 @@ class TestFindU32:
     @settings(max_examples=500)
     @given(
         col=st.lists(st.sampled_from([0, 1, 0x100, 0x01000000, 0x00010000, 2**32 - 1]), max_size=8),
-        edges=st.tuples(st.binary(max_size=6), st.binary(max_size=6)),
         value=st.sampled_from([0, 1, 0x100, 0x01000000]),
         start=st.integers(0, 9),
     )
-    def test_matches_index(self, col, edges, value, start):
-        # the column is searched in place: bytes before and after it, and
-        # matches that straddle two of its items, are not found
-        before, after = edges
-        data = before + struct.pack(f"<{len(col)}I", *col) + after
+    def test_matches_index(self, col, value, start):
+        # the column's own bytes are searched: matches that straddle two of
+        # its items are not found
+        data = struct.pack(f"<{len(col)}I", *col)
         expected = col.index(value, start) if value in col[start:] else -1
-        assert automaton._find_u32(data, len(before), len(col), value, start) == expected
+        assert automaton._find_u32(data, value, start) == expected
 
     @pytest.mark.parametrize(
-        "data, at, count, found",
+        "col, start, found",
         [
             # 0 straddles the items 1 and 0x100 at byte 1, and is found at item 2
-            (struct.pack("<3I", 1, 0x100, 0), 0, 3, 2),
-            (b"\0" * 3 + struct.pack("<2I", 1, 0x01000000) + b"\0" * 4, 3, 2, -1),
-            # a 0 just before or just after the column is not in it
-            (struct.pack("<2I", 0, 1), 4, 1, -1),
-            (struct.pack("<2I", 2**32 - 1, 0), 0, 1, -1),
+            pytest.param([1, 0x100, 0], 0, 2, id="straddle-then-item-2"),
+            pytest.param([1, 0x01000000], 0, -1, id="straddle-only"),
+            # a 0 in the first or the last item is found, and one before
+            # the start is not, nor a match straddling the start
+            pytest.param([0, 1], 0, 0, id="first-item"),
+            pytest.param([2**32 - 1, 0], 0, 1, id="last-item"),
+            pytest.param([0, 1], 1, -1, id="before-start"),
+            pytest.param([0, 0x100], 1, -1, id="straddles-start"),
         ],
     )
-    def test_cases(self, data, at, count, found):
-        assert automaton._find_u32(data, at, count, 0) == found
+    def test_cases(self, col, start, found):
+        data = struct.pack(f"<{len(col)}I", *col)
+        assert automaton._find_u32(data, 0, start) == found

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import gc
 import io
 import itertools
@@ -957,7 +958,8 @@ class TestExitCodes:
         def broken(*args, **kwargs):
             raise KeyError("bug")
 
-        monkeypatch.setattr("lexcov.cli.load_lexicon", broken)
+        # apply imports load_lexicon from the automaton when it runs
+        monkeypatch.setattr("lexcov.automaton.load_lexicon", broken)
         with pytest.raises(KeyError):
             main([
                 "apply", str(fixtures_dir / "neymar.txt"), "-l", str(neymar_bin),
@@ -1045,12 +1047,21 @@ HEAVY_MODULES = (
 )
 
 
-def _heavy_modules_after(call):
-    """The HEAVY_MODULES loaded once a fresh ``python -S`` child has run
-    ``import lexcov.cli`` and then ``call``."""
+# the layers of compile, apply, classify and direct coverage, and the
+# standard modules only they use (hashlib loads OpenSSL): a command that
+# reads a run or diffs two versions does not load them
+LAYER_MODULES = (
+    "lexcov.automaton", "lexcov.preprocess", "lexcov.dico", "lexcov.classify",
+    "hashlib", "zlib", "unicodedata",
+)
+
+
+def _modules_after(call, modules):
+    """The ``modules`` loaded once a fresh ``python -S`` child has run
+    ``import lexcov.cli`` and then the statements ``call``."""
     probe = (
-        f"import sys, lexcov.cli; {call};"
-        f" print(*sorted(m for m in {HEAVY_MODULES!r} if m in sys.modules), file=sys.stderr)"
+        f"import sys, lexcov.cli\n{call}\n"
+        f"print(*sorted(m for m in {modules!r} if m in sys.modules), file=sys.stderr)"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     return subprocess.run(
@@ -1059,16 +1070,119 @@ def _heavy_modules_after(call):
         capture_output=True,
         text=True,
         check=True,
-    ).stderr.split()
+    ).stderr.splitlines()[-1].split()
+
+
+def _main_call(argv):
+    """The statements that run ``lexcov.cli.main(argv)`` and check that it
+    ends with exit code 0."""
+    return (
+        f"try:\n    code = lexcov.cli.main({argv!r})\n"
+        f"except SystemExit as exc:\n    code = exc.code\n"
+        f"assert code == 0, code"
+    )
 
 
 def test_cli_import_loads_no_heavy_module():
-    assert _heavy_modules_after("lexcov.cli.build_parser()") == []
+    call = "lexcov.cli.build_parser()"
+    assert _modules_after(call, HEAVY_MODULES + LAYER_MODULES) == []
 
 
 def test_diff_loads_no_heavy_module(fixtures_dir):
     argv = ["diff", "-a", str(fixtures_dir / "neymar.dic"), "-b", str(fixtures_dir / "sample.dic")]
-    assert _heavy_modules_after(f"assert lexcov.cli.main({argv!r}) == 0") == []
+    assert _modules_after(_main_call(argv), HEAVY_MODULES + LAYER_MODULES) == []
+
+
+class TestCommandImports:
+    """Each command imports only the layers it runs."""
+
+    @pytest.fixture
+    def paths(self, fixtures_dir, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert main(["apply", str(fixtures_dir / "neymar.txt"),
+                     "-l", str(fixtures_dir / "neymar.lex"), "-o", str(run)]) == 0
+        counts = tmp_path / "counts.json"
+        counts.write_text(
+            '[{"types_total": 4, "types_unknown": 1, "tokens_total": 9, "tokens_unknown": 2}]'
+        )
+        capsys.readouterr()
+        return {
+            "dic": fixtures_dir / "neymar.dic", "txt": fixtures_dir / "neymar.txt",
+            "lex": fixtures_dir / "neymar.lex", "run": run, "counts": counts,
+            "out": tmp_path / "out",
+        }
+
+    @staticmethod
+    def loaded(paths, argv, modules=LAYER_MODULES):
+        argv = [arg.format(**paths) for arg in argv.split()]
+        return _modules_after(_main_call(argv), modules)
+
+    # build_parser() and diff are checked with the HEAVY_MODULES above;
+    # coverage prints percentages, so it loads decimal
+    @pytest.mark.parametrize(
+        "argv", ["--version", "coverage --run {run} --run {run}", "coverage --counts {counts}"]
+    )
+    def test_run_readers_load_no_layer(self, paths, argv):
+        assert self.loaded(paths, argv) == []
+
+    def test_compile_loads_no_dico_or_classify(self, paths):
+        argv = "compile {dic} -o {out}.lex"
+        assert self.loaded(paths, argv, ("lexcov.dico", "lexcov.classify")) == []
+
+    def test_apply_loads_no_classify(self, paths):
+        argv = "apply {txt} -l {lex} -o {out}"
+        assert self.loaded(paths, argv, ("lexcov.classify",)) == []
+
+
+class TestPackageNames:
+    """The package's names load on first use, each from its own module."""
+
+    def test_names_are_their_modules(self):
+        import importlib
+
+        import lexcov
+
+        for name in lexcov.__all__:
+            home = importlib.import_module(f"lexcov.{lexcov._HOMES[name]}")
+            assert getattr(lexcov, name) is getattr(home, name), name
+
+    def test_import_star_binds_every_name(self):
+        import lexcov
+
+        namespace = {}
+        exec("from lexcov import *", namespace)
+        assert {name: namespace[name] for name in lexcov.__all__} == {
+            name: getattr(lexcov, name) for name in lexcov.__all__
+        }
+
+    def test_unknown_name_raises_attribute_error(self):
+        import lexcov
+
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            lexcov.no_such_name
+        with pytest.raises(ImportError):
+            exec("from lexcov import no_such_name", {})
+
+    def test_old_homes_keep_the_run_table_names(self):
+        from lexcov import automaton, dico, preprocess, runtable
+
+        assert automaton.CaseFoldPolicy is runtable.CaseFoldPolicy
+        assert preprocess._StrEnum is runtable._StrEnum
+        for name in ("TokenStatus", "DicoResult", "read_types"):
+            assert getattr(dico, name) is getattr(runtable, name), name
+
+    def test_benchmark_probe_imports_run(self):
+        # perfbench/probe.py imports names from their old homes
+        probe = Path(__file__).resolve().parents[1] / "perfbench" / "probe.py"
+        tree = ast.parse(probe.read_text(encoding="utf-8"))
+        imports = [
+            node for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.module.startswith("lexcov")
+        ]
+        assert imports
+        namespace = {}
+        exec(compile(ast.Module(imports, []), str(probe), "exec"), namespace)
+        assert all(alias.name in namespace for node in imports for alias in node.names)
 
 
 class TestEntryPoint:
